@@ -12,11 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import LedgerError, RegistryError
 
 DEFAULT_NUM_RBS = 50  # 10 MHz LTE grid
+MAX_NUM_RBS = 110  # 20 MHz, the largest LTE grid (3GPP TS 36.211)
+
+
+def check_num_rbs(num_rbs: int) -> None:
+    if not 1 <= num_rbs <= MAX_NUM_RBS:
+        raise ValueError(f"num_rbs must be in 1..{MAX_NUM_RBS}, got {num_rbs}")
 
 
 class NodeKind(Enum):
@@ -56,8 +62,7 @@ class Binder:
     """
 
     def __init__(self, num_rbs: int = DEFAULT_NUM_RBS) -> None:
-        if num_rbs <= 0:
-            raise ValueError("num_rbs must be positive")
+        check_num_rbs(num_rbs)
         self.num_rbs = num_rbs
         self._next_node_id = 1
         self._next_address = 1
@@ -126,9 +131,6 @@ class Binder:
             return recs
         return [r for r in recs if r.kind == kind]
 
-    def live_ids(self) -> set[int]:
-        return set(self._nodes)
-
     def set_position(self, node_id: int, x: float, y: float) -> None:
         self.node(node_id).position = (x, y)
 
@@ -158,14 +160,6 @@ class Binder:
         self._grids = {self._current_tti: self._grids[self._current_tti]}
         self._current_tti = new_tti
         self._grids[new_tti] = _empty_grid()
-
-    def _grid(self, tti: int) -> Grid:
-        try:
-            return self._grids[tti]
-        except KeyError:
-            raise LedgerError(
-                f"grid for TTI {tti} is not retained (current is {self._current_tti})"
-            ) from None
 
     def record_allocation(
         self,
@@ -198,37 +192,11 @@ class Binder:
         for rb in rbs:
             per_rb.setdefault(rb, {})[cell] = transmitter
 
-    def transmitter_on(
-        self, tti: int, direction: Direction, cell: int, rb: int
-    ) -> Optional[int]:
-        return self._grid(tti)[direction].get(rb, {}).get(cell)
-
-    def co_channel_transmitters(
-        self, tti: int, direction: Direction, rb_index: int, excluding_cell: int
-    ) -> list[tuple[int, float, tuple[float, float]]]:
-        """All transmitters on `rb_index` in cells other than `excluding_cell`.
-
-        Returns (node id, tx power dBm, current position) triples sorted by
-        node id; empty when nothing co-channel is active.
-        """
-        cells = self._grid(tti)[direction].get(rb_index, {})
-        out = []
-        for cell, tx in cells.items():
-            if cell == excluding_cell:
-                continue
-            rec = self._nodes[tx]
-            out.append((tx, rec.tx_power_dbm, rec.position))
-        out.sort(key=lambda item: item[0])
-        return out
-
     def rb_occupancy(self, tti: int, direction: Direction) -> dict[int, dict[int, int]]:
         """Read-only view of rb -> {cell -> transmitter} for one TTI/direction."""
-        return self._grid(tti)[direction]
-
-    def allocation_items(
-        self, tti: int, direction: Direction
-    ) -> Iterator[tuple[int, int, int]]:
-        """Iterate (cell, rb, transmitter) entries of one TTI/direction."""
-        for rb, cells in self._grid(tti)[direction].items():
-            for cell, tx in cells.items():
-                yield (cell, rb, tx)
+        try:
+            return self._grids[tti][direction]
+        except KeyError:
+            raise LedgerError(
+                f"grid for TTI {tti} is not retained (current is {self._current_tti})"
+            ) from None

@@ -67,6 +67,8 @@ class ChannelParams:
             raise ValueError("min_distance_m must be positive")
         if self.rb_bandwidth_hz <= 0:
             raise ValueError("rb_bandwidth_hz must be positive")
+        if self.shadowing_sigma_db < 0:
+            raise ValueError("shadowing_sigma_db must be non-negative")
 
 
 @dataclass(frozen=True)

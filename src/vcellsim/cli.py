@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ScenarioConfig, dump_defaults, load_config
-from .engine import s_to_us, us_to_s
+from .config import SIM_END, ScenarioConfig, dump_defaults, load_config
+from .engine import us_to_s
 from .errors import ConfigError
 from .metrics import write_outputs
 from .scenario import run_scenario
@@ -34,9 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, type=Path)
     run.add_argument("--out", required=True, type=Path)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument(
-        "--until", type=float, default=None, metavar="SECONDS", help="override sim_end_s"
-    )
+    run.add_argument("--until", default=None, metavar="SECONDS", help="override sim_end_s")
     run.add_argument(
         "--jobs",
         type=int,
@@ -52,10 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
+    """Apply --seed and --until, and check --jobs; bad values raise ConfigError."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.until is not None:
-        config = dataclasses.replace(config, sim_end_us=s_to_us(args.until))
+        config = dataclasses.replace(config, sim_end_us=SIM_END.convert(args.until, "--until: "))
     return config
 
 
@@ -89,7 +91,7 @@ def main(argv=None) -> int:
 
     try:
         config = _apply_overrides(config, args)
-        if args.jobs <= 1:
+        if args.jobs == 1:
             print(_run_one(config, args.out))
         else:
             seeds = [config.seed + i for i in range(args.jobs)]
@@ -97,7 +99,8 @@ def main(argv=None) -> int:
                 (dataclasses.replace(config, seed=s), args.out / f"seed-{s}")
                 for s in seeds
             ]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for line in pool.map(_run_one, *zip(*jobs)):
                     print(line)
     except ConfigError as exc:

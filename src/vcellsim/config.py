@@ -6,25 +6,36 @@ settings use ``car[<i>].`` where ``<i>`` is the vehicle's position in enter
 order (ties broken by name), and ``car.default.`` supplies the value for
 every vehicle without an override. Unknown and duplicate keys are hard
 errors: a typo must never silently run the wrong experiment.
+
+Every key is one row of ``KEYS`` (scalar keys) or of an entity's field
+table (``ENB_FIELDS``, ``CAR_FIELDS``, ``FLOW_FIELDS``). The rows drive
+parsing, ``dump_defaults`` and the key list in README.md. A default is
+read from where it lives, a dataclass field default or a module constant,
+and is never restated.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from .binder import DEFAULT_NUM_RBS, Direction
-from .channel import CQI_BITS_PER_RB, CQI_SINR_THRESHOLDS_DB, ChannelParams, CqiTables
-from .engine import ms_to_us, s_to_us
+from .binder import DEFAULT_NUM_RBS, Direction, check_num_rbs
+from .channel import ChannelParams, CqiTables
+from .engine import US_PER_MS, US_PER_S
 from .errors import ConfigError
 from .mobility import AccidentSpec
-from .rrc import HandoverConfig
+from .rrc import ASSOCIATION_METRICS, HandoverConfig
 from .traffic import BackhaulConfig, FlowSpec
 
 SCHEDULERS = ("rr", "maxcqi")
 
+# Defaults of the top-level keys; the others are dataclass field defaults.
+DEFAULT_SIM_END_US = 10 * US_PER_S
+DEFAULT_SEED = 1
+DEFAULT_SCHEDULER = "rr"
 DEFAULT_UE_TX_POWER_DBM = 26.0
 DEFAULT_ENB_TX_POWER_DBM = 46.0
 
@@ -64,7 +75,164 @@ class ScenarioConfig:
     flows: tuple[FlowSpec, ...] = ()
 
 
-class _KeyTable:
+# ----------------------------------------------------------------------
+# value parsers: raw text -> value, or ValueError saying what was expected
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expects an integer, got {text!r}") from None
+
+
+def _float(text: str) -> float:
+    """The one finiteness rule: every float key, list item and field uses it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expects a finite number, got {text!r}")
+    return value
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expects true or false, got {text!r}")
+    return text == "true"
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expects one of {', '.join(options)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        return tuple(item(part.strip()) for part in text.split(","))
+
+    return parse
+
+
+def _check_sim_end(seconds: float) -> None:
+    if seconds < 0:
+        raise ValueError("sim_end_s must be non-negative")
+
+
+REQUIRED = object()  # default of a key that must be given
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: parser, default, unit conversion, range check, doc line.
+
+    `default` is in the unit the program holds. A key with a `scale` (µs per
+    config unit, for the ``_s`` and ``_ms`` keys) is held in integer
+    microseconds. A default of None leaves the value unset; `example` is
+    what `dump_defaults` writes for a key without a default.
+    """
+
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    doc: str
+    scale: Optional[int] = None
+    check: Optional[Callable[[Any], None]] = None
+    example: Any = None
+
+    def convert(self, text: str, where: str, name: Optional[str] = None) -> Any:
+        """Parse, range-check and scale one raw value; `where` prefixes errors."""
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{name or self.name} {exc}") from None
+        if self.check is not None:
+            try:
+                self.check(value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}{exc}") from None
+        return value if self.scale is None else round(value * self.scale)
+
+
+SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US, "simulated duration", US_PER_S,
+              _check_sim_end)
+
+KEYS = (
+    SIM_END,
+    Key("seed", _int, DEFAULT_SEED, "seed of the run's random number generator"),
+    Key("num_rbs", _int, DEFAULT_NUM_RBS, "resource blocks per cell and direction, 1 to 110",
+        check=check_num_rbs),
+    Key("scheduler", _choice(*SCHEDULERS), DEFAULT_SCHEDULER, "rr (round robin) or maxcqi"),
+    Key("trace_file", Path, REQUIRED, "mobility trace CSV, relative to the config file",
+        example="trace.csv"),
+    Key("dynamic_cell_association", _bool, False,
+        "attach to the strongest cell, not to the master_id cell"),
+    Key("association_metric", _choice(*ASSOCIATION_METRICS), ASSOCIATION_METRICS[0],
+        "what strongest means: rx_power, or mean DL sinr"),
+    Key("enable_handover", _bool, HandoverConfig.enabled,
+        "A3 handover with hysteresis and time-to-trigger"),
+    Key("handover.hysteresis_db", _float, HandoverConfig.hysteresis_db,
+        "margin by which a neighbour must beat the serving cell"),
+    Key("handover.time_to_trigger_ms", _float, HandoverConfig.time_to_trigger_us,
+        "how long the margin must hold before a handover", US_PER_MS),
+    Key("backhaul.delay_ms", _float, BackhaulConfig.one_way_delay_us,
+        "one-way core network delay", US_PER_MS),
+    Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db, "path loss at 1 km"),
+    Key("channel.pathloss_b_db", _float, ChannelParams.pathloss_b_db,
+        "path loss per decade of distance"),
+    Key("channel.min_distance_m", _float, ChannelParams.min_distance_m,
+        "minimum coupling distance of the path loss model"),
+    Key("channel.noise_figure_db", _float, ChannelParams.noise_figure_db, "receiver noise figure"),
+    Key("channel.rb_bandwidth_hz", _float, ChannelParams.rb_bandwidth_hz, "bandwidth of one RB"),
+    Key("channel.shadowing", _bool, ChannelParams.shadowing_enabled,
+        "log-normal shadowing, one draw per node pair"),
+    Key("channel.shadowing_sigma_db", _float, ChannelParams.shadowing_sigma_db,
+        "standard deviation of shadowing, at least 0"),
+    Key("channel.cqi_thresholds_db", _list(_float), CqiTables.sinr_thresholds_db,
+        "mean SINR needed for CQI 1..15, ascending"),
+    Key("channel.bits_per_rb", _list(_int), CqiTables.bits_per_rb,
+        "bits one RB carries at CQI 1..15, ascending"),
+    Key("channel.ue_tx_power_dbm", _float, DEFAULT_UE_TX_POWER_DBM, "UE transmit power"),
+    Key("channel.enb_tx_power_dbm", _float, DEFAULT_ENB_TX_POWER_DBM, "eNB transmit power"),
+    Key("car.default.master_id", _int, None,
+        "eNB index vehicles attach to while dynamic_cell_association is false", example=0),
+    Key("car.default.tx_power_dbm", _float, None,
+        "UE transmit power of every vehicle; unset means channel.ue_tx_power_dbm",
+        example=DEFAULT_UE_TX_POWER_DBM),
+)
+
+ENB_FIELDS = (
+    Key("name", str, None, "unique name; unset means enb0, enb1, ...", example="enb0"),
+    Key("x_m", _float, REQUIRED, "position", example=0.0),
+    Key("y_m", _float, REQUIRED, "position", example=0.0),
+    Key("tx_power_dbm", _float, None, "transmit power; unset means channel.enb_tx_power_dbm",
+        example=DEFAULT_ENB_TX_POWER_DBM),
+)
+
+CAR_FIELDS = (
+    Key("master_id", _int, None, "overrides car.default.master_id"),
+    Key("tx_power_dbm", _float, None, "overrides car.default.tx_power_dbm"),
+    Key("accident.count", _int, None, "1 stops the vehicle once on its route, 0 never"),
+    Key("accident.start_s", _float, None, "stop begins this long after departure", US_PER_S),
+    Key("accident.duration_s", _float, None, "how long the vehicle stands still", US_PER_S),
+)
+
+FLOW_FIELDS = (
+    Key("direction", _choice("dl", "ul"), REQUIRED, "dl (server to vehicle) or ul"),
+    Key("target", str, REQUIRED, "vehicle name, or ALL for one flow per vehicle"),
+    Key("packet_bits", _int, REQUIRED, "packet size"),
+    Key("interval_ms", _float, REQUIRED, "time between packets", US_PER_MS),
+    Key("start_s", _float, REQUIRED, "first packet", US_PER_S),
+    Key("stop_s", _float, REQUIRED, "no packet after this", US_PER_S),
+)
+
+
+class _RawConfig:
     """Raw key/value pairs with line numbers and used-key tracking."""
 
     def __init__(self, text: str) -> None:
@@ -88,20 +256,37 @@ class _KeyTable:
             self.pairs[key] = (value, lineno)
         self._used: set[str] = set()
 
-    def take(self, key: str) -> Optional[tuple[str, int]]:
-        if key in self.pairs:
-            self._used.add(key)
-            return self.pairs[key]
-        return None
+    def value(self, key: Key) -> Any:
+        """The converted value of a scalar key, or its default."""
+        if key.name not in self.pairs:
+            if key.default is REQUIRED:
+                raise ConfigError(f"missing required key {key.name}")
+            return key.default
+        self._used.add(key.name)
+        text, lineno = self.pairs[key.name]
+        return key.convert(text, f"line {lineno}: ")
 
-    def matching(self, pattern: re.Pattern) -> list[tuple[re.Match, str, int]]:
-        out = []
-        for key, (value, lineno) in self.pairs.items():
+    def group(self, prefix: str, fields: tuple[Key, ...]) -> dict[int, dict[str, Any]]:
+        """Convert every ``prefix[i].<field>`` line into {i: {field: value}}.
+
+        Fields that are not given stay absent; a missing REQUIRED one is an
+        error.
+        """
+        by_name = {key.name: key for key in fields}
+        names = "|".join(re.escape(name) for name in by_name)
+        pattern = re.compile(rf"{prefix}\[(\d+)\]\.({names})")
+        groups: dict[int, dict[str, Any]] = {}
+        for key, (text, lineno) in self.pairs.items():
             m = pattern.fullmatch(key)
             if m:
                 self._used.add(key)
-                out.append((m, value, lineno))
-        return out
+                value = by_name[m.group(2)].convert(text, f"line {lineno}: ", key)
+                groups.setdefault(int(m.group(1)), {})[m.group(2)] = value
+        for i, entry in sorted(groups.items()):
+            for f in fields:
+                if f.default is REQUIRED and f.name not in entry:
+                    raise ConfigError(f"missing required key {prefix}[{i}].{f.name}")
+        return groups
 
     def reject_unused(self) -> None:
         unused = [(ln, k) for k, (_, ln) in self.pairs.items() if k not in self._used]
@@ -110,94 +295,43 @@ class _KeyTable:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
 
 
-def _as_int(value: str, lineno: int, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-
-
-def _as_float(value: str, lineno: int, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
-
-
-def _as_bool(value: str, lineno: int, key: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"line {lineno}: {key} expects true or false, got {value!r}")
-
-
-def _as_float_list(value: str, lineno: int, key: str) -> tuple[float, ...]:
-    return tuple(_as_float(p.strip(), lineno, key) for p in value.split(","))
-
-
-def _as_int_list(value: str, lineno: int, key: str) -> tuple[int, ...]:
-    return tuple(_as_int(p.strip(), lineno, key) for p in value.split(","))
-
-
-def _scalar(table, key, parser, default):
-    hit = table.take(key)
-    if hit is None:
-        return default
-    value, lineno = hit
-    return parser(value, lineno, key)
-
-
-_ENB_KEY = re.compile(r"enb\[(\d+)\]\.(name|x_m|y_m|tx_power_dbm)")
-_CAR_KEY = re.compile(
-    r"car\[(\d+)\]\.(master_id|tx_power_dbm|accident\.count|accident\.start_s|accident\.duration_s)"
-)
-_FLOW_KEY = re.compile(
-    r"flow\[(\d+)\]\.(direction|target|packet_bits|interval_ms|start_s|stop_s)"
-)
-
-
-def _contiguous(indices: set[int], what: str) -> list[int]:
-    ordered = sorted(indices)
+def _contiguous(groups: dict[int, dict[str, Any]], what: str) -> list[tuple[int, dict]]:
+    ordered = sorted(groups)
     if ordered != list(range(len(ordered))):
         raise ConfigError(f"{what} indices must be contiguous from 0, got {ordered}")
-    return ordered
+    return sorted(groups.items())
 
 
-def _collect_enbs(table: _KeyTable, default_power: float) -> tuple[EnbConfig, ...]:
-    fields: dict[int, dict[str, tuple[str, int]]] = {}
-    for m, value, lineno in table.matching(_ENB_KEY):
-        fields.setdefault(int(m.group(1)), {})[m.group(2)] = (value, lineno)
-    if not fields:
+def _check_master(master: Optional[int], n_enbs: int, key: str) -> None:
+    if master is not None and not 0 <= master < n_enbs:
+        raise ConfigError(f"{key} = {master} does not reference a declared enb")
+
+
+def _enbs(raw: _RawConfig, default_power: float) -> tuple[EnbConfig, ...]:
+    groups = raw.group("enb", ENB_FIELDS)
+    if not groups:
         raise ConfigError("missing required key: at least one enb[<i>].x_m/y_m block")
-    enbs = []
-    for i in _contiguous(set(fields), "enb"):
-        entry = fields[i]
-        for required in ("x_m", "y_m"):
-            if required not in entry:
-                raise ConfigError(f"missing required key enb[{i}].{required}")
-        name = entry["name"][0] if "name" in entry else f"enb{i}"
-        x = _as_float(*entry["x_m"], key=f"enb[{i}].x_m")
-        y = _as_float(*entry["y_m"], key=f"enb[{i}].y_m")
-        power = (
-            _as_float(*entry["tx_power_dbm"], key=f"enb[{i}].tx_power_dbm")
-            if "tx_power_dbm" in entry
-            else default_power
+    enbs = tuple(
+        EnbConfig(
+            name=entry.get("name", f"enb{i}"),
+            x=entry["x_m"],
+            y=entry["y_m"],
+            tx_power_dbm=entry.get("tx_power_dbm", default_power),
         )
-        enbs.append(EnbConfig(name=name, x=x, y=y, tx_power_dbm=power))
+        for i, entry in _contiguous(groups, "enb")
+    )
     names = [e.name for e in enbs]
     if len(set(names)) != len(names):
         raise ConfigError(f"enb names must be unique, got {names}")
-    return tuple(enbs)
+    return enbs
 
 
-def _build_accident(entry: dict[str, tuple[str, int]], i: int) -> Optional[AccidentSpec]:
-    count_field = entry.get("accident.count")
-    if count_field is None:
+def _accident(entry: dict[str, Any], i: int) -> Optional[AccidentSpec]:
+    count = entry.get("accident.count")
+    if count is None:
         if any(k.startswith("accident.") for k in entry):
             raise ConfigError(f"car[{i}]: accident.start_s/duration_s need accident.count")
         return None
-    count = _as_int(*count_field, key=f"car[{i}].accident.count")
     if count == 0:
         return None
     if count != 1:
@@ -205,64 +339,37 @@ def _build_accident(entry: dict[str, tuple[str, int]], i: int) -> Optional[Accid
     for required in ("accident.start_s", "accident.duration_s"):
         if required not in entry:
             raise ConfigError(f"missing required key car[{i}].{required}")
-    start = _as_float(*entry["accident.start_s"], key=f"car[{i}].accident.start_s")
-    duration = _as_float(*entry["accident.duration_s"], key=f"car[{i}].accident.duration_s")
     try:
-        return AccidentSpec(count, s_to_us(start), s_to_us(duration))
+        return AccidentSpec(count, entry["accident.start_s"], entry["accident.duration_s"])
     except ValueError as exc:
         raise ConfigError(f"car[{i}]: {exc}") from None
 
 
-def _collect_cars(table: _KeyTable, n_enbs: int) -> dict[int, CarOverride]:
-    fields: dict[int, dict[str, tuple[str, int]]] = {}
-    for m, value, lineno in table.matching(_CAR_KEY):
-        fields.setdefault(int(m.group(1)), {})[m.group(2)] = (value, lineno)
+def _cars(raw: _RawConfig, n_enbs: int) -> dict[int, CarOverride]:
     cars = {}
-    for i, entry in sorted(fields.items()):
-        master = None
-        if "master_id" in entry:
-            master = _as_int(*entry["master_id"], key=f"car[{i}].master_id")
-            if not 0 <= master < n_enbs:
-                raise ConfigError(
-                    f"car[{i}].master_id = {master} does not reference a declared enb"
-                )
-        power = (
-            _as_float(*entry["tx_power_dbm"], key=f"car[{i}].tx_power_dbm")
-            if "tx_power_dbm" in entry
-            else None
-        )
+    for i, entry in sorted(raw.group("car", CAR_FIELDS).items()):
+        _check_master(entry.get("master_id"), n_enbs, f"car[{i}].master_id")
         cars[i] = CarOverride(
-            master_id=master, tx_power_dbm=power, accident=_build_accident(entry, i)
+            master_id=entry.get("master_id"),
+            tx_power_dbm=entry.get("tx_power_dbm"),
+            accident=_accident(entry, i),
         )
     return cars
 
 
-def _collect_flows(table: _KeyTable) -> tuple[FlowSpec, ...]:
-    fields: dict[int, dict[str, tuple[str, int]]] = {}
-    for m, value, lineno in table.matching(_FLOW_KEY):
-        fields.setdefault(int(m.group(1)), {})[m.group(2)] = (value, lineno)
+def _flows(raw: _RawConfig) -> tuple[FlowSpec, ...]:
     flows = []
-    for i in _contiguous(set(fields), "flow"):
-        entry = fields[i]
-        for required in ("direction", "target", "packet_bits", "interval_ms", "start_s", "stop_s"):
-            if required not in entry:
-                raise ConfigError(f"missing required key flow[{i}].{required}")
-        raw_dir, dir_line = entry["direction"]
-        if raw_dir not in ("dl", "ul"):
-            raise ConfigError(f"line {dir_line}: flow[{i}].direction expects dl or ul")
-        direction = Direction.DL if raw_dir == "dl" else Direction.UL
+    for i, entry in _contiguous(raw.group("flow", FLOW_FIELDS), "flow"):
         try:
             flows.append(
                 FlowSpec(
                     name=f"flow{i}",
-                    direction=direction,
-                    target=entry["target"][0],
-                    packet_bits=_as_int(*entry["packet_bits"], key=f"flow[{i}].packet_bits"),
-                    interval_us=ms_to_us(
-                        _as_float(*entry["interval_ms"], key=f"flow[{i}].interval_ms")
-                    ),
-                    start_us=s_to_us(_as_float(*entry["start_s"], key=f"flow[{i}].start_s")),
-                    stop_us=s_to_us(_as_float(*entry["stop_s"], key=f"flow[{i}].stop_s")),
+                    direction=Direction[entry["direction"].upper()],
+                    target=entry["target"],
+                    packet_bits=entry["packet_bits"],
+                    interval_us=entry["interval_ms"],
+                    start_us=entry["start_s"],
+                    stop_us=entry["stop_s"],
                 )
             )
         except ValueError as exc:
@@ -271,101 +378,56 @@ def _collect_flows(table: _KeyTable) -> tuple[FlowSpec, ...]:
 
 
 def parse_config_text(text: str, base_dir: Path) -> ScenarioConfig:
-    table = _KeyTable(text)
+    raw = _RawConfig(text)
+    v = {key.name: raw.value(key) for key in KEYS}
 
-    sim_end_s = _scalar(table, "sim_end_s", _as_float, 10.0)
-    if sim_end_s < 0:
-        raise ConfigError("sim_end_s must be non-negative")
-    seed = _scalar(table, "seed", _as_int, 1)
-    num_rbs = _scalar(table, "num_rbs", _as_int, DEFAULT_NUM_RBS)
-    if num_rbs <= 0:
-        raise ConfigError("num_rbs must be positive")
-
-    scheduler_hit = table.take("scheduler")
-    scheduler = scheduler_hit[0] if scheduler_hit else "rr"
-    if scheduler not in SCHEDULERS:
-        where = f"line {scheduler_hit[1]}: " if scheduler_hit else ""
-        raise ConfigError(f"{where}scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
-
-    trace_hit = table.take("trace_file")
-    if trace_hit is None:
-        raise ConfigError("missing required key trace_file")
-    trace_file = Path(trace_hit[0])
-    if not trace_file.is_absolute():
-        trace_file = base_dir / trace_file
+    trace_file = base_dir / v["trace_file"]
     if not trace_file.is_file():
         raise ConfigError(f"trace_file {trace_file} does not exist")
 
-    dynamic = _scalar(table, "dynamic_cell_association", _as_bool, False)
-    metric_hit = table.take("association_metric")
-    association_metric = metric_hit[0] if metric_hit else "rx_power"
-    if association_metric not in ("rx_power", "sinr"):
-        where = f"line {metric_hit[1]}: " if metric_hit else ""
-        raise ConfigError(
-            f"{where}association_metric must be rx_power or sinr, got {association_metric!r}"
-        )
+    enbs = _enbs(raw, v["channel.enb_tx_power_dbm"])
+    _check_master(v["car.default.master_id"], len(enbs), "car.default.master_id")
+    cars = _cars(raw, len(enbs))
+    flows = _flows(raw)
+    raw.reject_unused()
+
+    car_power = v["car.default.tx_power_dbm"]
     try:
-        handover = HandoverConfig(
-            enabled=_scalar(table, "enable_handover", _as_bool, False),
-            hysteresis_db=_scalar(table, "handover.hysteresis_db", _as_float, 3.0),
-            time_to_trigger_us=ms_to_us(
-                _scalar(table, "handover.time_to_trigger_ms", _as_float, 256.0)
+        return ScenarioConfig(
+            sim_end_us=v["sim_end_s"],
+            seed=v["seed"],
+            num_rbs=v["num_rbs"],
+            scheduler=v["scheduler"],
+            trace_file=trace_file,
+            dynamic_cell_association=v["dynamic_cell_association"],
+            association_metric=v["association_metric"],
+            handover=HandoverConfig(
+                enabled=v["enable_handover"],
+                hysteresis_db=v["handover.hysteresis_db"],
+                time_to_trigger_us=v["handover.time_to_trigger_ms"],
             ),
-        )
-        backhaul = BackhaulConfig(
-            one_way_delay_us=ms_to_us(_scalar(table, "backhaul.delay_ms", _as_float, 1.0))
-        )
-        channel = ChannelParams(
-            pathloss_a_db=_scalar(table, "channel.pathloss_a_db", _as_float, 128.1),
-            pathloss_b_db=_scalar(table, "channel.pathloss_b_db", _as_float, 37.6),
-            min_distance_m=_scalar(table, "channel.min_distance_m", _as_float, 35.0),
-            noise_figure_db=_scalar(table, "channel.noise_figure_db", _as_float, 9.0),
-            rb_bandwidth_hz=_scalar(table, "channel.rb_bandwidth_hz", _as_float, 180e3),
-            shadowing_enabled=_scalar(table, "channel.shadowing", _as_bool, False),
-            shadowing_sigma_db=_scalar(table, "channel.shadowing_sigma_db", _as_float, 8.0),
-        )
-        tables = CqiTables(
-            sinr_thresholds_db=_scalar(
-                table, "channel.cqi_thresholds_db", _as_float_list, CQI_SINR_THRESHOLDS_DB
+            backhaul=BackhaulConfig(one_way_delay_us=v["backhaul.delay_ms"]),
+            channel=ChannelParams(
+                pathloss_a_db=v["channel.pathloss_a_db"],
+                pathloss_b_db=v["channel.pathloss_b_db"],
+                min_distance_m=v["channel.min_distance_m"],
+                noise_figure_db=v["channel.noise_figure_db"],
+                rb_bandwidth_hz=v["channel.rb_bandwidth_hz"],
+                shadowing_enabled=v["channel.shadowing"],
+                shadowing_sigma_db=v["channel.shadowing_sigma_db"],
             ),
-            bits_per_rb=_scalar(table, "channel.bits_per_rb", _as_int_list, CQI_BITS_PER_RB),
+            tables=CqiTables(
+                sinr_thresholds_db=v["channel.cqi_thresholds_db"],
+                bits_per_rb=v["channel.bits_per_rb"],
+            ),
+            ue_tx_power_dbm=v["channel.ue_tx_power_dbm"] if car_power is None else car_power,
+            default_master_id=v["car.default.master_id"],
+            enbs=enbs,
+            cars=cars,
+            flows=flows,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    ue_power = _scalar(table, "channel.ue_tx_power_dbm", _as_float, DEFAULT_UE_TX_POWER_DBM)
-    enb_power = _scalar(table, "channel.enb_tx_power_dbm", _as_float, DEFAULT_ENB_TX_POWER_DBM)
-    default_master = _scalar(table, "car.default.master_id", _as_int, None)
-    default_car_power = _scalar(table, "car.default.tx_power_dbm", _as_float, ue_power)
-
-    enbs = _collect_enbs(table, enb_power)
-    if default_master is not None and not 0 <= default_master < len(enbs):
-        raise ConfigError(
-            f"car.default.master_id = {default_master} does not reference a declared enb"
-        )
-    cars = _collect_cars(table, len(enbs))
-    flows = _collect_flows(table)
-
-    table.reject_unused()
-
-    return ScenarioConfig(
-        sim_end_us=s_to_us(sim_end_s),
-        seed=seed,
-        num_rbs=num_rbs,
-        scheduler=scheduler,
-        trace_file=trace_file,
-        dynamic_cell_association=dynamic,
-        association_metric=association_metric,
-        handover=handover,
-        backhaul=backhaul,
-        channel=channel,
-        tables=tables,
-        ue_tx_power_dbm=default_car_power,
-        default_master_id=default_master,
-        enbs=enbs,
-        cars=cars,
-        flows=flows,
-    )
 
 
 def load_config(path) -> ScenarioConfig:
@@ -377,45 +439,28 @@ def load_config(path) -> ScenarioConfig:
     return parse_config_text(text, path.parent)
 
 
+def format_value(value: Any) -> str:
+    """A value spelled the way the config parsers read it back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(format_value(item) for item in value)
+    return str(value)
+
+
 def dump_defaults() -> str:
-    """Canonical config text carrying every default explicitly.
+    """Config text that sets every key in ``KEYS``, plus one example eNB.
 
-    Loading the dumped text (with a trace.csv next to it) reproduces the
-    same resolved configuration.
+    Keys without a default get their example value. Loading the text with
+    a trace.csv next to it resolves to the defaults, with one eNB at the
+    origin that every vehicle is pinned to.
     """
-    thresholds = ", ".join(repr(v) for v in CQI_SINR_THRESHOLDS_DB)
-    bits = ", ".join(str(v) for v in CQI_BITS_PER_RB)
-    return f"""# vcellsim scenario defaults
-sim_end_s = 10.0
-seed = 1
-num_rbs = {DEFAULT_NUM_RBS}
-scheduler = rr
-trace_file = trace.csv
-
-dynamic_cell_association = false
-association_metric = rx_power
-enable_handover = false
-handover.hysteresis_db = 3.0
-handover.time_to_trigger_ms = 256.0
-backhaul.delay_ms = 1.0
-
-channel.pathloss_a_db = 128.1
-channel.pathloss_b_db = 37.6
-channel.min_distance_m = 35.0
-channel.noise_figure_db = 9.0
-channel.rb_bandwidth_hz = 180000.0
-channel.shadowing = false
-channel.shadowing_sigma_db = 8.0
-channel.cqi_thresholds_db = {thresholds}
-channel.bits_per_rb = {bits}
-channel.ue_tx_power_dbm = {DEFAULT_UE_TX_POWER_DBM}
-channel.enb_tx_power_dbm = {DEFAULT_ENB_TX_POWER_DBM}
-
-# manual association target used while dynamic_cell_association is false
-car.default.master_id = 0
-
-enb[0].name = enb0
-enb[0].x_m = 0.0
-enb[0].y_m = 0.0
-enb[0].tx_power_dbm = {DEFAULT_ENB_TX_POWER_DBM}
-"""
+    lines = ["# vcellsim scenario defaults"]
+    for key in KEYS:
+        value = key.example if key.default is None or key.default is REQUIRED else key.default
+        if key.scale is not None:
+            value /= key.scale
+        lines += [f"# {key.doc}", f"{key.name} = {format_value(value)}"]
+    lines.append("# one example eNB")
+    lines += [f"enb[0].{key.name} = {format_value(key.example)}" for key in ENB_FIELDS]
+    return "\n".join(lines) + "\n"

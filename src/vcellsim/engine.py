@@ -52,13 +52,6 @@ class SimEvent:
 
 
 @dataclass
-class EventHandle:
-    event: SimEvent
-    cancelled: bool = False
-    fired: bool = False
-
-
-@dataclass
 class RunSummary:
     end_time: int
     counts: dict[EventKind, int] = field(default_factory=dict)
@@ -78,19 +71,14 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[tuple[int, int, SimEvent]] = []
         self._seq = 0
-        self._pending = 0
         self._handlers: dict[EventKind, Callable[[SimEvent], None]] = {}
 
     def on(self, kind: EventKind, handler: Callable[[SimEvent], None]) -> None:
         self._handlers[kind] = handler
 
-    def pending(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return self._pending
-
-    def schedule(self, event: SimEvent) -> EventHandle:
+    def schedule(self, event: SimEvent) -> None:
         if event.fire_time < self.now:
             raise EngineError(
                 f"event {event.kind.value} scheduled at {event.fire_time} us, "
@@ -98,21 +86,10 @@ class Engine:
             )
         event.sequence = self._seq
         self._seq += 1
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.fire_time, event.sequence, handle))
-        self._pending += 1
-        return handle
+        heapq.heappush(self._heap, (event.fire_time, event.sequence, event))
 
-    def schedule_at(self, fire_time: int, kind: EventKind, payload: Any = None) -> EventHandle:
-        return self.schedule(SimEvent(fire_time, kind, payload))
-
-    def cancel(self, handle: EventHandle) -> bool:
-        """Remove a pending event. False if it already fired or was cancelled."""
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        self._pending -= 1
-        return True
+    def schedule_at(self, fire_time: int, kind: EventKind, payload: Any = None) -> None:
+        self.schedule(SimEvent(fire_time, kind, payload))
 
     def run_until(self, t_end: int) -> RunSummary:
         """Process every event with fire_time <= t_end, then set clock to t_end."""
@@ -120,13 +97,8 @@ class Engine:
             raise EngineError(f"run_until({t_end}) is before current clock {self.now}")
         counts: dict[EventKind, int] = {}
         while self._heap and self._heap[0][0] <= t_end:
-            fire_time, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
+            fire_time, _, event = heapq.heappop(self._heap)
             self.now = fire_time
-            handle.fired = True
-            self._pending -= 1
-            event = handle.event
             counts[event.kind] = counts.get(event.kind, 0) + 1
             handler = self._handlers.get(event.kind)
             if handler is not None:

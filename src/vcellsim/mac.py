@@ -262,26 +262,17 @@ class Mac:
     # ------------------------------------------------------------------
     # transmission
 
-    def transmit(
-        self, allocation: Allocation, channel: ChannelModel, binder: Binder
-    ) -> TtiOutcome:
+    def transmit(self, allocation: Allocation, channel: ChannelModel) -> TtiOutcome:
         """Serve each grant through the decode gate at realized interference.
 
         The allocation must already be recorded in the binder grid so that
-        overlapping cells see each other as interference.
+        overlapping cells see each other as interference; `ChannelModel.sinr`
+        raises ChannelError for a granted RB that is not.
         """
         outcome = TtiOutcome(allocation)
         deliver_us = (allocation.tti + 1) * TTI_US  # end of the slot
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
-            expected_tx = allocation.cell if allocation.direction == Direction.DL else ue
-            for rb in grant.rb_set:
-                actual = binder.transmitter_on(allocation.tti, allocation.direction, allocation.cell, rb)
-                if actual != expected_tx:
-                    raise MacError(
-                        f"grant for UE {ue} references RB {rb} of cell "
-                        f"{allocation.cell} not recorded in the grid"
-                    )
             per_rb_sinr = channel.sinr(
                 ue, allocation.cell, allocation.tti, allocation.direction, grant.rb_set
             )

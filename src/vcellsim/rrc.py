@@ -23,6 +23,9 @@ from .errors import AssociationError
 from .mac import Mac
 
 
+ASSOCIATION_METRICS = ("rx_power", "sinr")  # the first is the default
+
+
 class AssociationMode(Enum):
     DYNAMIC = "DYNAMIC"
     MANUAL = "MANUAL"
@@ -71,9 +74,9 @@ class Rrc:
         binder: Binder,
         channel: ChannelModel,
         config: HandoverConfig,
-        association_metric: str = "rx_power",
+        association_metric: str = ASSOCIATION_METRICS[0],
     ) -> None:
-        if association_metric not in ("rx_power", "sinr"):
+        if association_metric not in ASSOCIATION_METRICS:
             raise ValueError(f"unknown association metric {association_metric!r}")
         self.binder = binder
         self.channel = channel

@@ -275,7 +275,7 @@ class Scenario:
 
         ul_extra_latency = self.config.backhaul.one_way_delay_us
         for alloc in allocations:
-            outcome = self.mac.transmit(alloc, self.channel, self.binder)
+            outcome = self.mac.transmit(alloc, self.channel)
             for ue in sorted(outcome.grant_outcomes):
                 result = outcome.grant_outcomes[ue]
                 stats = self.stats[self.name_of[ue]]

@@ -7,6 +7,27 @@ from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables
 
 
+def allocation_items(binder: Binder, tti: int, direction: Direction):
+    """Every (cell, rb, transmitter) entry of one TTI/direction grid."""
+    for rb, cells in binder.rb_occupancy(tti, direction).items():
+        for cell, tx in cells.items():
+            yield (cell, rb, tx)
+
+
+def co_channel_transmitters(
+    binder: Binder, tti: int, direction: Direction, rb: int, excluding_cell: int
+) -> list[int]:
+    """Sorted ids of the transmitters on `rb` in cells other than `excluding_cell`."""
+    return sorted(
+        tx for cell, grid_rb, tx in allocation_items(binder, tti, direction)
+        if grid_rb == rb and cell != excluding_cell
+    )
+
+
+def live_ids(binder: Binder) -> set[int]:
+    return {rec.node_id for rec in binder.live_nodes()}
+
+
 def reference_path_loss_db(distance_m: float, params: ChannelParams) -> float:
     d = max(distance_m, params.min_distance_m)
     return params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0)
@@ -38,7 +59,7 @@ def brute_force_sinr_db(
     noise = 10.0 ** (reference_noise_dbm(params) / 10.0)
     interference = sum(
         reference_rx_mw(binder.node(other_tx), rx, params)
-        for cell, grid_rb, other_tx in binder.allocation_items(tti, direction)
+        for cell, grid_rb, other_tx in allocation_items(binder, tti, direction)
         if grid_rb == rb and cell != serving
     )
     return 10.0 * math.log10(signal / (noise + interference))

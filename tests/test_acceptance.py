@@ -29,7 +29,9 @@ from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import build_config, make_trace, write_scenario
 from oracles import (
+    allocation_items,
     brute_force_sinr_db,
+    live_ids,
     random_allocated_scenario,
     reference_path_loss_db,
 )
@@ -244,7 +246,7 @@ def test_lifecycle_ledger_fuzz():
         def scan_for_dead_references():
             for tti in (binder.current_tti, binder.current_tti - 1):
                 for direction in (Direction.DL, Direction.UL):
-                    for cell, _rb, tx in binder.allocation_items(tti, direction):
+                    for cell, _rb, tx in allocation_items(binder, tti, direction):
                         assert cell in live, f"grid names dead cell {cell}"
                         assert tx in live, f"grid names dead transmitter {tx}"
 
@@ -285,8 +287,8 @@ def test_lifecycle_ledger_fuzz():
                 binder.advance_tti(binder.current_tti + 1)
                 free = {}
 
-        assert binder.live_ids() == set(live)
-        assert binder.live_ids().isdisjoint(ever_dead)
+        assert live_ids(binder) == set(live)
+        assert live_ids(binder).isdisjoint(ever_dead)
         scan_for_dead_references()
 
 

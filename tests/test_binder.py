@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.errors import LedgerError, RegistryError
 
+from oracles import allocation_items, co_channel_transmitters, live_ids
+
 
 def _binder_with_cells(n=2, num_rbs=50):
     binder = Binder(num_rbs=num_rbs)
@@ -79,7 +81,7 @@ def test_deregister_sole_ue_leaves_only_cells():
     binder.record_allocation(0, Direction.UL, cells[0], range(5), ue)
     binder.deregister_node(ue)
     assert [r.node_id for r in binder.live_nodes()] == cells
-    assert binder.co_channel_transmitters(0, Direction.UL, 0, excluding_cell=cells[1]) == []
+    assert co_channel_transmitters(binder, 0, Direction.UL, 0, excluding_cell=cells[1]) == []
 
 
 def test_deregister_purges_grid_like_a_rebuild():
@@ -103,9 +105,9 @@ def test_deregister_purges_grid_like_a_rebuild():
     oracle.advance_tti(0)
     oracle.record_allocation(0, Direction.UL, ocells[1], range(4, 12), oue2)
 
-    got = {(cell - cells[0], rb) for cell, rb, _ in binder.allocation_items(0, Direction.UL)}
+    got = {(cell - cells[0], rb) for cell, rb, _ in allocation_items(binder, 0, Direction.UL)}
     expected = {
-        (cell - ocells[0], rb) for cell, rb, _ in oracle.allocation_items(0, Direction.UL)
+        (cell - ocells[0], rb) for cell, rb, _ in allocation_items(oracle, 0, Direction.UL)
     }
     assert got == expected
 
@@ -134,7 +136,7 @@ def test_record_allocation_fills_entries():
     binder, cells = _binder_with_cells(1)
     binder.advance_tti(0)
     binder.record_allocation(0, Direction.DL, cells[0], range(25), cells[0])
-    assert len(list(binder.allocation_items(0, Direction.DL))) == 25
+    assert len(list(allocation_items(binder, 0, Direction.DL))) == 25
 
 
 def test_double_allocation_within_cell_rejected():
@@ -153,7 +155,7 @@ def test_same_rb_allowed_across_cells():
 
     # oracle: per-cell uniqueness holds over the full grid
     seen = {}
-    for cell, rb, _tx in binder.allocation_items(0, Direction.DL):
+    for cell, rb, _tx in allocation_items(binder, 0, Direction.DL):
         assert (cell, rb) not in seen
         seen[(cell, rb)] = True
     assert len(seen) == 2
@@ -173,7 +175,7 @@ def test_rb_out_of_range_rejected():
 def test_no_allocations_give_empty_interferer_list():
     binder, cells = _binder_with_cells(2)
     binder.advance_tti(0)
-    assert binder.co_channel_transmitters(0, Direction.DL, 5, cells[0]) == []
+    assert co_channel_transmitters(binder, 0, Direction.DL, 5, cells[0]) == []
 
 
 def test_co_channel_excludes_own_cell():
@@ -181,16 +183,9 @@ def test_co_channel_excludes_own_cell():
     binder.advance_tti(0)
     binder.record_allocation(0, Direction.DL, cells[0], [7], cells[0])
     binder.record_allocation(0, Direction.DL, cells[1], [7], cells[1])
-    got = binder.co_channel_transmitters(0, Direction.DL, 7, excluding_cell=cells[0])
-    assert [node for node, _, _ in got] == [cells[1]]
-
-    # oracle: full grid scan
-    expected = sorted(
-        tx
-        for cell, rb, tx in binder.allocation_items(0, Direction.DL)
-        if rb == 7 and cell != cells[0]
-    )
-    assert [node for node, _, _ in got] == expected
+    assert binder.rb_occupancy(0, Direction.DL)[7] == {cells[0]: cells[0], cells[1]: cells[1]}
+    got = co_channel_transmitters(binder, 0, Direction.DL, 7, excluding_cell=cells[0])
+    assert got == [cells[1]]
 
 
 def test_ul_queries_return_ues_never_enbs():
@@ -199,8 +194,7 @@ def test_ul_queries_return_ues_never_enbs():
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     binder.record_allocation(0, Direction.DL, cells[0], [3], cells[0])
     binder.record_allocation(0, Direction.UL, cells[0], [3], ue)
-    got = binder.co_channel_transmitters(0, Direction.UL, 3, excluding_cell=cells[1])
-    assert [node for node, _, _ in got] == [ue]
+    assert co_channel_transmitters(binder, 0, Direction.UL, 3, excluding_cell=cells[1]) == [ue]
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +207,9 @@ def test_advance_resets_grid_and_keeps_history():
         binder.advance_tti(tti)
     binder.record_allocation(41, Direction.DL, cells[0], [0], cells[0])
     binder.advance_tti(42)
-    assert list(binder.allocation_items(42, Direction.DL)) == []
+    assert binder.rb_occupancy(42, Direction.DL) == {}
     # previous TTI still answerable
-    assert len(list(binder.allocation_items(41, Direction.DL))) == 1
+    assert len(list(allocation_items(binder, 41, Direction.DL))) == 1
 
 
 def test_skipping_a_tti_rejected():
@@ -232,7 +226,7 @@ def test_two_tti_old_grid_discarded():
     binder.advance_tti(1)
     binder.advance_tti(2)
     with pytest.raises(LedgerError):
-        binder.co_channel_transmitters(0, Direction.DL, 0, excluding_cell=1)
+        binder.rb_occupancy(0, Direction.DL)
 
 
 def test_allocation_only_into_current_tti():
@@ -263,4 +257,4 @@ def test_registry_matches_set_oracle(seed):
             kind = NodeKind.UE if rng.random() < 0.8 else NodeKind.ENB
             rec = binder.register_node(kind, f"n{next(names)}", 26.0)
             live_oracle.add(rec.node_id)
-        assert binder.live_ids() == live_oracle
+        assert live_ids(binder) == live_oracle

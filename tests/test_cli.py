@@ -1,5 +1,7 @@
+import pytest
+
 from vcellsim.cli import main
-from vcellsim.config import load_config
+from vcellsim.config import CAR_FIELDS, ENB_FIELDS, FLOW_FIELDS, KEYS, load_config
 
 from conftest import ONE_CELL, build_config, make_trace, write_scenario
 
@@ -95,3 +97,83 @@ def test_jobs_runs_one_directory_per_seed(tmp_path):
     assert (out / "seed-8" / "vehicles.csv").is_file()
     assert (out / "seed-7" / "run.csv").read_text().splitlines()[1].startswith("7,")
     assert (out / "seed-8" / "run.csv").read_text().splitlines()[1].startswith("8,")
+
+
+def _assert_config_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize("until", ["inf", "nan", "-1"])
+def test_bad_until_exits_two(tmp_path, capsys, until):
+    config = write_scenario(tmp_path, CONFIG, TRACE)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--until", until])
+    _assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    config = write_scenario(tmp_path, CONFIG, TRACE)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs])
+    _assert_config_error(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+# A valid config that sets every indexed field once, so that any one of
+# them can be replaced by a bad value.
+BASE = {
+    "trace_file": "trace.csv",
+    "dynamic_cell_association": "true",
+    "enb[0].x_m": "0",
+    "enb[0].y_m": "0",
+    "enb[0].tx_power_dbm": "46",
+    "car[0].tx_power_dbm": "20",
+    "car[0].accident.count": "1",
+    "car[0].accident.start_s": "0.1",
+    "car[0].accident.duration_s": "0.1",
+    "flow[0].direction": "dl",
+    "flow[0].target": "car0",
+    "flow[0].packet_bits": "1000",
+    "flow[0].interval_ms": "20",
+    "flow[0].start_s": "0",
+    "flow[0].stop_s": "0.2",
+}
+
+
+def _is_float_key(key):
+    try:
+        value = key.parse("0.5")
+    except ValueError:
+        return False
+    return isinstance(value, float) or isinstance(value, tuple) and isinstance(value[0], float)
+
+
+FLOAT_KEYS = [k.name for k in KEYS if _is_float_key(k)] + [
+    f"{prefix}[0].{k.name}"
+    for prefix, fields in (("enb", ENB_FIELDS), ("car", CAR_FIELDS), ("flow", FLOW_FIELDS))
+    for k in fields
+    if _is_float_key(k)
+]
+BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")] + [
+    ("num_rbs", "0"),
+    ("num_rbs", "111"),
+    ("channel.shadowing_sigma_db", "-1"),
+]
+
+
+def test_bad_value_cases_start_from_a_valid_config(tmp_path):
+    assert {"sim_end_s", "enb[0].x_m", "car[0].accident.start_s", "flow[0].interval_ms"} <= set(
+        FLOAT_KEYS
+    )
+    text = "".join(f"{k} = {v}\n" for k, v in BASE.items())
+    assert load_config(write_scenario(tmp_path, text, TRACE)).cars[0].accident is not None
+
+
+@pytest.mark.parametrize("key,bad", BAD_VALUES)
+def test_bad_value_exits_two(tmp_path, capsys, key, bad):
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE, key: bad}.items())
+    config = write_scenario(tmp_path, text, TRACE)
+    _assert_config_error(main(["validate", "--config", str(config)]), capsys)

@@ -1,8 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from vcellsim.binder import Direction
 from vcellsim.channel import CQI_BITS_PER_RB, CQI_SINR_THRESHOLDS_DB
-from vcellsim.config import dump_defaults, load_config
+from vcellsim.config import (
+    CAR_FIELDS,
+    ENB_FIELDS,
+    FLOW_FIELDS,
+    KEYS,
+    REQUIRED,
+    dump_defaults,
+    format_value,
+    load_config,
+)
 from vcellsim.engine import ms_to_us, s_to_us
 from vcellsim.errors import ConfigError
 
@@ -266,3 +277,38 @@ def test_dumped_defaults_round_trip(tmp_path):
     assert config.enbs[0].tx_power_dbm == 46.0
     # loading the dump twice resolves identically
     assert load_config(path) == config
+
+
+def test_dump_defaults_sets_every_key_once():
+    lines = [ln for ln in dump_defaults().splitlines() if ln and not ln.startswith("#")]
+    set_keys = [ln.partition(" = ")[0] for ln in lines]
+    for key in KEYS:
+        assert set_keys.count(key.name) == 1, key.name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+UNITS = {"s": "s", "ms": "ms", "m": "m", "db": "dB", "dbm": "dBm", "hz": "Hz", "bits": "bits"}
+
+
+def readme_row(name, key):
+    """The README table row that documents one key of the config key table."""
+    if key.default is REQUIRED:
+        default = "required"
+    elif key.default is None:
+        default = "unset"
+    else:
+        value = key.default if key.scale is None else key.default / key.scale
+        default = f"`{format_value(value)}`"
+    unit = UNITS.get(name.rpartition("_")[2], "")
+    return f"| `{name}` | {default} | {unit} | {key.doc} |"
+
+
+def test_readme_documents_every_key():
+    rows = [readme_row(key.name, key) for key in KEYS] + [
+        readme_row(f"{prefix}[<i>].{key.name}", key)
+        for prefix, fields in (("enb", ENB_FIELDS), ("car", CAR_FIELDS), ("flow", FLOW_FIELDS))
+        for key in fields
+    ]
+    text = README.read_text(encoding="utf-8")
+    missing = [row for row in rows if row not in text]
+    assert not missing, "README.md lacks these key rows:\n" + "\n".join(missing)

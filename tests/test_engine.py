@@ -14,9 +14,10 @@ from vcellsim.errors import EngineError
 
 def test_schedule_single_event():
     eng = Engine()
-    handle = eng.schedule(SimEvent(ms_to_us(1), EventKind.TTI_TICK))
-    assert eng.pending() == 1
-    assert handle.event.sequence == 0
+    event = SimEvent(ms_to_us(1), EventKind.TTI_TICK)
+    eng.schedule(event)
+    assert event.sequence == 0
+    assert eng.run_until(ms_to_us(1)).counts == {EventKind.TTI_TICK: 1}
 
 
 def test_same_time_events_fire_in_insertion_order():
@@ -34,25 +35,6 @@ def test_scheduling_in_the_past_is_rejected():
     eng.run_until(ms_to_us(7))
     with pytest.raises(EngineError):
         eng.schedule(SimEvent(ms_to_us(5), EventKind.TTI_TICK))
-
-
-def test_cancel_pending_event():
-    eng = Engine()
-    fired = []
-    eng.on(EventKind.SIM_END, lambda ev: fired.append(ev))
-    handle = eng.schedule(SimEvent(ms_to_us(2), EventKind.SIM_END))
-    assert eng.cancel(handle) is True
-    assert eng.cancel(handle) is False  # idempotent
-    summary = eng.run_until(ms_to_us(10))
-    assert fired == []
-    assert summary.total == 0
-
-
-def test_cancel_after_fire_returns_false():
-    eng = Engine()
-    handle = eng.schedule(SimEvent(ms_to_us(2), EventKind.SIM_END))
-    eng.run_until(ms_to_us(2))
-    assert eng.cancel(handle) is False
 
 
 def test_run_until_empty_queue_advances_clock():

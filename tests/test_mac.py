@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
-from vcellsim.errors import MacError
+from vcellsim.errors import ChannelError, MacError
 from vcellsim.mac import Allocation, Grant, Mac
 
 TABLES = CqiTables()
@@ -229,7 +229,7 @@ def test_transmit_delivers_within_capacity():
     mac.enqueue(ue, Direction.DL, "p0", 10_000, 0)
     alloc = Allocation(0, cell, Direction.DL, {ue: Grant(tuple(range(50)), 15)})
     _record(binder, alloc)
-    outcome = mac.transmit(alloc, channel, binder)
+    outcome = mac.transmit(alloc, channel)
     result = outcome.grant_outcomes[ue]
     assert result.capacity_bits == 50 * 799 == 39_950
     assert result.decoded is True
@@ -244,7 +244,7 @@ def test_transmit_oversized_packet_waits_without_segmentation():
     mac.enqueue(ue, Direction.DL, "big", 3 * per_rb, 0)  # needs 3 RBs, only 2 exist
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
-    outcome = mac.transmit(alloc, channel, binder)
+    outcome = mac.transmit(alloc, channel)
     assert outcome.delivered_bits == 0
     assert outcome.dropped_bits == 0
     assert mac.buffer_bits(ue, Direction.DL) == 3 * per_rb  # still queued
@@ -258,7 +258,7 @@ def test_transmit_serves_fifo_prefix():
     mac.enqueue(ue, Direction.DL, "c", 500, 0)
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
-    outcome = mac.transmit(alloc, channel, binder)
+    outcome = mac.transmit(alloc, channel)
     assert [p.packet_id for p in outcome.grant_outcomes[ue].delivered] == ["a", "b"]
     assert mac.buffer_bits(ue, Direction.DL) == 500
 
@@ -266,7 +266,7 @@ def test_transmit_serves_fifo_prefix():
 def test_transmit_empty_allocation_is_a_no_op():
     binder, channel, mac, cell, (ue,) = _env(1)
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
-    outcome = mac.transmit(alloc, channel, binder)
+    outcome = mac.transmit(alloc, channel)
     assert outcome.delivered_bits == 0
     assert outcome.dropped_bits == 0
 
@@ -275,8 +275,8 @@ def test_transmit_unrecorded_grant_rejected():
     binder, channel, mac, cell, (ue,) = _env(1)
     mac.enqueue(ue, Direction.DL, "p0", 1000, 0)
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
-    with pytest.raises(MacError):
-        mac.transmit(alloc, channel, binder)
+    with pytest.raises(ChannelError, match="not allocated"):
+        mac.transmit(alloc, channel)
 
 
 def test_colliding_cells_at_close_range_drop_both_grants():
@@ -297,8 +297,8 @@ def test_colliding_cells_at_close_range_drop_both_grants():
     a1 = mac.schedule_tti_rr(c1, 0, Direction.DL, [(u1, 15)], TABLES)
     _record(binder, a0)
     _record(binder, a1)  # both see each other before decode
-    out0 = mac.transmit(a0, channel, binder)
-    out1 = mac.transmit(a1, channel, binder)
+    out0 = mac.transmit(a0, channel)
+    out1 = mac.transmit(a1, channel)
     assert out0.grant_outcomes[u0].decoded is False
     assert out1.grant_outcomes[u1].decoded is False
     assert out0.dropped_bits == 1000
@@ -323,7 +323,7 @@ def test_buffer_conservation_over_random_traffic(seed):
             cell, binder.current_tti, Direction.DL, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
         )
         _record(binder, alloc)
-        small.transmit(alloc, channel, binder)
+        small.transmit(alloc, channel)
         if rng.random() < 0.2:
             small.clear_dl_buffer(rng.choice(ues))
         binder.advance_tti(binder.current_tti + 1)

@@ -1,0 +1,26 @@
+"""The simulator package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vcellsim"
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib(path):
+    foreign = [
+        name for name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not foreign, f"{path.name} imports non-stdlib modules {foreign}"
