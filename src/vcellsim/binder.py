@@ -126,7 +126,8 @@ class Binder:
             raise RegistryError(f"node {node_id} is not live") from None
 
     def live_nodes(self, kind: Optional[NodeKind] = None) -> list[NodeRecord]:
-        recs = sorted(self._nodes.values(), key=lambda r: r.node_id)
+        # ids only grow and _nodes keeps insertion order, so this is ascending
+        recs = list(self._nodes.values())
         if kind is None:
             return recs
         return [r for r in recs if r.kind == kind]

@@ -8,19 +8,22 @@ single seed.
 
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
-ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The mean
-SINR (averaged in the linear domain) maps to a 4-bit CQI through a
-threshold table, the CQI selects the MCS, and decoding succeeds exactly
-when the mean SINR is at or above the threshold of the CQI the transmission
-was sent with.
+ledger: other cells' eNBs in downlink, other cells' UEs in uplink. SINR
+stays linear from that sum onward: it is averaged and compared in the
+linear domain. The mean SINR maps to a 4-bit CQI through a threshold
+table, the CQI selects the MCS, and decoding succeeds exactly when the
+mean SINR is at or above the threshold of the CQI the transmission was
+sent with. The threshold table is configured in dB and converted to linear
+once, so CQI selection and the decode gate read the same number.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence
 
 from .binder import Binder, Direction, NodeRecord
 from .errors import ChannelError
@@ -44,10 +47,6 @@ CQI_BITS_PER_RB = tuple(
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ class ChannelParams:
 class CqiTables:
     sinr_thresholds_db: tuple[float, ...] = CQI_SINR_THRESHOLDS_DB
     bits_per_rb: tuple[int, ...] = CQI_BITS_PER_RB
+    # linear copy of sinr_thresholds_db, derived once below
+    sinr_thresholds: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.sinr_thresholds_db) != 15 or len(self.bits_per_rb) != 15:
@@ -87,17 +88,16 @@ class CqiTables:
                 raise ValueError("bits-per-RB values must be strictly ascending")
         if any(b <= 0 for b in self.bits_per_rb):
             raise ValueError("bits-per-RB values must be positive")
+        object.__setattr__(
+            self, "sinr_thresholds", tuple(db_to_linear(t) for t in self.sinr_thresholds_db)
+        )
 
 
 @dataclass
 class ChannelReport:
-    """One UE's view of one cell: received power, per-RB SINR, and CQI."""
+    """One UE's view of one cell: mean SINR over the grid (linear) and CQI."""
 
-    ue: int
-    cell: int
-    rx_power_dbm: float
-    per_rb_sinr_db: list[float]
-    mean_sinr_db: float
+    mean_sinr: float
     cqi: int
 
 
@@ -127,35 +127,18 @@ def received_power_dbm(
     return tx_power_dbm - path_loss_db(dist, params) - shadowing_db
 
 
-def mean_sinr_db(per_rb_sinr_db: Sequence[float]) -> float:
-    """Linear-domain average of per-RB SINR values, expressed in dB."""
-    if not per_rb_sinr_db:
-        raise ChannelError("cannot average an empty SINR list")
-    mean_linear = sum(db_to_linear(v) for v in per_rb_sinr_db) / len(per_rb_sinr_db)
-    return linear_to_db(mean_linear)
-
-
 def cqi_from_sinr(mean_sinr: float, tables: CqiTables) -> int:
-    """Largest CQI whose threshold the mean SINR meets; 0 below the lowest."""
-    for k in range(15, 0, -1):
-        if mean_sinr >= tables.sinr_thresholds_db[k - 1]:
-            return k
-    return 0
+    """Largest CQI whose threshold the linear mean SINR meets; 0 below the lowest."""
+    return bisect_right(tables.sinr_thresholds, mean_sinr)
 
 
-def decode(per_rb_sinr_db: Sequence[float], cqi_used: int, tables: CqiTables) -> bool:
-    """True iff the linear-mean SINR meets the threshold of the CQI used.
-
-    The comparison happens in the linear domain so that a transmission
-    sitting exactly on its CQI threshold decodes (the dB round trip would
-    lose that equality to rounding).
-    """
+def decode(per_rb_sinr: Sequence[float], cqi_used: int, tables: CqiTables) -> bool:
+    """True iff the mean of the linear per-RB SINRs meets the CQI's threshold."""
     if not 1 <= cqi_used <= 15:
         raise ChannelError(f"cqi_used must be in 1..15, got {cqi_used}")
-    if not per_rb_sinr_db:
+    if not per_rb_sinr:
         raise ChannelError("cannot decode over an empty SINR list")
-    mean_linear = sum(db_to_linear(v) for v in per_rb_sinr_db) / len(per_rb_sinr_db)
-    return mean_linear >= db_to_linear(tables.sinr_thresholds_db[cqi_used - 1])
+    return sum(per_rb_sinr) / len(per_rb_sinr) >= tables.sinr_thresholds[cqi_used - 1]
 
 
 def bits_per_rb(cqi: int, tables: CqiTables) -> int:
@@ -201,6 +184,7 @@ class ChannelModel:
         self.params = params
         self.tables = tables
         self.shadowing = shadowing or ShadowingMap(random.Random(0), 0.0, enabled=False)
+        self._noise_mw = db_to_linear(noise_dbm(params))
 
     def received_power_nodes(self, tx: NodeRecord, rx: NodeRecord) -> float:
         return received_power_dbm(
@@ -215,33 +199,34 @@ class ChannelModel:
         """Power the UE receives from one eNB at current positions (dBm)."""
         return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
 
-    def _endpoints(
-        self, ue: int, serving_cell: int, direction: Direction
-    ) -> tuple[NodeRecord, NodeRecord]:
+    def _link(
+        self, ue: int, serving_cell: int, tti: int, direction: Direction
+    ) -> tuple[int, float, dict[int, dict[int, int]], Callable[[dict[int, int]], float]]:
+        """Transmitter id, signal (mW), the TTI's grid, and an interference sum.
+
+        The function gives the co-channel interference (mW) on one RB from
+        its {cell: transmitter} entry; each interferer is computed once.
+        """
         ue_rec = self.binder.node(ue)
         cell_rec = self.binder.node(serving_cell)
-        if direction == Direction.DL:
-            return cell_rec, ue_rec
-        return ue_rec, cell_rec
+        tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
+        signal_mw = db_to_linear(self.received_power_nodes(tx, rx))
+        grid = self.binder.rb_occupancy(tti, direction)
+        pair_mw: dict[int, float] = {}
 
-    def _interference_mw(
-        self,
-        occupants: dict[int, int],
-        serving_cell: int,
-        rx: NodeRecord,
-        pair_cache: dict[int, float],
-    ) -> float:
-        total = 0.0
-        for cell, tx_id in occupants.items():
-            if cell == serving_cell:
-                continue
-            mw = pair_cache.get(tx_id)
-            if mw is None:
-                tx_rec = self.binder.node(tx_id)
-                mw = db_to_linear(self.received_power_nodes(tx_rec, rx))
-                pair_cache[tx_id] = mw
-            total += mw
-        return total
+        def interference(occupants: dict[int, int]) -> float:
+            total = 0.0
+            for cell, tx_id in occupants.items():
+                if cell == serving_cell:
+                    continue
+                mw = pair_mw.get(tx_id)
+                if mw is None:
+                    mw = db_to_linear(self.received_power_nodes(self.binder.node(tx_id), rx))
+                    pair_mw[tx_id] = mw
+                total += mw
+            return total
+
+        return tx.node_id, signal_mw, grid, interference
 
     def sinr(
         self,
@@ -251,27 +236,22 @@ class ChannelModel:
         direction: Direction,
         rb_set: Iterable[int],
     ) -> list[float]:
-        """Per-RB SINR (dB) for an allocated transmission.
+        """Per-RB linear SINR for an allocated transmission, by ascending RB.
 
         Every RB queried must be allocated to this transmission in the
         binder grid; the intercell interference on each RB comes from the
         co-channel transmitters the ledger reports for that RB.
         """
-        tx, rx = self._endpoints(ue, serving_cell, direction)
-        signal_mw = db_to_linear(self.received_power_nodes(tx, rx))
-        n_mw = db_to_linear(noise_dbm(self.params))
-        occupancy = self.binder.rb_occupancy(tti, direction)
-        pair_cache: dict[int, float] = {}
+        tx_id, signal_mw, grid, interference = self._link(ue, serving_cell, tti, direction)
         out = []
         for rb in sorted(set(rb_set)):
-            occupants = occupancy.get(rb, {})
-            if occupants.get(serving_cell) != tx.node_id:
+            occupants = grid.get(rb, {})
+            if occupants.get(serving_cell) != tx_id:
                 raise ChannelError(
                     f"RB {rb} of cell {serving_cell} ({direction.value}, TTI {tti}) "
-                    f"is not allocated to node {tx.node_id}"
+                    f"is not allocated to node {tx_id}"
                 )
-            i_mw = self._interference_mw(occupants, serving_cell, rx, pair_cache)
-            out.append(linear_to_db(signal_mw / (n_mw + i_mw)))
+            out.append(signal_mw / (self._noise_mw + interference(occupants)))
         return out
 
     def measure(
@@ -281,26 +261,11 @@ class ChannelModel:
 
         Used for CQI: the serving link is evaluated on every RB of the grid
         whether or not it is allocated, with interference taken from the
-        given (typically just-completed) TTI.
+        given (typically just-completed) TTI. An RB nobody uses sees S/N.
         """
-        tx, rx = self._endpoints(ue, serving_cell, direction)
-        signal_dbm = self.received_power_nodes(tx, rx)
-        signal_mw = db_to_linear(signal_dbm)
-        n_mw = db_to_linear(noise_dbm(self.params))
-        baseline_db = linear_to_db(signal_mw / n_mw)
-        per_rb = [baseline_db] * self.binder.num_rbs
-        occupancy = self.binder.rb_occupancy(tti, direction)
-        pair_cache: dict[int, float] = {}
-        for rb, occupants in occupancy.items():
-            i_mw = self._interference_mw(occupants, serving_cell, rx, pair_cache)
-            if i_mw > 0.0:
-                per_rb[rb] = linear_to_db(signal_mw / (n_mw + i_mw))
-        mean_db = mean_sinr_db(per_rb)
-        return ChannelReport(
-            ue=ue,
-            cell=serving_cell,
-            rx_power_dbm=signal_dbm,
-            per_rb_sinr_db=per_rb,
-            mean_sinr_db=mean_db,
-            cqi=cqi_from_sinr(mean_db, self.tables),
-        )
+        _, signal_mw, grid, interference = self._link(ue, serving_cell, tti, direction)
+        total = (self.binder.num_rbs - len(grid)) * signal_mw / self._noise_mw
+        for occupants in grid.values():
+            total += signal_mw / (self._noise_mw + interference(occupants))
+        mean = total / self.binder.num_rbs
+        return ChannelReport(mean_sinr=mean, cqi=cqi_from_sinr(mean, self.tables))

@@ -69,9 +69,6 @@ class CellStats:
     rb_allocated: dict[Direction, int] = field(
         default_factory=lambda: {Direction.DL: 0, Direction.UL: 0}
     )
-    ues_scheduled: dict[Direction, int] = field(
-        default_factory=lambda: {Direction.DL: 0, Direction.UL: 0}
-    )
     rb_capacity: int = 0  # num_rbs * TTIs simulated, per direction
 
 

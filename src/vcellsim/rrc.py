@@ -84,22 +84,23 @@ class Rrc:
         self.association_metric = association_metric
         self._states: dict[int, HandoverState] = {}
 
-    def _cell_powers(self, ue: int) -> list[tuple[int, float]]:
-        cells = self.binder.live_nodes(NodeKind.ENB)
+    def _cell_ids(self) -> list[int]:
+        """Ids of the live eNBs in ascending order; there must be at least one."""
+        cells = [c.node_id for c in self.binder.live_nodes(NodeKind.ENB)]
         if not cells:
             raise AssociationError("no eNB is registered")
-        return [(c.node_id, self.channel.rx_power_from_cell(ue, c.node_id)) for c in cells]
+        return cells
+
+    def _cell_powers(self, ue: int) -> list[tuple[int, float]]:
+        return [(c, self.channel.rx_power_from_cell(ue, c)) for c in self._cell_ids()]
 
     def _association_scores(self, ue: int) -> list[tuple[int, float]]:
         if self.association_metric == "rx_power":
             return self._cell_powers(ue)
-        cells = self.binder.live_nodes(NodeKind.ENB)
-        if not cells:
-            raise AssociationError("no eNB is registered")
         tti = self.binder.current_tti
         return [
-            (c.node_id, self.channel.measure(ue, c.node_id, tti, Direction.DL).mean_sinr_db)
-            for c in cells
+            (c, self.channel.measure(ue, c, tti, Direction.DL).mean_sinr)
+            for c in self._cell_ids()
         ]
 
     def initial_association(self, ue: int, policy: AssociationPolicy) -> int:
@@ -131,11 +132,11 @@ class Rrc:
             return None
         best_cell = None
         best_power = None
-        for cell_id in sorted(powers):
+        for cell_id, power in powers.items():  # ascending ids, from live_nodes
             if cell_id == serving:
                 continue
-            if best_power is None or powers[cell_id] > best_power:
-                best_cell, best_power = cell_id, powers[cell_id]
+            if best_power is None or power > best_power:
+                best_cell, best_power = cell_id, power
         if best_power - powers[serving] <= self.config.hysteresis_db:
             self._states.pop(ue, None)  # condition lapsed
             return None

@@ -219,35 +219,34 @@ class Scenario:
     def _on_sim_end(self, event: SimEvent) -> None:
         self._logline("SIM_END")
 
-    def _live_ues(self) -> list[int]:
-        return sorted(self.name_of)
-
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
         tti = now // TTI_US
         self.binder.advance_tti(tti)
         self.n_ttis += 1
+        # enter and leave are separate events, so the live set is fixed here
+        live_ues = sorted(self.name_of)
 
-        for node in self._live_ues():
+        for node in live_ues:
             traj = self.trajs[self.name_of[node]]
             x, y = position_at(traj, now)
             self.binder.set_position(node, x, y)
 
         decisions: list[HandoverDecision] = []
         if self.config.handover.enabled:
-            for node in self._live_ues():
+            for node in live_ues:
                 decision = self.rrc.handover_check(node, now)
                 if decision is not None:
                     decisions.append(decision)
 
         prev_tti = tti - 1
-        for node in self._live_ues():
+        for node in live_ues:
             serving = self.binder.node(node).serving_cell
             self.cqi_dl[node] = self.channel.measure(node, serving, prev_tti, Direction.DL).cqi
             self.cqi_ul[node] = self.channel.measure(node, serving, prev_tti, Direction.UL).cqi
 
         attached: dict[int, list[int]] = {cell: [] for cell in self.cell_ids}
-        for node in self._live_ues():
+        for node in live_ues:
             attached[self.binder.node(node).serving_cell].append(node)
 
         schedule = (
@@ -270,7 +269,6 @@ class Scenario:
                     )
                 cell_stats = self._cell_stats[self.cell_names[cell]]
                 cell_stats.rb_allocated[direction] += alloc.rb_count()
-                cell_stats.ues_scheduled[direction] += len(alloc.grants)
                 allocations.append(alloc)
 
         ul_extra_latency = self.config.backhaul.one_way_delay_us

@@ -213,7 +213,8 @@ def test_sinr_brute_force_equivalence():
             grids += 1
             for ue, cell, direction, rbs in grants:
                 values = channel.sinr(ue, cell, 0, direction, rbs)
-                for value, rb in zip(values, rbs):
+                for linear, rb in zip(values, rbs):
+                    value = 10.0 * math.log10(linear)
                     expected = brute_force_sinr_db(
                         binder, channel.params, ue, cell, 0, direction, rb
                     )

@@ -83,6 +83,16 @@ def test_deregister_sole_ue_leaves_only_cells():
     assert [r.node_id for r in binder.live_nodes()] == cells
     assert co_channel_transmitters(binder, 0, Direction.UL, 0, excluding_cell=cells[1]) == []
 
+    # interleaved churn: live_nodes stays in ascending id order
+    ues = []
+    for i in range(1, 7):
+        ues.append(binder.register_node(NodeKind.UE, f"car{i}", 26.0).node_id)
+        if i % 2 == 0:
+            binder.deregister_node(ues.pop(-2))
+        ids = [r.node_id for r in binder.live_nodes()]
+        assert ids == sorted(ids) == cells + ues
+    assert [r.node_id for r in binder.live_nodes(NodeKind.UE)] == ues
+
 
 def test_deregister_purges_grid_like_a_rebuild():
     binder, cells = _binder_with_cells(2)

@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import (
     CQI_EFFICIENCY,
+    CQI_SINR_THRESHOLDS_DB,
     ChannelModel,
     ChannelParams,
     CqiTables,
     ShadowingMap,
     bits_per_rb,
     cqi_from_sinr,
+    db_to_linear,
     decode,
-    mean_sinr_db,
     noise_dbm,
     path_loss_db,
     received_power_dbm,
@@ -25,6 +26,10 @@ from oracles import brute_force_sinr_db, random_allocated_scenario, reference_no
 
 PARAMS = ChannelParams()
 TABLES = CqiTables()
+
+
+def to_db(linear):
+    return 10.0 * math.log10(linear)
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +86,7 @@ def _one_cell_one_ue(distance=1000.0):
 def test_sinr_without_interference_is_snr():
     binder, channel, cell, ue = _one_cell_one_ue()
     binder.record_allocation(0, Direction.DL, cell, [0, 1, 2], cell)
-    got = channel.sinr(ue, cell, 0, Direction.DL, [0, 1, 2])
+    got = [to_db(v) for v in channel.sinr(ue, cell, 0, Direction.DL, [0, 1, 2])]
     expected = (46.0 - 128.1) - reference_noise_dbm(PARAMS)
     assert got == pytest.approx([expected] * 3, abs=1e-9)
 
@@ -97,7 +102,7 @@ def test_equal_power_interferer_pushes_sinr_just_below_zero():
     binder.record_allocation(0, Direction.DL, c0, [4], c0)
     binder.record_allocation(0, Direction.DL, c1, [4], c1)
     channel = ChannelModel(binder, PARAMS, TABLES)
-    (got,) = channel.sinr(ue, c0, 0, Direction.DL, [4])
+    got = to_db(*channel.sinr(ue, c0, 0, Direction.DL, [4]))
     assert got < 0.0
     assert got == pytest.approx(0.0, abs=0.01)  # N is tiny next to S here
 
@@ -117,7 +122,7 @@ def test_sinr_matches_brute_force_on_random_grids():
             got = channel.sinr(ue, cell, 0, direction, rbs)
             for value, rb in zip(got, rbs):
                 expected = brute_force_sinr_db(binder, channel.params, ue, cell, 0, direction, rb)
-                assert value == pytest.approx(expected, rel=1e-9)
+                assert to_db(value) == pytest.approx(expected, rel=1e-9)
 
 
 def test_measure_full_grid_matches_per_rb_brute_force():
@@ -126,11 +131,13 @@ def test_measure_full_grid_matches_per_rb_brute_force():
     serving_of = {ue: cell for ue, cell, _, _ in grants}
     for ue, cell in serving_of.items():
         report = channel.measure(ue, cell, 0, Direction.DL)
-        assert len(report.per_rb_sinr_db) == binder.num_rbs
-        for rb, value in enumerate(report.per_rb_sinr_db):
-            expected = brute_force_sinr_db(binder, channel.params, ue, cell, 0, Direction.DL, rb)
-            assert value == pytest.approx(expected, rel=1e-9)
-        assert report.cqi == cqi_from_sinr(report.mean_sinr_db, TABLES)
+        per_rb = [
+            brute_force_sinr_db(binder, channel.params, ue, cell, 0, Direction.DL, rb)
+            for rb in range(binder.num_rbs)
+        ]
+        expected = sum(10.0 ** (v / 10.0) for v in per_rb) / binder.num_rbs
+        assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
+        assert report.cqi == cqi_from_sinr(report.mean_sinr, TABLES)
 
 
 @settings(max_examples=30, deadline=None)
@@ -161,29 +168,31 @@ def test_added_interferer_never_raises_sinr(seed):
 
 
 def test_cqi_zero_below_lowest_threshold():
-    assert cqi_from_sinr(-30.0, TABLES) == 0
+    assert cqi_from_sinr(db_to_linear(-30.0), TABLES) == 0
 
 
 def test_cqi_fifteen_above_highest_threshold():
-    assert cqi_from_sinr(40.0, TABLES) == 15
+    assert cqi_from_sinr(db_to_linear(40.0), TABLES) == 15
 
 
 def test_cqi_boundary_is_inclusive():
-    # oracle: linear scan of the threshold table
+    # oracle: linear scan of the dB threshold table, converted per entry
     def scan(sinr):
         best = 0
         for k in range(1, 16):
-            if sinr >= TABLES.sinr_thresholds_db[k - 1]:
+            if sinr >= db_to_linear(TABLES.sinr_thresholds_db[k - 1]):
                 best = k
         return best
 
-    boundary = TABLES.sinr_thresholds_db[8]  # threshold of CQI 9
+    boundary = db_to_linear(TABLES.sinr_thresholds_db[8])  # threshold of CQI 9
     assert cqi_from_sinr(boundary, TABLES) == scan(boundary) == 9
 
 
 @given(st.floats(min_value=-40.0, max_value=40.0), st.floats(min_value=0.0, max_value=10.0))
 def test_cqi_is_non_decreasing_in_sinr(sinr, delta):
-    assert cqi_from_sinr(sinr + delta, TABLES) >= cqi_from_sinr(sinr, TABLES)
+    assert cqi_from_sinr(db_to_linear(sinr + delta), TABLES) >= cqi_from_sinr(
+        db_to_linear(sinr), TABLES
+    )
 
 
 # ----------------------------------------------------------------------
@@ -192,39 +201,44 @@ def test_cqi_is_non_decreasing_in_sinr(sinr, delta):
 
 def test_decode_above_threshold():
     threshold = TABLES.sinr_thresholds_db[6]  # CQI 7
-    assert decode([threshold + 2.0], 7, TABLES) is True
+    assert decode([db_to_linear(threshold + 2.0)], 7, TABLES) is True
 
 
 def test_decode_cqi15_into_deep_fade_fails():
-    assert decode([-5.0], 15, TABLES) is False
+    assert decode([db_to_linear(-5.0)], 15, TABLES) is False
 
 
-def test_decode_exactly_at_threshold_succeeds():
-    threshold = TABLES.sinr_thresholds_db[10]
-    assert decode([threshold], 11, TABLES) is True
+@pytest.mark.parametrize("cqi", range(1, 16))
+def test_decode_exactly_at_threshold_succeeds(cqi):
+    # CQI selection and the decode gate read the same linear threshold
+    threshold = db_to_linear(CQI_SINR_THRESHOLDS_DB[cqi - 1])
+    assert cqi_from_sinr(threshold, TABLES) == cqi
+    assert decode([threshold], cqi, TABLES) is True
 
 
 def test_decode_rejects_cqi_zero():
     with pytest.raises(ChannelError):
-        decode([10.0], 0, TABLES)
+        decode([db_to_linear(10.0)], 0, TABLES)
 
 
 @given(st.floats(min_value=-6.7, max_value=45.0))
 def test_link_adaptation_self_consistency(sinr):
     # any SINR at or above the lowest threshold decodes at its own CQI
-    cqi = cqi_from_sinr(sinr, TABLES)
+    linear = db_to_linear(sinr)
+    cqi = cqi_from_sinr(linear, TABLES)
     assert cqi >= 1
-    assert decode([sinr], cqi, TABLES) is True
+    assert decode([linear], cqi, TABLES) is True
 
 
 @given(
     st.lists(st.floats(min_value=-30.0, max_value=40.0), min_size=1, max_size=20)
 )
 def test_decode_uses_linear_mean(sinrs):
-    mean = mean_sinr_db(sinrs)
+    linear = [db_to_linear(v) for v in sinrs]
+    mean = sum(linear) / len(linear)
     cqi = cqi_from_sinr(mean, TABLES)
     if cqi >= 1:
-        assert decode(sinrs, cqi, TABLES) is True
+        assert decode(linear, cqi, TABLES) is True
 
 
 # ----------------------------------------------------------------------

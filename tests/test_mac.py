@@ -1,4 +1,5 @@
 import random
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,27 @@ def test_transmit_empty_allocation_is_a_no_op():
     outcome = mac.transmit(alloc, channel)
     assert outcome.delivered_bits == 0
     assert outcome.dropped_bits == 0
+
+
+def test_rr_head_of_line_livelock_delivers_nothing():
+    # Pins the paper's packet-atomic round robin, not a fix: five backlogged
+    # UEs split 50 RBs 10 each, but an 8000-bit packet needs 11 RBs at CQI 15.
+    binder, channel, mac, cell, ues = _env(5)
+    for ue in ues:
+        mac.enqueue(ue, Direction.DL, f"p{ue}", 8000, 0)
+    assert ceil(8000 / bits_per_rb(15, TABLES)) == 11
+    delivered = 0
+    for tti in range(20):
+        if tti:
+            binder.advance_tti(tti)
+        alloc = mac.schedule_tti_rr(cell, tti, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+        assert [len(alloc.grants[ue].rb_set) for ue in ues] == [10] * 5
+        _record(binder, alloc)
+        outcome = mac.transmit(alloc, channel)
+        assert all(g.decoded for g in outcome.grant_outcomes.values())
+        delivered += outcome.delivered_bits
+    assert delivered == 0
+    assert [mac.buffer_bits(ue, Direction.DL) for ue in ues] == [8000] * 5
 
 
 def test_transmit_unrecorded_grant_rejected():
