@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
 from .engine import EventKind, SimEvent, s_to_us
@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 TRACE_HEADER = "time_s,vehicle,x_m,y_m"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     time_us: int
     x: float
@@ -47,29 +47,37 @@ class AccidentSpec:
             raise ValueError("accident duration must be positive when count > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
+    """One vehicle's route; `samples` may be given as any sequence, kept as a tuple."""
+
     vehicle_name: str
-    samples: list[TrajectorySample]
+    samples: tuple[TrajectorySample, ...]
     accident: AccidentSpec | None = None
+    # every sample's time_us, derived once below so position_at can bisect it
+    times: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        samples = tuple(self.samples)
+        if not samples:
             raise TraceError(f"vehicle {self.vehicle_name!r} has no samples")
-        for a, b in zip(self.samples, self.samples[1:]):
-            if b.time_us <= a.time_us:
+        times = tuple([s.time_us for s in samples])  # a list builds faster on 3.11
+        for a, b in zip(times, times[1:]):
+            if b <= a:
                 raise TraceError(
                     f"vehicle {self.vehicle_name!r}: non-increasing sample times "
-                    f"({a.time_us} us then {b.time_us} us)"
+                    f"({a} us then {b} us)"
                 )
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "times", times)
 
     @property
     def enter_us(self) -> int:
-        return self.samples[0].time_us
+        return self.times[0]
 
     @property
     def leave_us(self) -> int:
-        return self.samples[-1].time_us
+        return self.times[-1]
 
 
 def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajectory]:
@@ -78,13 +86,17 @@ def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajector
     Rows need not be globally time-sorted, but each vehicle's rows must be
     strictly increasing in time. Returns an empty list for empty input.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(raw, bytes):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, exc.start) + 1
+            raise TraceError(
+                f"line {lineno}: trace is not valid UTF-8: {exc.reason} at byte {exc.start}"
+            ) from exc
     else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw
 
     lines = text.splitlines()
     if not lines or all(not ln.strip() for ln in lines):
@@ -126,8 +138,12 @@ def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajector
 
 
 def load_trace(path) -> list[Trajectory]:
+    """Parse the trace file at `path`; a TraceError names the file."""
     with open(path, "rb") as fh:
-        return parse_trace(fh)
+        try:
+            return parse_trace(fh)
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from exc
 
 
 def position_at(traj: Trajectory, t_us: int) -> tuple[float, float]:
@@ -137,7 +153,7 @@ def position_at(traj: Trajectory, t_us: int) -> tuple[float, float]:
             f"t={t_us} us outside lifetime [{traj.enter_us}, {traj.leave_us}] "
             f"of vehicle {traj.vehicle_name!r}"
         )
-    times = [s.time_us for s in traj.samples]
+    times = traj.times
     i = bisect_left(times, t_us)
     if i < len(times) and times[i] == t_us:
         s = traj.samples[i]

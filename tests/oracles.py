@@ -28,6 +28,23 @@ def live_ids(binder: Binder) -> set[int]:
     return {rec.node_id for rec in binder.live_nodes()}
 
 
+def reference_position(samples, t_us: int) -> tuple[float, float]:
+    """Position at `t_us` over a raw (t_us, x, y) sample table, by linear scan.
+
+    Finds the bracketing pair from the start of the table every time, then
+    interpolates; an exact sample time returns that sample.
+    """
+    for (t0, x0, y0), (t1, x1, y1) in zip(samples, samples[1:]):
+        if t0 <= t_us <= t1:
+            if t_us == t0:
+                return (x0, y0)
+            if t_us == t1:
+                return (x1, y1)
+            frac = (t_us - t0) / (t1 - t0)
+            return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
+    raise AssertionError(f"{t_us} outside the table")
+
+
 def reference_path_loss_db(distance_m: float, params: ChannelParams) -> float:
     d = max(distance_m, params.min_distance_m)
     return params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0)

@@ -34,6 +34,7 @@ from oracles import (
     live_ids,
     random_allocated_scenario,
     reference_path_loss_db,
+    reference_position,
 )
 
 TABLES = CqiTables()
@@ -48,19 +49,6 @@ def criterion(name):
         print(f"ACCEPTANCE {name}: FAIL")
         raise
     print(f"ACCEPTANCE {name}: PASS")
-
-
-def _lerp_position(samples, t_us):
-    """Reference interpolation over a raw (t_us, x, y) sample table."""
-    for (t0, x0, y0), (t1, x1, y1) in zip(samples, samples[1:]):
-        if t0 <= t_us <= t1:
-            if t_us == t0:
-                return (x0, y0)
-            if t_us == t1:
-                return (x1, y1)
-            frac = (t_us - t0) / (t1 - t0)
-            return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-    raise AssertionError(f"{t_us} outside the table")
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +124,7 @@ def test_accident_freeze_and_shift(tmp_path):
         table = [(s_to_us(t), x, y) for t, x, y in raw]
         t_stop = s_to_us(20)
         dur = s_to_us(30)
-        stop_pos = _lerp_position(table, t_stop)
+        stop_pos = reference_position(table, t_stop)
         shifted_table = (
             [s for s in table if s[0] < t_stop]
             + [(t_stop, *stop_pos), (t_stop + dur, *stop_pos)]
@@ -144,14 +132,14 @@ def test_accident_freeze_and_shift(tmp_path):
         )
         for ms, got in positions.items():
             t = ms_to_us(ms)
-            expected = _lerp_position(shifted_table, t)
+            expected = reference_position(shifted_table, t)
             assert got == expected, f"t={ms} ms: {got} != {expected}"
             if t_stop <= t < t_stop + dur:
                 assert got == stop_pos  # frozen during the accident window
             elif t >= t_stop + dur:
                 # same piecewise function evaluated over the original segment;
                 # only float associativity differs, so allow one-ulp slack
-                ox, oy = _lerp_position(table, t - dur)
+                ox, oy = reference_position(table, t - dur)
                 assert math.isclose(got[0], ox, rel_tol=0, abs_tol=1e-9)
                 assert math.isclose(got[1], oy, rel_tol=0, abs_tol=1e-9)
 

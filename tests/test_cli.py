@@ -51,7 +51,19 @@ def test_runtime_error_exits_three(tmp_path, capsys):
     config = write_scenario(tmp_path, CONFIG, "time_s,vehicle,x_m,y_m\nbroken row\n")
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "runtime error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error" in err
+    assert f"{tmp_path / 'trace.csv'}: line 2:" in err
+
+
+def test_non_utf8_trace_exits_three_naming_file_and_line(tmp_path, capsys):
+    config = write_scenario(tmp_path, CONFIG, TRACE)
+    (tmp_path / "trace.csv").write_bytes(TRACE.encode() + b"0.7,car0,\xff,0\n")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'trace.csv'}: line 4: trace is not valid UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_validate_ok(tmp_path, capsys):

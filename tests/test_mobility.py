@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vcellsim.engine import EventKind, s_to_us
 from vcellsim.errors import TraceError
@@ -11,11 +14,13 @@ from vcellsim.mobility import (
     TrajectorySample,
     apply_accident,
     lifecycle_events,
+    load_trace,
     parse_trace,
     position_at,
 )
 
 from conftest import make_trace
+from oracles import reference_position
 
 
 def _traj(name, points):
@@ -85,6 +90,29 @@ def test_non_finite_coordinate_rejected():
         parse_trace(make_trace([(0, "car0", "nan", 0)]))
 
 
+def test_non_utf8_bytes_raise_trace_error_with_line():
+    with pytest.raises(TraceError, match="line 1: trace is not valid UTF-8"):
+        parse_trace(b"\xff\xfe")
+    text = make_trace([(0, "car0", 0, 0)]).encode() + b"1,car0,\xe9,0\n"
+    with pytest.raises(TraceError, match="line 3: trace is not valid UTF-8"):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (make_trace([(0, "car0", 0, 0)]) + "not,a,row\n", "line 3"),
+        (make_trace([(0, "car0", "inf", 0)]).encode() + b"\xff", "line 3"),
+        (make_trace([(0, "car0", 0, 0), (0, "car0", 1, 0)]), "line 3"),
+    ],
+)
+def test_load_trace_errors_name_the_file(tmp_path, content, where):
+    path = tmp_path / "route.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(TraceError, match=re.escape(f"{path}: {where}")):
+        load_trace(path)
+
+
 # ----------------------------------------------------------------------
 # position_at
 
@@ -116,6 +144,74 @@ def test_position_is_continuous_at_sample_boundaries():
         after = position_at(t, s_to_us(boundary_s) + eps)
         assert math.dist(at, before) < 1e-3
         assert math.dist(at, after) < 1e-3
+
+
+def _probes(times, rng):
+    """Lifetime ends, some sample times and their +-1 us neighbours, random times."""
+    enter, leave = times[0], times[-1]
+    picked = [times[1], times[-2]] + rng.sample(times, 40)
+    near = [t + d for t in picked for d in (-1, 0, 1)]
+    spread = [rng.randint(enter, leave) for _ in range(60)]
+    return [enter, leave] + [t for t in near + spread if enter <= t <= leave]
+
+
+def _assert_matches_oracle(traj, table, rng):
+    for t in _probes([row[0] for row in table], rng):
+        assert position_at(traj, t) == reference_position(table, t), t
+
+
+@st.composite
+def _long_route(draw):
+    """At least 5000 samples: 1 us, 2 us and up to 5 s steps, from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(0, 10**9))
+    table = []
+    for _ in range(draw(st.integers(5000, 5500))):
+        table.append((t, rng.uniform(-5e3, 5e3), rng.uniform(-5e3, 5e3)))
+        t += rng.choice((1, 2, 1_000_000, rng.randint(3, 5_000_000)))
+    return table, rng
+
+
+@settings(max_examples=15, deadline=None)
+@given(_long_route(), st.data())
+def test_position_at_on_long_trajectory_matches_linear_scan_oracle(case, data):
+    table, rng = case
+    traj = Trajectory("v", [TrajectorySample(t, x, y) for t, x, y in table])
+    _assert_matches_oracle(traj, table, rng)
+
+    span = traj.leave_us - traj.enter_us
+    spec = AccidentSpec(1, data.draw(st.integers(0, span)), data.draw(st.integers(1, 10**8)))
+    shifted = apply_accident(traj, spec)
+    _assert_matches_oracle(shifted, [(s.time_us, s.x, s.y) for s in shifted.samples], rng)
+
+
+# ----------------------------------------------------------------------
+# the trajectory sample store
+
+
+def test_samples_are_kept_as_a_tuple_with_matching_times():
+    (parsed,) = parse_trace(make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0), (3, "car0", 9, 2)]))
+    built = _traj("v", [(0, 0, 0), (10, 100, 0), (20, 100, 50)])
+    shifted = apply_accident(built, AccidentSpec(1, s_to_us(5), s_to_us(7)))
+    for traj in (parsed, built, shifted):
+        assert isinstance(traj.samples, tuple)
+        assert traj.times == tuple(s.time_us for s in traj.samples)
+    assert shifted.times == tuple(s_to_us(t) for t in (0, 5, 12, 17, 27))
+
+
+def test_sample_has_no_instance_dict():
+    assert not hasattr(TrajectorySample(0, 0.0, 0.0), "__dict__")
+
+
+def test_list_and_tuple_samples_build_equal_trajectories():
+    samples = [TrajectorySample(s_to_us(t), float(t), 0.0) for t in range(4)]
+    from_list = Trajectory("v", samples)
+    from_tuple = Trajectory("v", tuple(samples))
+    assert from_list == from_tuple
+    assert repr(from_list) == repr(from_tuple)
+    assert "times" not in repr(from_list)
+    times = {f.name: f for f in dataclasses.fields(Trajectory)}["times"]
+    assert (times.init, times.repr, times.compare) == (False, False, False)
 
 
 # ----------------------------------------------------------------------
