@@ -1,10 +1,11 @@
 """Central bookkeeping for the simulated network.
 
-Every node (vehicle UE or eNB) registers here and gets a run-unique id and
-an opaque address. The binder also keeps the per-TTI resource-block ledger:
-for each cell and direction, which node transmits on which RB. Downlink and
-uplink use two distinct RB sets. The grid for the previous TTI is retained
-so interference can still be evaluated for the slot being decoded; anything
+Every node (vehicle UE or eNB) registers here and gets a run-unique id.
+eNBs are registered once and stay for the whole run; only vehicle UEs join
+and leave. The binder also keeps the per-TTI resource-block ledger: for each
+cell and direction, which node transmits on which RB. Downlink and uplink
+use two distinct RB sets. The grid for the previous TTI is retained so
+interference can still be evaluated for the slot being decoded; anything
 older is discarded.
 """
 
@@ -40,7 +41,6 @@ class NodeRecord:
     node_id: int
     kind: NodeKind
     name: str
-    address: int
     tx_power_dbm: float
     serving_cell: Optional[int] = None  # UE only
     position: tuple[float, float] = (0.0, 0.0)
@@ -57,16 +57,17 @@ def _empty_grid() -> Grid:
 class Binder:
     """Node registry plus RB allocation ledger.
 
-    Node ids and addresses are handed out from monotonic counters starting
-    at 1 and are never reused, so a stale reference is always detectable.
+    Node ids are handed out from a monotonic counter starting at 1 and are
+    never reused, so a stale reference is always detectable. `cells` holds
+    the eNB ids in ascending order; eNBs never deregister.
     """
 
     def __init__(self, num_rbs: int = DEFAULT_NUM_RBS) -> None:
         check_num_rbs(num_rbs)
         self.num_rbs = num_rbs
         self._next_node_id = 1
-        self._next_address = 1
         self._nodes: dict[int, NodeRecord] = {}
+        self.cells: list[int] = []
         self._current_tti = -1
         self._grids: dict[int, Grid] = {-1: _empty_grid()}
 
@@ -87,28 +88,28 @@ class Binder:
             node_id=self._next_node_id,
             kind=kind,
             name=name,
-            address=self._next_address,
             tx_power_dbm=tx_power_dbm,
             position=position,
         )
         self._next_node_id += 1
-        self._next_address += 1
         self._nodes[record.node_id] = record
+        if kind is NodeKind.ENB:
+            self.cells.append(record.node_id)
         return record
 
     def deregister_node(self, node_id: int) -> None:
-        """Drop a node and purge every retained grid entry that names it."""
-        if node_id not in self._nodes:
+        """Drop a UE and purge every retained grid entry it transmits on."""
+        rec = self._nodes.get(node_id)
+        if rec is None:
             raise RegistryError(f"node {node_id} is not live (double deregistration?)")
+        if rec.kind is NodeKind.ENB:
+            raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
         del self._nodes[node_id]
-        for rec in self._nodes.values():
-            if rec.serving_cell == node_id:
-                rec.serving_cell = None
         for grid in self._grids.values():
             for per_rb in grid.values():
                 empty_rbs = []
                 for rb, cells in per_rb.items():
-                    stale = [c for c, tx in cells.items() if c == node_id or tx == node_id]
+                    stale = [c for c, tx in cells.items() if tx == node_id]
                     for c in stale:
                         del cells[c]
                     if not cells:
@@ -135,14 +136,12 @@ class Binder:
     def set_position(self, node_id: int, x: float, y: float) -> None:
         self.node(node_id).position = (x, y)
 
-    def set_serving_cell(self, ue_id: int, cell_id: Optional[int]) -> None:
+    def set_serving_cell(self, ue_id: int, cell_id: int) -> None:
         rec = self.node(ue_id)
         if rec.kind != NodeKind.UE:
             raise RegistryError(f"node {ue_id} is not a UE")
-        if cell_id is not None:
-            cell = self.node(cell_id)
-            if cell.kind != NodeKind.ENB:
-                raise RegistryError(f"node {cell_id} is not an eNB")
+        if self.node(cell_id).kind != NodeKind.ENB:
+            raise RegistryError(f"node {cell_id} is not an eNB")
         rec.serving_cell = cell_id
 
     # ------------------------------------------------------------------

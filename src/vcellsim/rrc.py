@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .binder import Binder, Direction, NodeKind
+from .binder import Binder, Direction
 from .channel import ChannelModel
 from .errors import AssociationError
 from .mac import Mac
@@ -84,15 +84,8 @@ class Rrc:
         self.association_metric = association_metric
         self._states: dict[int, HandoverState] = {}
 
-    def _cell_ids(self) -> list[int]:
-        """Ids of the live eNBs in ascending order; there must be at least one."""
-        cells = [c.node_id for c in self.binder.live_nodes(NodeKind.ENB)]
-        if not cells:
-            raise AssociationError("no eNB is registered")
-        return cells
-
     def _cell_powers(self, ue: int) -> list[tuple[int, float]]:
-        return [(c, self.channel.rx_power_from_cell(ue, c)) for c in self._cell_ids()]
+        return [(c, self.channel.rx_power_from_cell(ue, c)) for c in self.binder.cells]
 
     def _association_scores(self, ue: int) -> list[tuple[int, float]]:
         if self.association_metric == "rx_power":
@@ -100,15 +93,16 @@ class Rrc:
         tti = self.binder.current_tti
         return [
             (c, self.channel.measure(ue, c, tti, Direction.DL).mean_sinr)
-            for c in self._cell_ids()
+            for c in self.binder.cells
         ]
 
     def initial_association(self, ue: int, policy: AssociationPolicy) -> int:
         """Attach the UE and return its serving cell id."""
+        if not self.binder.cells:
+            raise AssociationError("no eNB is registered")
         if policy.mode == AssociationMode.MANUAL:
             cell = policy.manual_cell
-            rec = self.binder.node(cell) if self.binder.is_live(cell) else None
-            if rec is None or rec.kind != NodeKind.ENB:
+            if cell not in self.binder.cells:
                 raise AssociationError(f"manual association target {cell} is not a live eNB")
             self.binder.set_serving_cell(ue, cell)
             return cell
@@ -125,14 +119,12 @@ class Rrc:
         if not self.config.enabled:
             return None
         serving = self.binder.node(ue).serving_cell
-        if serving is None:
-            return None
         powers = dict(self._cell_powers(ue))
-        if serving not in powers or len(powers) < 2:
+        if len(powers) < 2:
             return None
         best_cell = None
         best_power = None
-        for cell_id, power in powers.items():  # ascending ids, from live_nodes
+        for cell_id, power in powers.items():  # ascending ids, from binder.cells
             if cell_id == serving:
                 continue
             if best_power is None or power > best_power:
@@ -149,17 +141,12 @@ class Rrc:
             return HandoverDecision(ue=ue, source=serving, target=best_cell, decided_us=now_us)
         return None
 
-    def execute_handover(self, decision: HandoverDecision, mac: Mac) -> Optional[int]:
-        """Switch the serving cell; returns DL bits flushed, None if aborted.
+    def execute_handover(self, decision: HandoverDecision, mac: Mac) -> int:
+        """Switch the serving cell; returns the DL bits flushed at the source.
 
-        Aborts (and resets trigger state) when the target disappeared
-        between decision and execution.
+        Runs in the TTI that made the decision; a UE cannot leave within a
+        TTI and cells never leave, so both ends are still live here.
         """
-        if not self.binder.is_live(decision.target):
-            self._states.pop(decision.ue, None)
-            return None
-        if not self.binder.is_live(decision.ue):
-            return None
         dropped = mac.clear_dl_buffer(decision.ue)
         self.binder.set_serving_cell(decision.ue, decision.target)
         return dropped

@@ -41,14 +41,8 @@ class Scenario:
             self.binder, self.channel, config.handover, config.association_metric
         )
 
-        self.cell_ids: list[int] = []
-        self.cell_names: dict[int, str] = {}
         for enb in config.enbs:
-            rec = self.binder.register_node(
-                NodeKind.ENB, enb.name, enb.tx_power_dbm, (enb.x, enb.y)
-            )
-            self.cell_ids.append(rec.node_id)
-            self.cell_names[rec.node_id] = enb.name
+            self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm, (enb.x, enb.y))
 
         self._load_vehicles()
 
@@ -58,7 +52,7 @@ class Scenario:
         self.cqi_ul: dict[int, int] = {}
         self.n_ttis = 0
         self.log: list[str] = []
-        self._cell_stats = {name: CellStats(name) for name in self.cell_names.values()}
+        self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
 
         self._schedule_initial_events()
 
@@ -101,7 +95,7 @@ class Scenario:
                 policy = AssociationPolicy(AssociationMode.DYNAMIC)
             elif master is not None:
                 policy = AssociationPolicy(
-                    AssociationMode.MANUAL, manual_cell=self.cell_ids[master]
+                    AssociationMode.MANUAL, manual_cell=self.binder.cells[master]
                 )
             else:
                 raise ConfigError(
@@ -149,7 +143,7 @@ class Scenario:
         self.node_of[name] = rec.node_id
         self.name_of[rec.node_id] = name
         cell = self.rrc.initial_association(rec.node_id, self.policies[name])
-        cell_name = self.cell_names[cell]
+        cell_name = self.binder.node(cell).name
         stats = self.stats[name]
         stats.first_cell = cell_name
         stats.timeline.append((self.engine.now, cell_name))
@@ -177,13 +171,7 @@ class Scenario:
             stats.lost_core_bits += packet.size_bits
             return
         if packet.direction == Direction.DL:
-            serving = self.binder.node(node).serving_cell
-            if serving is None:
-                stats.lost_core_bits += packet.size_bits
-                return
-            self.engine.schedule(
-                backhaul_deliver(packet, serving, self.config.backhaul, self.engine.now)
-            )
+            self.engine.schedule(backhaul_deliver(packet, self.config.backhaul, self.engine.now))
             stats.backhaul_inflight_bits += packet.size_bits
         else:
             accepted = self.mac.enqueue(
@@ -198,7 +186,7 @@ class Scenario:
                 stats.dropped_radio_bits += packet.size_bits
 
     def _on_backhaul_delivery(self, event: SimEvent) -> None:
-        packet, _sent_via = event.payload
+        packet: Packet = event.payload
         stats = self.stats[packet.vehicle]
         stats.backhaul_inflight_bits -= packet.size_bits
         node = self.node_of.get(packet.vehicle)
@@ -245,7 +233,7 @@ class Scenario:
             self.cqi_dl[node] = self.channel.measure(node, serving, prev_tti, Direction.DL).cqi
             self.cqi_ul[node] = self.channel.measure(node, serving, prev_tti, Direction.UL).cqi
 
-        attached: dict[int, list[int]] = {cell: [] for cell in self.cell_ids}
+        attached: dict[int, list[int]] = {cell: [] for cell in self.binder.cells}
         for node in live_ues:
             attached[self.binder.node(node).serving_cell].append(node)
 
@@ -255,7 +243,7 @@ class Scenario:
             else self.mac.schedule_tti_maxcqi
         )
         allocations = []
-        for cell in self.cell_ids:
+        for cell in self.binder.cells:
             for direction in (Direction.DL, Direction.UL):
                 cqi_map = self.cqi_dl if direction == Direction.DL else self.cqi_ul
                 ues = [(node, cqi_map[node]) for node in attached[cell]]
@@ -267,7 +255,7 @@ class Scenario:
                     self.binder.record_allocation(
                         tti, direction, cell, alloc.grants[ue].rb_set, transmitter
                     )
-                cell_stats = self._cell_stats[self.cell_names[cell]]
+                cell_stats = self._cell_stats[self.binder.node(cell).name]
                 cell_stats.rb_allocated[direction] += alloc.rb_count()
                 allocations.append(alloc)
 
@@ -286,17 +274,14 @@ class Scenario:
 
         for decision in decisions:
             dropped = self.rrc.execute_handover(decision, self.mac)
-            if dropped is None:
-                continue
             name = self.name_of[decision.ue]
             stats = self.stats[name]
             stats.dropped_handover_bits += dropped
             stats.handovers += 1
-            target_name = self.cell_names[decision.target]
+            target_name = self.binder.node(decision.target).name
             stats.timeline.append((now, target_name))
-            self._logline(
-                f"HANDOVER {name} {self.cell_names[decision.source]}->{target_name}"
-            )
+            source_name = self.binder.node(decision.source).name
+            self._logline(f"HANDOVER {name} {source_name}->{target_name}")
 
         next_tick = now + TTI_US
         if next_tick < self.config.sim_end_us:

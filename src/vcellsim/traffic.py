@@ -95,12 +95,6 @@ def generate_flow_events(spec: FlowSpec) -> list[SimEvent]:
     return events
 
 
-def backhaul_deliver(
-    packet: Packet, serving_cell: int, config: BackhaulConfig, now_us: int
-) -> SimEvent:
+def backhaul_deliver(packet: Packet, config: BackhaulConfig, now_us: int) -> SimEvent:
     """Delivery event that lands the packet core-side after the backhaul delay."""
-    return SimEvent(
-        now_us + config.one_way_delay_us,
-        EventKind.BACKHAUL_DELIVERY,
-        (packet, serving_cell),
-    )
+    return SimEvent(now_us + config.one_way_delay_us, EventKind.BACKHAUL_DELIVERY, packet)

@@ -247,15 +247,14 @@ def test_lifecycle_ledger_fuzz():
                 name_counter += 1
                 live[rec.node_id] = kind
                 ever_dead.discard(rec.node_id)
-            elif roll < 0.50:
-                victim = rng.choice(sorted(live))
+            elif roll < 0.50 and ues():
+                # eNBs stay for the whole run; only UEs leave
+                victim = rng.choice(ues())
                 binder.deregister_node(victim)
                 del live[victim]
                 ever_dead.add(victim)
-                for key in list(free):
-                    if key[0] == victim:
-                        del free[key]
                 scan_for_dead_references()
+                assert binder.cells == cells()
             elif roll < 0.85 and cells():
                 cell = rng.choice(cells())
                 direction = rng.choice((Direction.DL, Direction.UL))
@@ -278,6 +277,7 @@ def test_lifecycle_ledger_fuzz():
 
         assert live_ids(binder) == set(live)
         assert live_ids(binder).isdisjoint(ever_dead)
+        assert binder.cells == cells()
         scan_for_dead_references()
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -22,11 +23,10 @@ def _binder_with_cells(n=2, num_rbs=50):
 # registration
 
 
-def test_first_registration_gets_id_and_address_one():
+def test_first_registration_gets_id_one():
     binder = Binder()
     rec = binder.register_node(NodeKind.ENB, "enb0", 46.0)
     assert rec.node_id == 1
-    assert rec.address == 1
 
 
 def test_ids_are_never_reused():
@@ -36,7 +36,6 @@ def test_ids_are_never_reused():
     binder.deregister_node(second.node_id)
     third = binder.register_node(NodeKind.UE, "c", 26.0)
     assert third.node_id == 3
-    assert third.address == 3
 
 
 def test_two_enbs_and_ten_vehicles_make_twelve_live_records():
@@ -82,8 +81,9 @@ def test_deregister_sole_ue_leaves_only_cells():
     binder.deregister_node(ue)
     assert [r.node_id for r in binder.live_nodes()] == cells
     assert co_channel_transmitters(binder, 0, Direction.UL, 0, excluding_cell=cells[1]) == []
+    assert binder.cells == sorted(binder.cells) == cells
 
-    # interleaved churn: live_nodes stays in ascending id order
+    # interleaved churn: live_nodes stays in ascending id order, cells unchanged
     ues = []
     for i in range(1, 7):
         ues.append(binder.register_node(NodeKind.UE, f"car{i}", 26.0).node_id)
@@ -91,6 +91,7 @@ def test_deregister_sole_ue_leaves_only_cells():
             binder.deregister_node(ues.pop(-2))
         ids = [r.node_id for r in binder.live_nodes()]
         assert ids == sorted(ids) == cells + ues
+        assert binder.cells == cells
     assert [r.node_id for r in binder.live_nodes(NodeKind.UE)] == ues
 
 
@@ -130,12 +131,23 @@ def test_double_deregistration_rejected():
         binder.deregister_node(ue)
 
 
-def test_deregistering_cell_clears_serving_references():
+def test_deregistering_cell_is_rejected_and_changes_nothing():
     binder, cells = _binder_with_cells(2)
+    binder.advance_tti(0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     binder.set_serving_cell(ue, cells[1])
-    binder.deregister_node(cells[1])
-    assert binder.node(ue).serving_cell is None
+    binder.record_allocation(0, Direction.DL, cells[1], range(3), cells[1])
+    binder.record_allocation(0, Direction.UL, cells[1], range(2), ue)
+    live_before = list(binder.live_nodes())
+    grids_before = {d: copy.deepcopy(binder.rb_occupancy(0, d)) for d in Direction}
+
+    with pytest.raises(RegistryError):
+        binder.deregister_node(cells[1])
+
+    assert binder.live_nodes() == live_before
+    assert binder.cells == cells
+    assert binder.node(ue).serving_cell == cells[1]
+    assert {d: binder.rb_occupancy(0, d) for d in Direction} == grids_before
 
 
 # ----------------------------------------------------------------------
@@ -256,15 +268,17 @@ def test_allocation_only_into_current_tti():
 def test_registry_matches_set_oracle(seed):
     rng = random.Random(seed)
     binder = Binder(num_rbs=10)
-    live_oracle: set[int] = set()
+    ue_oracle: set[int] = set()
+    cell_oracle: set[int] = set()
     names = iter(range(10_000))
     for _ in range(300):
-        if live_oracle and rng.random() < 0.4:
-            victim = rng.choice(sorted(live_oracle))
+        if ue_oracle and rng.random() < 0.4:
+            victim = rng.choice(sorted(ue_oracle))
             binder.deregister_node(victim)
-            live_oracle.discard(victim)
+            ue_oracle.discard(victim)
         else:
             kind = NodeKind.UE if rng.random() < 0.8 else NodeKind.ENB
             rec = binder.register_node(kind, f"n{next(names)}", 26.0)
-            live_oracle.add(rec.node_id)
-        assert live_ids(binder) == live_oracle
+            (ue_oracle if kind is NodeKind.UE else cell_oracle).add(rec.node_id)
+        assert live_ids(binder) == ue_oracle | cell_oracle
+        assert binder.cells == sorted(cell_oracle)

@@ -246,18 +246,6 @@ def test_execute_switches_cell_and_flushes_dl_buffer():
     assert mac.buffer_bits(ue, Direction.DL) == 0
 
 
-def test_execute_aborts_when_target_disappeared():
-    binder, channel, rrc, c0, c1 = _two_cell_env()
-    mac = Mac(binder)
-    ue = _attached_ue(binder, rrc, x=0.0)
-    mac.enqueue(ue, Direction.DL, "p0", 5000, 0)
-    binder.deregister_node(c1)
-    decision = HandoverDecision(ue=ue, source=c0, target=c1, decided_us=ms_to_us(10))
-    assert rrc.execute_handover(decision, mac) is None
-    assert binder.node(ue).serving_cell == c0
-    assert mac.buffer_bits(ue, Direction.DL) == 5000
-
-
 def test_double_handover_a_b_a_keeps_history_consistent():
     binder, channel, rrc, c0, c1 = _two_cell_env(
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0),

@@ -80,15 +80,13 @@ def test_invalid_specs_rejected():
 
 def test_backhaul_delay_is_additive():
     packet = Packet("flow0", 0, "car0", Direction.DL, 1000, ms_to_us(100))
-    event = backhaul_deliver(packet, 1, BackhaulConfig(ms_to_us(10)), ms_to_us(100))
+    event = backhaul_deliver(packet, BackhaulConfig(ms_to_us(10)), ms_to_us(100))
     assert event.kind == EventKind.BACKHAUL_DELIVERY
     assert event.fire_time == ms_to_us(110)
-    delivered_packet, via_cell = event.payload
-    assert delivered_packet is packet
-    assert via_cell == 1
+    assert event.payload is packet
 
 
 def test_backhaul_zero_delay_fires_at_now():
     packet = Packet("flow0", 0, "car0", Direction.DL, 1000, 0)
-    event = backhaul_deliver(packet, 1, BackhaulConfig(0), ms_to_us(7))
+    event = backhaul_deliver(packet, BackhaulConfig(0), ms_to_us(7))
     assert event.fire_time == ms_to_us(7)
