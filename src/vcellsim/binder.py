@@ -67,6 +67,7 @@ class Binder:
         self.num_rbs = num_rbs
         self._next_node_id = 1
         self._nodes: dict[int, NodeRecord] = {}
+        self._live_names: set[str] = set()
         self.cells: list[int] = []
         self._current_tti = -1
         self._grids: dict[int, Grid] = {-1: _empty_grid()}
@@ -81,9 +82,8 @@ class Binder:
         tx_power_dbm: float,
         position: tuple[float, float] = (0.0, 0.0),
     ) -> NodeRecord:
-        for rec in self._nodes.values():
-            if rec.name == name:
-                raise RegistryError(f"a live node named {name!r} already exists")
+        if name in self._live_names:
+            raise RegistryError(f"a live node named {name!r} already exists")
         record = NodeRecord(
             node_id=self._next_node_id,
             kind=kind,
@@ -93,6 +93,7 @@ class Binder:
         )
         self._next_node_id += 1
         self._nodes[record.node_id] = record
+        self._live_names.add(name)
         if kind is NodeKind.ENB:
             self.cells.append(record.node_id)
         return record
@@ -105,6 +106,7 @@ class Binder:
         if rec.kind is NodeKind.ENB:
             raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
         del self._nodes[node_id]
+        self._live_names.remove(rec.name)
         for grid in self._grids.values():
             for per_rb in grid.values():
                 empty_rbs = []

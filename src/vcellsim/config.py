@@ -340,7 +340,7 @@ def _accident(entry: dict[str, Any], i: int) -> Optional[AccidentSpec]:
         if required not in entry:
             raise ConfigError(f"missing required key car[{i}].{required}")
     try:
-        return AccidentSpec(count, entry["accident.start_s"], entry["accident.duration_s"])
+        return AccidentSpec(entry["accident.start_s"], entry["accident.duration_s"])
     except ValueError as exc:
         raise ConfigError(f"car[{i}]: {exc}") from None
 

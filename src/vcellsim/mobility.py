@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 from .engine import EventKind, SimEvent, s_to_us
@@ -23,53 +24,45 @@ log = logging.getLogger(__name__)
 TRACE_HEADER = "time_s,vehicle,x_m,y_m"
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    time_us: int
-    x: float
-    y: float
-
-
 @dataclass(frozen=True)
 class AccidentSpec:
     """A stop of `duration_us` beginning `start_us` after vehicle departure."""
 
-    count: int
     start_us: int
     duration_us: int
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("accident count must be non-negative")
         if self.start_us < 0:
             raise ValueError("accident start must be non-negative")
-        if self.count > 0 and self.duration_us <= 0:
-            raise ValueError("accident duration must be positive when count > 0")
+        if self.duration_us <= 0:
+            raise ValueError("accident duration must be positive")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One vehicle's route; `samples` may be given as any sequence, kept as a tuple."""
+    """One vehicle's route as three aligned sample columns.
+
+    `times` (int us, strictly increasing) is a plain list because bisect on an
+    array('q') boxes every element it compares; `xs` and `ys` are array('d').
+    """
 
     vehicle_name: str
-    samples: tuple[TrajectorySample, ...]
-    accident: AccidentSpec | None = None
-    # every sample's time_us, derived once below so position_at can bisect it
-    times: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    times: list[int]
+    xs: array
+    ys: array
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        if not samples:
+        times = self.times
+        if not times:
             raise TraceError(f"vehicle {self.vehicle_name!r} has no samples")
-        times = tuple([s.time_us for s in samples])  # a list builds faster on 3.11
+        if not len(times) == len(self.xs) == len(self.ys):
+            raise ValueError(f"vehicle {self.vehicle_name!r}: sample columns differ in length")
         for a, b in zip(times, times[1:]):
             if b <= a:
                 raise TraceError(
                     f"vehicle {self.vehicle_name!r}: non-increasing sample times "
                     f"({a} us then {b} us)"
                 )
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "times", times)
 
     @property
     def enter_us(self) -> int:
@@ -106,7 +99,7 @@ def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajector
     if header != TRACE_HEADER:
         raise TraceError(f"line 1: expected header {TRACE_HEADER!r}, got {header!r}")
 
-    rows_by_vehicle: dict[str, list[TrajectorySample]] = {}
+    columns: dict[str, tuple[list[int], array, array]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -126,15 +119,19 @@ def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajector
             raise TraceError(f"line {lineno}: non-finite value")
         if t < 0:
             raise TraceError(f"line {lineno}: negative time {t}")
-        sample = TrajectorySample(s_to_us(t), x, y)
-        prev = rows_by_vehicle.get(vehicle)
-        if prev and sample.time_us <= prev[-1].time_us:
+        t_us = s_to_us(t)
+        cols = columns.get(vehicle)
+        if cols is None:
+            cols = columns[vehicle] = ([], array("d"), array("d"))
+        elif t_us <= cols[0][-1]:
             raise TraceError(
                 f"line {lineno}: vehicle {vehicle!r} time not strictly increasing"
             )
-        rows_by_vehicle.setdefault(vehicle, []).append(sample)
+        cols[0].append(t_us)
+        cols[1].append(x)
+        cols[2].append(y)
 
-    return [Trajectory(name, samples) for name, samples in rows_by_vehicle.items()]
+    return [Trajectory(name, *cols) for name, cols in columns.items()]
 
 
 def load_trace(path) -> list[Trajectory]:
@@ -148,20 +145,19 @@ def load_trace(path) -> list[Trajectory]:
 
 def position_at(traj: Trajectory, t_us: int) -> tuple[float, float]:
     """Linearly interpolated position; exact sample times return the sample."""
-    if t_us < traj.enter_us or t_us > traj.leave_us:
+    times, xs, ys = traj.times, traj.xs, traj.ys
+    if t_us < times[0] or t_us > times[-1]:
         raise ValueError(
             f"t={t_us} us outside lifetime [{traj.enter_us}, {traj.leave_us}] "
             f"of vehicle {traj.vehicle_name!r}"
         )
-    times = traj.times
-    i = bisect_left(times, t_us)
-    if i < len(times) and times[i] == t_us:
-        s = traj.samples[i]
-        return (s.x, s.y)
-    lo = traj.samples[i - 1]
-    hi = traj.samples[i]
-    frac = (t_us - lo.time_us) / (hi.time_us - lo.time_us)
-    return (lo.x + frac * (hi.x - lo.x), lo.y + frac * (hi.y - lo.y))
+    i = bisect_left(times, t_us)  # < len(times): t_us <= leave_us
+    if times[i] == t_us:
+        return (xs[i], ys[i])
+    t0, x0, y0 = times[i - 1], xs[i - 1], ys[i - 1]
+    x1, y1 = xs[i], ys[i]
+    frac = (t_us - t0) / (times[i] - t0)
+    return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
 
 def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
@@ -172,10 +168,6 @@ def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
     lifetime accordingly. A window that begins after the vehicle's last
     sample is ignored with a warning.
     """
-    if spec.count == 0:
-        return traj
-    if spec.count != 1:
-        raise ValueError("at most one accident per vehicle is supported")
     t_stop = traj.enter_us + spec.start_us
     if t_stop > traj.leave_us:
         log.warning(
@@ -186,14 +178,15 @@ def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
         return traj
     x0, y0 = position_at(traj, t_stop)
     dur = spec.duration_us
-    head = [s for s in traj.samples if s.time_us < t_stop]
-    tail = [
-        TrajectorySample(s.time_us + dur, s.x, s.y)
-        for s in traj.samples
-        if s.time_us > t_stop
-    ]
-    frozen = [TrajectorySample(t_stop, x0, y0), TrajectorySample(t_stop + dur, x0, y0)]
-    return Trajectory(traj.vehicle_name, head + frozen + tail, accident=spec)
+    times = traj.times
+    head = bisect_left(times, t_stop)  # samples before the stop
+    tail = bisect_right(times, t_stop)  # samples after it, shifted by dur
+    return Trajectory(
+        traj.vehicle_name,
+        times[:head] + [t_stop, t_stop + dur] + [t + dur for t in times[tail:]],
+        traj.xs[:head] + array("d", (x0, x0)) + traj.xs[tail:],
+        traj.ys[:head] + array("d", (y0, y0)) + traj.ys[tail:],
+    )
 
 
 def lifecycle_events(trajectories: Iterable[Trajectory]) -> list[SimEvent]:

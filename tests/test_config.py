@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from vcellsim.config import (
 )
 from vcellsim.engine import ms_to_us, s_to_us
 from vcellsim.errors import ConfigError
+from vcellsim.mobility import AccidentSpec
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
 
@@ -40,22 +42,25 @@ def test_paper_style_flags_enable_dynamic_and_handover(tmp_path):
     assert config.handover.enabled is True
 
 
-def test_car0_accident_keys(tmp_path):
-    config = _load(
-        tmp_path,
-        build_config(
-            "trace_file = trace.csv",
-            "dynamic_cell_association = true",
-            ONE_CELL,
-            "car[0].accident.count = 1",
-            "car[0].accident.start_s = 20",
-            "car[0].accident.duration_s = 30",
-        ),
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_car0_accident_keys(tmp_path, count):
+    text = build_config(
+        "trace_file = trace.csv",
+        "dynamic_cell_association = true",
+        ONE_CELL,
+        f"car[0].accident.count = {count}",
+        "car[0].accident.start_s = 20",
+        "car[0].accident.duration_s = 30",
     )
-    accident = config.cars[0].accident
-    assert accident.count == 1
-    assert accident.start_us == s_to_us(20)
-    assert accident.duration_us == s_to_us(30)
+    if count == 2:
+        with pytest.raises(ConfigError, match=re.escape("car[0]")):
+            _load(tmp_path, text)
+        return
+    accident = _load(tmp_path, text).cars[0].accident
+    if count == 0:
+        assert accident is None
+    else:
+        assert accident == AccidentSpec(start_us=s_to_us(20), duration_us=s_to_us(30))
 
 
 def test_handover_defaults_applied_when_omitted(tmp_path):

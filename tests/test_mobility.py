@@ -1,7 +1,9 @@
-import dataclasses
+import gc
 import math
 import random
 import re
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from vcellsim.errors import TraceError
 from vcellsim.mobility import (
     AccidentSpec,
     Trajectory,
-    TrajectorySample,
     apply_accident,
     lifecycle_events,
     load_trace,
@@ -24,7 +25,17 @@ from oracles import reference_position
 
 
 def _traj(name, points):
-    return Trajectory(name, [TrajectorySample(s_to_us(t), x, y) for t, x, y in points])
+    return _columns(name, [(s_to_us(t), x, y) for t, x, y in points])
+
+
+def _columns(name, table):
+    """A Trajectory from a (t_us, x, y) sample table."""
+    times, xs, ys = zip(*table)
+    return Trajectory(name, list(times), array("d", xs), array("d", ys))
+
+
+def _table(traj):
+    return list(zip(traj.times, traj.xs, traj.ys))
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +75,7 @@ def test_interleaved_vehicles_match_group_sort_oracle():
 
     assert set(trajs) == set(oracle)
     for name, samples in oracle.items():
-        got = [(s.time_us, s.x, s.y) for s in trajs[name].samples]
-        assert got == samples
+        assert _table(trajs[name]) == samples
 
 
 def test_malformed_row_reports_line_number():
@@ -104,6 +114,8 @@ def test_non_utf8_bytes_raise_trace_error_with_line():
         (make_trace([(0, "car0", 0, 0)]) + "not,a,row\n", "line 3"),
         (make_trace([(0, "car0", "inf", 0)]).encode() + b"\xff", "line 3"),
         (make_trace([(0, "car0", 0, 0), (0, "car0", 1, 0)]), "line 3"),
+        (make_trace([(0, "car0", 0, 0), (1, "", 1, 0)]), "line 3"),
+        (make_trace([(0, "car0", 0, 0), (-1, "car1", 1, 0)]), "line 3"),
     ],
 )
 def test_load_trace_errors_name_the_file(tmp_path, content, where):
@@ -111,6 +123,33 @@ def test_load_trace_errors_name_the_file(tmp_path, content, where):
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(TraceError, match=re.escape(f"{path}: {where}")):
         load_trace(path)
+
+
+def test_spaces_around_fields_are_stripped():
+    plain = parse_trace(make_trace([(0, "car0", 0, 0), (0.5, "car0", 1.5, 2)]))
+    spaced = parse_trace(make_trace([(0, "car0", 0, 0)]) + "0.5 , car0 , 1.5 , 2\n")
+    assert spaced == plain
+    assert spaced[0].vehicle_name == "car0"
+
+
+def test_parsed_trace_retains_at_most_80_bytes_per_row():
+    rows, vehicles = 50_000, 50
+    text = make_trace(
+        (f"{k // vehicles * 0.1:.1f}", f"car{k % vehicles}", k * 0.25, -k * 0.5)
+        for k in range(rows)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajs = parse_trace(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trajs) == vehicles
+    assert sum(len(t.times) for t in trajs) == rows
+    assert retained / rows <= 80, f"{retained / rows:.1f} B per row"
 
 
 # ----------------------------------------------------------------------
@@ -176,57 +215,43 @@ def _long_route(draw):
 @given(_long_route(), st.data())
 def test_position_at_on_long_trajectory_matches_linear_scan_oracle(case, data):
     table, rng = case
-    traj = Trajectory("v", [TrajectorySample(t, x, y) for t, x, y in table])
+    traj = _columns("v", table)
     _assert_matches_oracle(traj, table, rng)
 
     span = traj.leave_us - traj.enter_us
-    spec = AccidentSpec(1, data.draw(st.integers(0, span)), data.draw(st.integers(1, 10**8)))
+    spec = AccidentSpec(data.draw(st.integers(0, span)), data.draw(st.integers(1, 10**8)))
     shifted = apply_accident(traj, spec)
-    _assert_matches_oracle(shifted, [(s.time_us, s.x, s.y) for s in shifted.samples], rng)
+    _assert_matches_oracle(shifted, _table(shifted), rng)
 
 
 # ----------------------------------------------------------------------
-# the trajectory sample store
+# the trajectory columns
 
 
-def test_samples_are_kept_as_a_tuple_with_matching_times():
+def test_columns_are_a_list_and_two_float_arrays():
     (parsed,) = parse_trace(make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0), (3, "car0", 9, 2)]))
     built = _traj("v", [(0, 0, 0), (10, 100, 0), (20, 100, 50)])
-    shifted = apply_accident(built, AccidentSpec(1, s_to_us(5), s_to_us(7)))
+    shifted = apply_accident(built, AccidentSpec(s_to_us(5), s_to_us(7)))
     for traj in (parsed, built, shifted):
-        assert isinstance(traj.samples, tuple)
-        assert traj.times == tuple(s.time_us for s in traj.samples)
-    assert shifted.times == tuple(s_to_us(t) for t in (0, 5, 12, 17, 27))
+        assert type(traj.times) is list
+        assert (traj.xs.typecode, traj.ys.typecode) == ("d", "d")
+        assert len(traj.times) == len(traj.xs) == len(traj.ys)
+    assert shifted.times == [s_to_us(t) for t in (0, 5, 12, 17, 27)]
 
 
-def test_sample_has_no_instance_dict():
-    assert not hasattr(TrajectorySample(0, 0.0, 0.0), "__dict__")
-
-
-def test_list_and_tuple_samples_build_equal_trajectories():
-    samples = [TrajectorySample(s_to_us(t), float(t), 0.0) for t in range(4)]
-    from_list = Trajectory("v", samples)
-    from_tuple = Trajectory("v", tuple(samples))
-    assert from_list == from_tuple
-    assert repr(from_list) == repr(from_tuple)
-    assert "times" not in repr(from_list)
-    times = {f.name: f for f in dataclasses.fields(Trajectory)}["times"]
-    assert (times.init, times.repr, times.compare) == (False, False, False)
+def test_misaligned_columns_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        Trajectory("v", [0, 1], array("d", [0.0]), array("d", [0.0, 1.0]))
 
 
 # ----------------------------------------------------------------------
 # apply_accident
 
 
-def test_accident_count_zero_is_identity():
-    t = _traj("v", [(0, 0, 0), (10, 100, 0)])
-    assert apply_accident(t, AccidentSpec(0, 0, 0)) is t
-
-
 def test_accident_freezes_position_for_the_window():
     # departure at 0, stop after 20 s, lasting 30 s
     t = _traj("car0", [(0, 0, 0), (100, 1000, 0)])
-    spec = AccidentSpec(1, s_to_us(20), s_to_us(30))
+    spec = AccidentSpec(s_to_us(20), s_to_us(30))
     frozen = apply_accident(t, spec)
     x_stop, y_stop = position_at(t, s_to_us(20))
     for probe_s in (20, 25, 35, 49.999):
@@ -237,7 +262,7 @@ def test_accident_freezes_position_for_the_window():
 def test_accident_shifts_later_positions_by_duration():
     # 0 -> 1000 m over 100 s at 10 m/s; stopped during [20 s, 50 s)
     t = _traj("car0", [(0, 0, 0), (100, 1000, 0)])
-    frozen = apply_accident(t, AccidentSpec(1, s_to_us(20), s_to_us(30)))
+    frozen = apply_accident(t, AccidentSpec(s_to_us(20), s_to_us(30)))
     x, y = position_at(frozen, s_to_us(60))
     assert x == pytest.approx(300.0)  # original position at 30 s
     assert y == 0.0
@@ -245,14 +270,8 @@ def test_accident_shifts_later_positions_by_duration():
 
 def test_accident_window_after_route_end_is_ignored():
     t = _traj("v", [(0, 0, 0), (10, 100, 0)])
-    out = apply_accident(t, AccidentSpec(1, s_to_us(50), s_to_us(30)))
-    assert out.samples == t.samples
-
-
-def test_two_accidents_rejected():
-    t = _traj("v", [(0, 0, 0), (10, 100, 0)])
-    with pytest.raises(ValueError):
-        apply_accident(t, AccidentSpec(2, 0, s_to_us(1)))
+    out = apply_accident(t, AccidentSpec(s_to_us(50), s_to_us(30)))
+    assert out is t
 
 
 @st.composite
@@ -269,12 +288,12 @@ def _route_and_accident(draw):
 def test_accident_matches_piecewise_shift_oracle(case):
     points, start_s, duration_s = case
     traj = _traj("v", points)
-    spec = AccidentSpec(1, s_to_us(start_s), s_to_us(duration_s))
+    spec = AccidentSpec(s_to_us(start_s), s_to_us(duration_s))
     shifted = apply_accident(traj, spec)
 
     t_stop = traj.enter_us + spec.start_us
     dur = spec.duration_us
-    probes = [traj.enter_us, t_stop] + [s.time_us for s in traj.samples]
+    probes = [traj.enter_us, t_stop] + traj.times
     for t in probes:
         if t < t_stop:
             # before the stop: unchanged
@@ -296,12 +315,11 @@ def test_accident_matches_piecewise_shift_oracle(case):
 def test_accident_preserves_path_length(case):
     points, start_s, duration_s = case
     traj = _traj("v", points)
-    shifted = apply_accident(traj, AccidentSpec(1, s_to_us(start_s), s_to_us(duration_s)))
+    shifted = apply_accident(traj, AccidentSpec(s_to_us(start_s), s_to_us(duration_s)))
 
     def path_length(t):
-        return sum(
-            math.dist((a.x, a.y), (b.x, b.y)) for a, b in zip(t.samples, t.samples[1:])
-        )
+        points = list(zip(t.xs, t.ys))
+        return sum(math.dist(a, b) for a, b in zip(points, points[1:]))
 
     assert path_length(shifted) == pytest.approx(path_length(traj), abs=1e-6)
 
