@@ -9,7 +9,7 @@ produce the same processed-event trace bit for bit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -53,8 +53,7 @@ class SimEvent:
 
 @dataclass
 class RunSummary:
-    end_time: int
-    counts: dict[EventKind, int] = field(default_factory=dict)
+    counts: dict[EventKind, int]
 
     @property
     def total(self) -> int:
@@ -110,4 +109,4 @@ class Engine:
                         f"failed at t={fire_time} us: {exc}"
                     ) from exc
         self.now = t_end
-        return RunSummary(end_time=t_end, counts=counts)
+        return RunSummary(counts)

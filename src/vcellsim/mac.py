@@ -20,55 +20,30 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .binder import Binder, Direction
 from .channel import ChannelModel, bits_per_rb, decode
-from .engine import TTI_US
 from .errors import MacError
+from .traffic import Packet
 
 BUFFER_CAPACITY_BITS = 8 * 2**20  # 1 MiB per buffer, tail-drop beyond
-
-
-@dataclass
-class BufferedPacket:
-    packet_id: str
-    size_bits: int
-    enqueue_us: int
-    created_us: int
 
 
 class TxBuffer:
     """FIFO queue of packets for one endpoint and direction."""
 
-    def __init__(self, owner: int, direction: Direction, capacity_bits: int) -> None:
-        self.owner = owner
-        self.direction = direction
+    def __init__(self, capacity_bits: int) -> None:
         self.capacity_bits = capacity_bits
-        self.queue: deque[BufferedPacket] = deque()
+        self.queue: deque[Packet] = deque()
         self.occupancy_bits = 0
-        # lifetime counters for conservation checks
-        self.enqueued_bits = 0
-        self.overflow_bits = 0
-        self.delivered_bits = 0
-        self.dropped_bits = 0
-        self.cleared_bits = 0
 
-    def push(self, packet: BufferedPacket) -> bool:
+    def push(self, packet: Packet) -> bool:
         if self.occupancy_bits + packet.size_bits > self.capacity_bits:
-            self.overflow_bits += packet.size_bits
             return False
         self.queue.append(packet)
         self.occupancy_bits += packet.size_bits
-        self.enqueued_bits += packet.size_bits
         return True
-
-    def clear(self) -> int:
-        bits = self.occupancy_bits
-        self.queue.clear()
-        self.occupancy_bits = 0
-        self.cleared_bits += bits
-        return bits
 
 
 @dataclass(frozen=True)
@@ -89,42 +64,19 @@ class Allocation:
 
 
 @dataclass
-class DeliveredPacket:
-    packet_id: str
-    owner: int
-    direction: Direction
-    size_bits: int
-    created_us: int
-    delivered_us: int
-
-    @property
-    def latency_us(self) -> int:
-        return self.delivered_us - self.created_us
-
-
-@dataclass
 class GrantOutcome:
-    ue: int
+    """One grant's result: the packets it carried are delivered if it
+    decoded, else their bits are dropped."""
+
     rb_count: int
-    cqi_used: int
-    capacity_bits: int
     decoded: bool
-    delivered: list[DeliveredPacket] = field(default_factory=list)
-    dropped_bits: int = 0
+    delivered: list[Packet]
+    dropped_bits: int
 
 
 @dataclass
 class TtiOutcome:
-    allocation: Allocation
     grant_outcomes: dict[int, GrantOutcome] = field(default_factory=dict)
-
-    @property
-    def delivered_bits(self) -> int:
-        return sum(p.size_bits for g in self.grant_outcomes.values() for p in g.delivered)
-
-    @property
-    def dropped_bits(self) -> int:
-        return sum(g.dropped_bits for g in self.grant_outcomes.values())
 
 
 class Mac:
@@ -143,43 +95,35 @@ class Mac:
         key = (owner, direction)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = TxBuffer(owner, direction, self.capacity_bits)
+            buf = TxBuffer(self.capacity_bits)
             self._buffers[key] = buf
         return buf
 
-    def enqueue(
-        self,
-        owner: int,
-        direction: Direction,
-        packet_id: str,
-        size_bits: int,
-        now_us: int,
-        created_us: Optional[int] = None,
-    ) -> bool:
-        """Append a packet; False means it was tail-dropped on overflow."""
+    def enqueue(self, owner: int, packet: Packet) -> bool:
+        """Queue a packet in its direction; False means it was tail-dropped."""
         if not self.binder.is_live(owner):
             raise MacError(f"cannot enqueue for node {owner}: not registered")
-        if size_bits <= 0:
-            raise MacError(f"packet {packet_id} has non-positive size {size_bits}")
-        packet = BufferedPacket(
-            packet_id, size_bits, now_us, now_us if created_us is None else created_us
-        )
-        return self.buffer(owner, direction).push(packet)
+        if packet.size_bits <= 0:
+            raise MacError(
+                f"packet {packet.packet_id} has non-positive size {packet.size_bits}"
+            )
+        return self.buffer(owner, packet.direction).push(packet)
 
     def buffer_bits(self, owner: int, direction: Direction) -> int:
         buf = self._buffers.get((owner, direction))
         return buf.occupancy_bits if buf else 0
 
+    def _free(self, owner: int, direction: Direction) -> int:
+        buf = self._buffers.pop((owner, direction), None)
+        return buf.occupancy_bits if buf else 0
+
     def clear_node(self, owner: int) -> tuple[int, int]:
-        """Empty both of a node's buffers; returns (DL bits, UL bits) cleared."""
-        dl = self._buffers.get((owner, Direction.DL))
-        ul = self._buffers.get((owner, Direction.UL))
-        return (dl.clear() if dl else 0, ul.clear() if ul else 0)
+        """Free both of a node's buffers; returns the (DL, UL) bits they held."""
+        return self._free(owner, Direction.DL), self._free(owner, Direction.UL)
 
     def clear_dl_buffer(self, owner: int) -> int:
-        """Handover teardown: drop everything queued toward the UE."""
-        buf = self._buffers.get((owner, Direction.DL))
-        return buf.clear() if buf else 0
+        """Handover teardown: free the buffer toward the UE, returning its bits."""
+        return self._free(owner, Direction.DL)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -269,45 +213,24 @@ class Mac:
         overlapping cells see each other as interference; `ChannelModel.sinr`
         raises ChannelError for a granted RB that is not.
         """
-        outcome = TtiOutcome(allocation)
-        deliver_us = (allocation.tti + 1) * TTI_US  # end of the slot
+        outcome = TtiOutcome()
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
             per_rb_sinr = channel.sinr(
                 ue, allocation.cell, allocation.tti, allocation.direction, grant.rb_set
             )
-            capacity = len(grant.rb_set) * bits_per_rb(grant.cqi_used, channel.tables)
             buf = self.buffer(ue, allocation.direction)
-            taken: list[BufferedPacket] = []
-            remaining = capacity
+            taken: list[Packet] = []
+            remaining = len(grant.rb_set) * bits_per_rb(grant.cqi_used, channel.tables)
             while buf.queue and buf.queue[0].size_bits <= remaining:
                 pkt = buf.queue.popleft()
                 buf.occupancy_bits -= pkt.size_bits
                 remaining -= pkt.size_bits
                 taken.append(pkt)
-            ok = decode(per_rb_sinr, grant.cqi_used, channel.tables)
-            result = GrantOutcome(
-                ue=ue,
-                rb_count=len(grant.rb_set),
-                cqi_used=grant.cqi_used,
-                capacity_bits=capacity,
-                decoded=ok,
-            )
-            if ok:
-                for pkt in taken:
-                    result.delivered.append(
-                        DeliveredPacket(
-                            pkt.packet_id,
-                            ue,
-                            allocation.direction,
-                            pkt.size_bits,
-                            pkt.created_us,
-                            deliver_us,
-                        )
-                    )
-                    buf.delivered_bits += pkt.size_bits
+            if decode(per_rb_sinr, grant.cqi_used, channel.tables):
+                result = GrantOutcome(len(grant.rb_set), True, taken, 0)
             else:
-                result.dropped_bits = sum(p.size_bits for p in taken)
-                buf.dropped_bits += result.dropped_bits
+                dropped = sum(p.size_bits for p in taken)
+                result = GrantOutcome(len(grant.rb_set), False, [], dropped)
             outcome.grant_outcomes[ue] = result
         return outcome

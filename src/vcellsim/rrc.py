@@ -65,7 +65,6 @@ class HandoverDecision:
     ue: int
     source: int
     target: int
-    decided_us: int
 
 
 class Rrc:
@@ -138,7 +137,7 @@ class Rrc:
             self._states[ue] = state
         if now_us - state.condition_since_us >= self.config.time_to_trigger_us:
             self._states.pop(ue, None)
-            return HandoverDecision(ue=ue, source=serving, target=best_cell, decided_us=now_us)
+            return HandoverDecision(ue=ue, source=serving, target=best_cell)
         return None
 
     def execute_handover(self, decision: HandoverDecision, mac: Mac) -> int:

@@ -48,9 +48,6 @@ class Scenario:
 
         self.node_of: dict[str, int] = {}
         self.name_of: dict[int, str] = {}
-        self.cqi_dl: dict[int, int] = {}
-        self.cqi_ul: dict[int, int] = {}
-        self.n_ttis = 0
         self.log: list[str] = []
         self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
 
@@ -158,8 +155,6 @@ class Scenario:
         self.stats[name].residual_bits += dl_bits + ul_bits
         self.rrc.forget(node)
         self.binder.deregister_node(node)
-        self.cqi_dl.pop(node, None)
-        self.cqi_ul.pop(node, None)
         self._logline(f"LEAVE {name} residual_bits={dl_bits + ul_bits}")
 
     def _on_packet_arrival(self, event: SimEvent) -> None:
@@ -173,17 +168,8 @@ class Scenario:
         if packet.direction == Direction.DL:
             self.engine.schedule(backhaul_deliver(packet, self.config.backhaul, self.engine.now))
             stats.backhaul_inflight_bits += packet.size_bits
-        else:
-            accepted = self.mac.enqueue(
-                node,
-                Direction.UL,
-                packet.packet_id,
-                packet.size_bits,
-                self.engine.now,
-                created_us=packet.created_us,
-            )
-            if not accepted:
-                stats.dropped_radio_bits += packet.size_bits
+        elif not self.mac.enqueue(node, packet):
+            stats.dropped_radio_bits += packet.size_bits
 
     def _on_backhaul_delivery(self, event: SimEvent) -> None:
         packet: Packet = event.payload
@@ -193,15 +179,7 @@ class Scenario:
         if node is None:
             stats.lost_core_bits += packet.size_bits
             return
-        accepted = self.mac.enqueue(
-            node,
-            Direction.DL,
-            packet.packet_id,
-            packet.size_bits,
-            self.engine.now,
-            created_us=packet.created_us,
-        )
-        if not accepted:
+        if not self.mac.enqueue(node, packet):
             stats.dropped_radio_bits += packet.size_bits
 
     def _on_sim_end(self, event: SimEvent) -> None:
@@ -211,7 +189,6 @@ class Scenario:
         now = self.engine.now
         tti = now // TTI_US
         self.binder.advance_tti(tti)
-        self.n_ttis += 1
         # enter and leave are separate events, so the live set is fixed here
         live_ues = sorted(self.name_of)
 
@@ -228,10 +205,12 @@ class Scenario:
                     decisions.append(decision)
 
         prev_tti = tti - 1
+        cqi_dl: dict[int, int] = {}
+        cqi_ul: dict[int, int] = {}
         for node in live_ues:
             serving = self.binder.node(node).serving_cell
-            self.cqi_dl[node] = self.channel.measure(node, serving, prev_tti, Direction.DL).cqi
-            self.cqi_ul[node] = self.channel.measure(node, serving, prev_tti, Direction.UL).cqi
+            cqi_dl[node] = self.channel.measure(node, serving, prev_tti, Direction.DL).cqi
+            cqi_ul[node] = self.channel.measure(node, serving, prev_tti, Direction.UL).cqi
 
         attached: dict[int, list[int]] = {cell: [] for cell in self.binder.cells}
         for node in live_ues:
@@ -245,7 +224,7 @@ class Scenario:
         allocations = []
         for cell in self.binder.cells:
             for direction in (Direction.DL, Direction.UL):
-                cqi_map = self.cqi_dl if direction == Direction.DL else self.cqi_ul
+                cqi_map = cqi_dl if direction == Direction.DL else cqi_ul
                 ues = [(node, cqi_map[node]) for node in attached[cell]]
                 alloc = schedule(cell, tti, direction, ues, self.channel.tables)
                 if not alloc.grants:
@@ -259,17 +238,16 @@ class Scenario:
                 cell_stats.rb_allocated[direction] += alloc.rb_count()
                 allocations.append(alloc)
 
-        ul_extra_latency = self.config.backhaul.one_way_delay_us
+        # delivered at the end of the slot; UL then still crosses the core
+        deliver_us = now + TTI_US
+        ul_deliver_us = deliver_us + self.config.backhaul.one_way_delay_us
         for alloc in allocations:
             outcome = self.mac.transmit(alloc, self.channel)
-            for ue in sorted(outcome.grant_outcomes):
-                result = outcome.grant_outcomes[ue]
+            done_us = deliver_us if alloc.direction == Direction.DL else ul_deliver_us
+            for ue, result in outcome.grant_outcomes.items():
                 stats = self.stats[self.name_of[ue]]
                 for pkt in result.delivered:
-                    latency = pkt.latency_us
-                    if alloc.direction == Direction.UL:
-                        latency += ul_extra_latency
-                    stats.record_delivery(pkt.size_bits, latency)
+                    stats.record_delivery(pkt.size_bits, done_us - pkt.created_us)
                 stats.dropped_radio_bits += result.dropped_bits
 
         for decision in decisions:
@@ -303,8 +281,9 @@ class Scenario:
             stats.residual_bits += stats.backhaul_inflight_bits
             stats.backhaul_inflight_bits = 0
 
+        ticks = summary.counts.get(EventKind.TTI_TICK, 0)
         for cell_stats in self._cell_stats.values():
-            cell_stats.rb_capacity = self.config.num_rbs * self.n_ttis
+            cell_stats.rb_capacity = self.config.num_rbs * ticks
 
         report = MetricsReport(
             seed=self.config.seed,

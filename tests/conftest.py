@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+from vcellsim.binder import Direction
+from vcellsim.traffic import Packet
+
 TRACE_HEADER = "time_s,vehicle,x_m,y_m"
 
 
@@ -45,3 +48,8 @@ enb[0].y_m = 0.0
 def build_config(*blocks: str) -> str:
     """Join config fragments; later lines may not repeat earlier keys."""
     return "\n".join(block.rstrip("\n") for block in blocks if block) + "\n"
+
+
+def make_packet(bits, direction=Direction.DL):
+    """A traffic packet for direct MAC calls, which read only its size and direction."""
+    return Packet("f", 0, "car", direction, bits, 0)

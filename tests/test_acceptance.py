@@ -27,7 +27,7 @@ from vcellsim.mac import Mac
 from vcellsim.metrics import write_outputs
 from vcellsim.scenario import Scenario, run_scenario
 
-from conftest import build_config, make_trace, write_scenario
+from conftest import build_config, make_packet, make_trace, write_scenario
 from oracles import (
     allocation_items,
     brute_force_sinr_db,
@@ -312,7 +312,7 @@ def test_scheduler_properties():
             for tti in range(k * rounds):
                 for ue in ues:
                     mac.clear_node(ue)
-                    mac.enqueue(ue, Direction.DL, f"p{tti}", 10**6, 0)
+                    mac.enqueue(ue, make_packet(10**6))
                 alloc = mac.schedule_tti_rr(
                     cell, tti, Direction.DL, [(ue, cqi) for ue in ues], TABLES
                 )
@@ -329,7 +329,7 @@ def test_scheduler_properties():
             for ue in ues:
                 cqis[ue] = rng.randint(0, 15)
                 if rng.random() < 0.8:
-                    mac.enqueue(ue, Direction.DL, "p", rng.randint(100, 50_000), 0)
+                    mac.enqueue(ue, make_packet(rng.randint(100, 50_000)))
             alloc = mac.schedule_tti_maxcqi(
                 cell, 0, Direction.DL, list(cqis.items()), TABLES
             )

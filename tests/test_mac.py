@@ -9,6 +9,8 @@ from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
 from vcellsim.errors import ChannelError, MacError
 from vcellsim.mac import Allocation, Grant, Mac
 
+from conftest import make_packet
+
 TABLES = CqiTables()
 
 
@@ -28,8 +30,16 @@ def _env(n_ues=1, num_rbs=50, ue_distance=100.0):
     return binder, channel, Mac(binder), cell, ues
 
 
-def _fill(mac, ue, bits, direction=Direction.DL, now=0):
-    assert mac.enqueue(ue, direction, f"p{ue}-{bits}", bits, now)
+def _fill(mac, ue, bits, direction=Direction.DL):
+    assert mac.enqueue(ue, make_packet(bits, direction))
+
+
+def _delivered_bits(outcome):
+    return sum(p.size_bits for g in outcome.grant_outcomes.values() for p in g.delivered)
+
+
+def _dropped_bits(outcome):
+    return sum(g.dropped_bits for g in outcome.grant_outcomes.values())
 
 
 # ----------------------------------------------------------------------
@@ -38,24 +48,34 @@ def _fill(mac, ue, bits, direction=Direction.DL, now=0):
 
 def test_enqueue_tracks_occupancy():
     _, _, mac, _, (ue,) = _env()
-    mac.enqueue(ue, Direction.DL, "p0", 1000, 0)
+    mac.enqueue(ue, make_packet(1000))
+    mac.enqueue(ue, make_packet(300, Direction.UL))
     assert mac.buffer_bits(ue, Direction.DL) == 1000
+    assert mac.buffer_bits(ue, Direction.UL) == 300
 
 
 def test_enqueue_for_unregistered_node_rejected():
     binder, _, mac, _, _ = _env()
     with pytest.raises(MacError):
-        mac.enqueue(999, Direction.DL, "p0", 1000, 0)
+        mac.enqueue(999, make_packet(1000))
+
+
+@pytest.mark.parametrize("bits", [0, -8])
+def test_enqueue_non_positive_size_rejected(bits):
+    _, _, mac, _, (ue,) = _env()
+    with pytest.raises(MacError, match="non-positive size"):
+        mac.enqueue(ue, make_packet(bits))
+    assert mac.buffer_bits(ue, Direction.DL) == 0
 
 
 def test_overflow_tail_drops_and_preserves_head():
     binder, _, mac, _, (ue,) = _env()
     small = Mac(binder, capacity_bits=2500)
-    assert small.enqueue(ue, Direction.DL, "head", 2000, 0) is True
-    assert small.enqueue(ue, Direction.DL, "tail", 1000, 1) is False
-    buf = small.buffer(ue, Direction.DL)
-    assert buf.overflow_bits == 1000
-    assert [p.packet_id for p in buf.queue] == ["head"]
+    head = make_packet(2000)
+    assert small.enqueue(ue, head) is True
+    assert small.enqueue(ue, make_packet(1000)) is False
+    assert small.buffer_bits(ue, Direction.DL) == 2000
+    assert list(small.buffer(ue, Direction.DL).queue) == [head]
 
 
 def test_clear_node_empties_both_directions():
@@ -65,6 +85,17 @@ def test_clear_node_empties_both_directions():
     assert mac.clear_node(ue) == (500, 300)
     assert mac.buffer_bits(ue, Direction.DL) == 0
     assert mac.buffer_bits(ue, Direction.UL) == 0
+    assert not [key for key in mac._buffers if key[0] == ue]  # freed, not kept empty
+
+
+def test_clear_dl_buffer_frees_only_the_dl_buffer():
+    _, _, mac, _, (ue,) = _env()
+    _fill(mac, ue, 500, Direction.DL)
+    _fill(mac, ue, 300, Direction.UL)
+    assert mac.clear_dl_buffer(ue) == 500
+    assert list(mac._buffers) == [(ue, Direction.UL)]
+    assert mac.buffer_bits(ue, Direction.UL) == 300
+    assert mac.clear_dl_buffer(ue) == 0
 
 
 # ----------------------------------------------------------------------
@@ -226,41 +257,52 @@ def _record(binder, alloc):
 
 
 def test_transmit_delivers_within_capacity():
+    # 50 RBs at CQI 15 carry 50 * 799 = 39,950 bits: a packet of exactly
+    # that size goes out, one bit more waits
     binder, channel, mac, cell, (ue,) = _env(1)
-    mac.enqueue(ue, Direction.DL, "p0", 10_000, 0)
-    alloc = Allocation(0, cell, Direction.DL, {ue: Grant(tuple(range(50)), 15)})
-    _record(binder, alloc)
-    outcome = mac.transmit(alloc, channel)
-    result = outcome.grant_outcomes[ue]
-    assert result.capacity_bits == 50 * 799 == 39_950
-    assert result.decoded is True
-    assert [p.packet_id for p in result.delivered] == ["p0"]
-    assert outcome.delivered_bits == 10_000
-    assert mac.buffer_bits(ue, Direction.DL) == 0
+    fits, too_big = make_packet(39_950), make_packet(39_951)
+    for tti, pkt in enumerate((fits, too_big)):
+        if tti:
+            binder.advance_tti(tti)
+        mac.enqueue(ue, pkt)
+        alloc = Allocation(tti, cell, Direction.DL, {ue: Grant(tuple(range(50)), 15)})
+        _record(binder, alloc)
+        result = mac.transmit(alloc, channel).grant_outcomes[ue]
+        assert result.decoded is True
+        assert result.rb_count == 50
+        assert result.dropped_bits == 0
+        if pkt is fits:
+            assert len(result.delivered) == 1 and result.delivered[0] is fits
+            assert mac.buffer_bits(ue, Direction.DL) == 0
+        else:
+            assert result.delivered == []
+            assert mac.buffer_bits(ue, Direction.DL) == 39_951
 
 
 def test_transmit_oversized_packet_waits_without_segmentation():
     binder, channel, mac, cell, (ue,) = _env(1, num_rbs=2)
     per_rb = bits_per_rb(15, TABLES)
-    mac.enqueue(ue, Direction.DL, "big", 3 * per_rb, 0)  # needs 3 RBs, only 2 exist
+    mac.enqueue(ue, make_packet(3 * per_rb))  # needs 3 RBs, only 2 exist
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
     outcome = mac.transmit(alloc, channel)
-    assert outcome.delivered_bits == 0
-    assert outcome.dropped_bits == 0
+    assert _delivered_bits(outcome) == 0
+    assert _dropped_bits(outcome) == 0
     assert mac.buffer_bits(ue, Direction.DL) == 3 * per_rb  # still queued
 
 
 def test_transmit_serves_fifo_prefix():
     binder, channel, mac, cell, (ue,) = _env(1, num_rbs=1)
     per_rb = bits_per_rb(15, TABLES)  # capacity for one RB
-    mac.enqueue(ue, Direction.DL, "a", per_rb - 100, 0)
-    mac.enqueue(ue, Direction.DL, "b", 90, 0)
-    mac.enqueue(ue, Direction.DL, "c", 500, 0)
+    a, b, c = make_packet(per_rb - 100), make_packet(90), make_packet(500)
+    for pkt in (a, b, c):
+        mac.enqueue(ue, pkt)
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
     outcome = mac.transmit(alloc, channel)
-    assert [p.packet_id for p in outcome.grant_outcomes[ue].delivered] == ["a", "b"]
+    delivered = outcome.grant_outcomes[ue].delivered
+    assert len(delivered) == 2
+    assert delivered[0] is a and delivered[1] is b  # the queued objects come back
     assert mac.buffer_bits(ue, Direction.DL) == 500
 
 
@@ -268,8 +310,7 @@ def test_transmit_empty_allocation_is_a_no_op():
     binder, channel, mac, cell, (ue,) = _env(1)
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     outcome = mac.transmit(alloc, channel)
-    assert outcome.delivered_bits == 0
-    assert outcome.dropped_bits == 0
+    assert outcome.grant_outcomes == {}
 
 
 def test_rr_head_of_line_livelock_delivers_nothing():
@@ -277,7 +318,7 @@ def test_rr_head_of_line_livelock_delivers_nothing():
     # UEs split 50 RBs 10 each, but an 8000-bit packet needs 11 RBs at CQI 15.
     binder, channel, mac, cell, ues = _env(5)
     for ue in ues:
-        mac.enqueue(ue, Direction.DL, f"p{ue}", 8000, 0)
+        mac.enqueue(ue, make_packet(8000))
     assert ceil(8000 / bits_per_rb(15, TABLES)) == 11
     delivered = 0
     for tti in range(20):
@@ -288,14 +329,14 @@ def test_rr_head_of_line_livelock_delivers_nothing():
         _record(binder, alloc)
         outcome = mac.transmit(alloc, channel)
         assert all(g.decoded for g in outcome.grant_outcomes.values())
-        delivered += outcome.delivered_bits
+        delivered += _delivered_bits(outcome)
     assert delivered == 0
     assert [mac.buffer_bits(ue, Direction.DL) for ue in ues] == [8000] * 5
 
 
 def test_transmit_unrecorded_grant_rejected():
     binder, channel, mac, cell, (ue,) = _env(1)
-    mac.enqueue(ue, Direction.DL, "p0", 1000, 0)
+    mac.enqueue(ue, make_packet(1000))
     alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
     with pytest.raises(ChannelError, match="not allocated"):
         mac.transmit(alloc, channel)
@@ -313,8 +354,8 @@ def test_colliding_cells_at_close_range_drop_both_grants():
     binder.advance_tti(0)
     channel = ChannelModel(binder, ChannelParams(), TABLES)
     mac = Mac(binder)
-    mac.enqueue(u0, Direction.DL, "p0", 1000, 0)
-    mac.enqueue(u1, Direction.DL, "p1", 1000, 0)
+    mac.enqueue(u0, make_packet(1000))
+    mac.enqueue(u1, make_packet(1000))
     a0 = mac.schedule_tti_rr(c0, 0, Direction.DL, [(u0, 15)], TABLES)
     a1 = mac.schedule_tti_rr(c1, 0, Direction.DL, [(u1, 15)], TABLES)
     _record(binder, a0)
@@ -323,8 +364,9 @@ def test_colliding_cells_at_close_range_drop_both_grants():
     out1 = mac.transmit(a1, channel)
     assert out0.grant_outcomes[u0].decoded is False
     assert out1.grant_outcomes[u1].decoded is False
-    assert out0.dropped_bits == 1000
-    assert out1.dropped_bits == 1000
+    assert out0.grant_outcomes[u0].delivered == []
+    assert out0.grant_outcomes[u0].dropped_bits == 1000
+    assert out1.grant_outcomes[u1].dropped_bits == 1000
 
 
 # ----------------------------------------------------------------------
@@ -337,21 +379,26 @@ def test_buffer_conservation_over_random_traffic(seed):
     rng = random.Random(seed)
     binder, channel, mac, cell, ues = _env(3)
     small = Mac(binder, capacity_bits=50_000)
+    fates = {ue: {"enqueued": 0, "delivered": 0, "dropped": 0, "cleared": 0} for ue in ues}
     for step in range(30):
         for ue in ues:
             if rng.random() < 0.7:
-                small.enqueue(ue, Direction.DL, f"p{step}-{ue}", rng.randint(100, 20_000), step)
+                pkt = make_packet(rng.randint(100, 20_000))
+                if small.enqueue(ue, pkt):
+                    fates[ue]["enqueued"] += pkt.size_bits
         alloc = small.schedule_tti_rr(
             cell, binder.current_tti, Direction.DL, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
         )
         _record(binder, alloc)
-        small.transmit(alloc, channel)
+        for ue, result in small.transmit(alloc, channel).grant_outcomes.items():
+            fates[ue]["delivered"] += sum(p.size_bits for p in result.delivered)
+            fates[ue]["dropped"] += result.dropped_bits
         if rng.random() < 0.2:
-            small.clear_dl_buffer(rng.choice(ues))
+            ue = rng.choice(ues)
+            fates[ue]["cleared"] += small.clear_dl_buffer(ue)
         binder.advance_tti(binder.current_tti + 1)
     for ue in ues:
-        buf = small.buffer(ue, Direction.DL)
-        assert (
-            buf.enqueued_bits
-            == buf.delivered_bits + buf.dropped_bits + buf.cleared_bits + buf.occupancy_bits
+        f = fates[ue]
+        assert f["enqueued"] == (
+            f["delivered"] + f["dropped"] + f["cleared"] + small.buffer_bits(ue, Direction.DL)
         )

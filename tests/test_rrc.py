@@ -20,6 +20,8 @@ from vcellsim.rrc import (
     Rrc,
 )
 
+from conftest import make_packet
+
 PARAMS = ChannelParams()
 
 
@@ -238,8 +240,8 @@ def test_execute_switches_cell_and_flushes_dl_buffer():
     binder, channel, rrc, c0, c1 = _two_cell_env()
     mac = Mac(binder)
     ue = _attached_ue(binder, rrc, x=0.0)
-    mac.enqueue(ue, Direction.DL, "p0", 5000, 0)
-    decision = HandoverDecision(ue=ue, source=c0, target=c1, decided_us=ms_to_us(10))
+    mac.enqueue(ue, make_packet(5000))
+    decision = HandoverDecision(ue=ue, source=c0, target=c1)
     dropped = rrc.execute_handover(decision, mac)
     assert dropped == 5000
     assert binder.node(ue).serving_cell == c1

@@ -163,7 +163,11 @@ def test_flow_targeting_unknown_vehicle_rejected(tmp_path):
 # latency and conservation
 
 
-def test_dl_latency_at_least_backhaul_plus_one_tti(tmp_path):
+@pytest.mark.parametrize("direction", ["dl", "ul"])
+def test_latency_equals_backhaul_plus_one_tti(tmp_path, direction):
+    # one lightly loaded UE close to its cell: a DL packet waits out the
+    # backhaul and goes in the next slot; a UL packet goes in the slot it
+    # arrives in and then crosses the backhaul
     report, config = _run(
         tmp_path,
         build_config(
@@ -172,16 +176,18 @@ def test_dl_latency_at_least_backhaul_plus_one_tti(tmp_path):
             "dynamic_cell_association = true",
             "backhaul.delay_ms = 7.0",
             ONE_CELL,
-            DL_FLOW.replace("stop_s = 2.0", "stop_s = 0.4"),
+            DL_FLOW.replace("stop_s = 2.0", "stop_s = 0.4").replace(
+                "direction = dl", f"direction = {direction}"
+            ),
         ),
         make_trace([(0, "car0", 100, 0), (0.5, "car0", 150, 0)]),
     )
     stats = report.vehicles["car0"]
-    assert stats.delivered_packets > 0
-    floor_us = config.backhaul.one_way_delay_us + ms_to_us(1)
-    mean_us = stats.latency_sum_us / stats.delivered_packets
-    assert mean_us >= floor_us
-    assert stats.latency_max_us >= floor_us
+    assert stats.delivered_packets == 40
+    expected_us = config.backhaul.one_way_delay_us + ms_to_us(1)
+    assert expected_us == 8000
+    assert stats.latency_sum_us == expected_us * stats.delivered_packets
+    assert stats.latency_max_us == expected_us
 
 
 def test_every_offered_bit_has_exactly_one_fate(tmp_path):
