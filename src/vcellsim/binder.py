@@ -2,11 +2,13 @@
 
 Every node (vehicle UE or eNB) registers here and gets a run-unique id.
 eNBs are registered once and stay for the whole run; only vehicle UEs join
-and leave. The binder also keeps the per-TTI resource-block ledger: for each
-cell and direction, which node transmits on which RB. Downlink and uplink
-use two distinct RB sets. The grid for the previous TTI is retained so
-interference can still be evaluated for the slot being decoded; anything
-older is discarded.
+and leave. The binder also keeps the resource-block ledger: for each cell
+and direction, which node transmits on which RB. Downlink and uplink use
+two distinct RB sets. It holds exactly two grids. `current` is the TTI
+being scheduled: allocations are recorded into it and decoding reads it.
+`last` is the last completed TTI: CQI measurement reads it, in the tick
+and between ticks alike. `end_tti` closes a TTI, and anything older than
+`last` is discarded.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class Binder:
         self._nodes: dict[int, NodeRecord] = {}
         self._live_names: set[str] = set()
         self.cells: list[int] = []
-        self._current_tti = -1
-        self._grids: dict[int, Grid] = {-1: _empty_grid()}
+        self.last: Grid = _empty_grid()
+        self.current: Grid = _empty_grid()
 
     # ------------------------------------------------------------------
     # registry
@@ -99,7 +101,7 @@ class Binder:
         return record
 
     def deregister_node(self, node_id: int) -> None:
-        """Drop a UE and purge every retained grid entry it transmits on."""
+        """Drop a UE and purge its entries from both grids."""
         rec = self._nodes.get(node_id)
         if rec is None:
             raise RegistryError(f"node {node_id} is not live (double deregistration?)")
@@ -107,7 +109,7 @@ class Binder:
             raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
         del self._nodes[node_id]
         self._live_names.remove(rec.name)
-        for grid in self._grids.values():
+        for grid in (self.last, self.current):
             for per_rb in grid.values():
                 empty_rbs = []
                 for rb, cells in per_rb.items():
@@ -149,56 +151,28 @@ class Binder:
     # ------------------------------------------------------------------
     # resource grid
 
-    @property
-    def current_tti(self) -> int:
-        return self._current_tti
-
-    def advance_tti(self, new_tti: int) -> None:
-        """Open an empty grid for `new_tti`; keep only the previous one."""
-        if new_tti != self._current_tti + 1:
-            raise LedgerError(
-                f"TTI must advance by exactly one ({self._current_tti} -> {new_tti})"
-            )
-        self._grids = {self._current_tti: self._grids[self._current_tti]}
-        self._current_tti = new_tti
-        self._grids[new_tti] = _empty_grid()
+    def end_tti(self) -> None:
+        """Close the TTI being scheduled: it becomes `last`; `current` opens empty."""
+        self.last = self.current
+        self.current = _empty_grid()
 
     def record_allocation(
-        self,
-        tti: int,
-        direction: Direction,
-        cell: int,
-        rb_set: Iterable[int],
-        transmitter: int,
+        self, direction: Direction, cell: int, rb_set: Iterable[int], transmitter: int
     ) -> None:
-        if tti != self._current_tti:
-            raise LedgerError(
-                f"allocations may only be recorded for the current TTI "
-                f"{self._current_tti}, got {tti}"
-            )
+        """Record a grant in the `current` grid."""
         cell_rec = self.node(cell)
         if cell_rec.kind != NodeKind.ENB:
             raise RegistryError(f"allocation cell {cell} is not an eNB")
         if not self.is_live(transmitter):
             raise RegistryError(f"transmitter {transmitter} is not live")
-        per_rb = self._grids[tti][direction]
+        per_rb = self.current[direction]
         rbs = sorted(set(rb_set))
         for rb in rbs:
             if not 0 <= rb < self.num_rbs:
                 raise LedgerError(f"RB index {rb} outside grid of {self.num_rbs} RBs")
             if cell in per_rb.get(rb, {}):
                 raise LedgerError(
-                    f"RB {rb} of cell {cell} ({direction.value}) already allocated "
-                    f"in TTI {tti}"
+                    f"RB {rb} of cell {cell} ({direction.value}) is already allocated"
                 )
         for rb in rbs:
             per_rb.setdefault(rb, {})[cell] = transmitter
-
-    def rb_occupancy(self, tti: int, direction: Direction) -> dict[int, dict[int, int]]:
-        """Read-only view of rb -> {cell -> transmitter} for one TTI/direction."""
-        try:
-            return self._grids[tti][direction]
-        except KeyError:
-            raise LedgerError(
-                f"grid for TTI {tti} is not retained (current is {self._current_tti})"
-            ) from None

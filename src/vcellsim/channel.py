@@ -200,18 +200,17 @@ class ChannelModel:
         return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
 
     def _link(
-        self, ue: int, serving_cell: int, tti: int, direction: Direction
-    ) -> tuple[int, float, dict[int, dict[int, int]], Callable[[dict[int, int]], float]]:
-        """Transmitter id, signal (mW), the TTI's grid, and an interference sum.
+        self, ue: int, serving_cell: int, direction: Direction
+    ) -> tuple[int, float, Callable[[dict[int, int]], float]]:
+        """Transmitter id, signal (mW), and an interference sum.
 
         The function gives the co-channel interference (mW) on one RB from
-        its {cell: transmitter} entry; each interferer is computed once.
+        its {cell: transmitter} grid entry; each interferer is computed once.
         """
         ue_rec = self.binder.node(ue)
         cell_rec = self.binder.node(serving_cell)
         tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
         signal_mw = db_to_linear(self.received_power_nodes(tx, rx))
-        grid = self.binder.rb_occupancy(tti, direction)
         pair_mw: dict[int, float] = {}
 
         def interference(occupants: dict[int, int]) -> float:
@@ -226,44 +225,39 @@ class ChannelModel:
                 total += mw
             return total
 
-        return tx.node_id, signal_mw, grid, interference
+        return tx.node_id, signal_mw, interference
 
     def sinr(
-        self,
-        ue: int,
-        serving_cell: int,
-        tti: int,
-        direction: Direction,
-        rb_set: Iterable[int],
+        self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
     ) -> list[float]:
         """Per-RB linear SINR for an allocated transmission, by ascending RB.
 
         Every RB queried must be allocated to this transmission in the
-        binder grid; the intercell interference on each RB comes from the
-        co-channel transmitters the ledger reports for that RB.
+        binder's `current` grid; the intercell interference on each RB
+        comes from the co-channel transmitters that grid holds for it.
         """
-        tx_id, signal_mw, grid, interference = self._link(ue, serving_cell, tti, direction)
+        tx_id, signal_mw, interference = self._link(ue, serving_cell, direction)
+        grid = self.binder.current[direction]
         out = []
         for rb in sorted(set(rb_set)):
             occupants = grid.get(rb, {})
             if occupants.get(serving_cell) != tx_id:
                 raise ChannelError(
-                    f"RB {rb} of cell {serving_cell} ({direction.value}, TTI {tti}) "
+                    f"RB {rb} of cell {serving_cell} ({direction.value}) "
                     f"is not allocated to node {tx_id}"
                 )
             out.append(signal_mw / (self._noise_mw + interference(occupants)))
         return out
 
-    def measure(
-        self, ue: int, serving_cell: int, tti: int, direction: Direction
-    ) -> ChannelReport:
-        """Full-grid channel report against the allocation state of `tti`.
+    def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
+        """Full-grid channel report against the binder's `last` grid.
 
         Used for CQI: the serving link is evaluated on every RB of the grid
         whether or not it is allocated, with interference taken from the
-        given (typically just-completed) TTI. An RB nobody uses sees S/N.
+        last completed TTI. An RB nobody used sees S/N.
         """
-        _, signal_mw, grid, interference = self._link(ue, serving_cell, tti, direction)
+        _, signal_mw, interference = self._link(ue, serving_cell, direction)
+        grid = self.binder.last[direction]
         total = (self.binder.num_rbs - len(grid)) * signal_mw / self._noise_mw
         for occupants in grid.values():
             total += signal_mw / (self._noise_mw + interference(occupants))

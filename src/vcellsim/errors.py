@@ -18,7 +18,7 @@ class RegistryError(Exception):
 
 
 class LedgerError(Exception):
-    """Resource-grid conflict or out-of-order TTI bookkeeping."""
+    """Resource-grid conflict: an RB outside the grid or allocated twice."""
 
 
 class ChannelError(Exception):

@@ -54,7 +54,6 @@ class Grant:
 
 @dataclass
 class Allocation:
-    tti: int
     cell: int
     direction: Direction
     grants: dict[int, Grant] = field(default_factory=dict)
@@ -141,14 +140,13 @@ class Mac:
     def schedule_tti_rr(
         self,
         cell: int,
-        tti: int,
         direction: Direction,
         ues_with_cqi: Sequence[tuple[int, int]],
         tables,
     ) -> Allocation:
         """Round-robin: deal RBs one by one, resuming after last TTI's stop."""
         backlogged = self._backlogged(direction, ues_with_cqi)
-        alloc = Allocation(tti, cell, direction)
+        alloc = Allocation(cell, direction)
         if not backlogged:
             return alloc
         ids = [ue for ue, _ in backlogged]
@@ -184,14 +182,13 @@ class Mac:
     def schedule_tti_maxcqi(
         self,
         cell: int,
-        tti: int,
         direction: Direction,
         ues_with_cqi: Sequence[tuple[int, int]],
         tables,
     ) -> Allocation:
         """Greedy fill by descending CQI, ties to the lowest node id."""
         backlogged = self._backlogged(direction, ues_with_cqi)
-        alloc = Allocation(tti, cell, direction)
+        alloc = Allocation(cell, direction)
         rb_cursor = 0
         for ue, cqi in sorted(backlogged, key=lambda item: (-item[1], item[0])):
             if rb_cursor >= self.binder.num_rbs:
@@ -216,9 +213,7 @@ class Mac:
         outcome = TtiOutcome()
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
-            per_rb_sinr = channel.sinr(
-                ue, allocation.cell, allocation.tti, allocation.direction, grant.rb_set
-            )
+            per_rb_sinr = channel.sinr(ue, allocation.cell, allocation.direction, grant.rb_set)
             buf = self.buffer(ue, allocation.direction)
             taken: list[Packet] = []
             remaining = len(grant.rb_set) * bits_per_rb(grant.cqi_used, channel.tables)

@@ -14,7 +14,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator
 
 from .engine import EventKind, SimEvent, s_to_us
 from .errors import TraceError
@@ -73,40 +73,51 @@ class Trajectory:
         return self.times[-1]
 
 
-def parse_trace(source: Union[bytes, IO[bytes], IO[str], str]) -> list[Trajectory]:
-    """Parse a trace CSV into one Trajectory per vehicle.
+def _decode(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"line {lineno}: trace is not valid UTF-8: {exc.reason} "
+            f"at byte {exc.start} of the line"
+        ) from exc
 
-    Rows need not be globally time-sorted, but each vehicle's rows must be
-    strictly increasing in time. Returns an empty list for empty input.
+
+def parse_trace(source: IO[bytes]) -> list[Trajectory]:
+    """Parse a trace CSV, read line by line from a binary file, into one
+    Trajectory per vehicle.
+
+    Rows end in LF or CRLF. They need not be globally time-sorted, but each
+    vehicle's rows must be strictly increasing in time. Returns an empty
+    list for an empty or all-blank input.
     """
-    raw = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = raw.count(b"\n", 0, exc.start) + 1
-            raise TraceError(
-                f"line {lineno}: trace is not valid UTF-8: {exc.reason} at byte {exc.start}"
-            ) from exc
-    else:
-        text = raw
+    lines = enumerate(source, start=1)
+    try:
+        return _parse_lines(lines)
+    except TraceError:
+        # as with a whole-file decode, a bad byte anywhere is the error reported
+        for lineno, raw in lines:
+            _decode(raw, lineno)
+        raise
 
-    lines = text.splitlines()
-    if not lines or all(not ln.strip() for ln in lines):
-        return []
 
-    header = lines[0].strip()
+def _parse_lines(lines: Iterator[tuple[int, bytes]]) -> list[Trajectory]:
+    header = _decode(next(lines, (1, b""))[1], 1).strip()
     if header != TRACE_HEADER:
+        if not header and all(not _decode(raw, n).strip() for n, raw in lines):
+            return []
         raise TraceError(f"line 1: expected header {TRACE_HEADER!r}, got {header!r}")
 
     columns: dict[str, tuple[list[int], array, array]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, raw in lines:
+        line = _decode(raw, lineno).strip()
+        if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != 4:
             raise TraceError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        time_str, vehicle, x_str, y_str = parts
+        time_str, vehicle, x_str, y_str = parts  # float() ignores surrounding spaces
+        vehicle = vehicle.strip()
         if not vehicle:
             raise TraceError(f"line {lineno}: empty vehicle name")
         try:

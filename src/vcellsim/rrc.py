@@ -89,9 +89,8 @@ class Rrc:
     def _association_scores(self, ue: int) -> list[tuple[int, float]]:
         if self.association_metric == "rx_power":
             return self._cell_powers(ue)
-        tti = self.binder.current_tti
         return [
-            (c, self.channel.measure(ue, c, tti, Direction.DL).mean_sinr)
+            (c, self.channel.measure(ue, c, Direction.DL).mean_sinr)
             for c in self.binder.cells
         ]
 

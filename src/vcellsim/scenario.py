@@ -3,8 +3,9 @@
 The TTI tick is the heartbeat: each slot runs mobility update, handover
 evaluation, CQI measurement against the previous slot's interference,
 scheduling, grid recording (so overlapping cells see each other), decode,
-and finally handover execution at the slot boundary. Vehicle enter/leave
-and packet arrivals fire between ticks in deterministic order.
+and finally handover execution at the slot boundary, after which the
+binder closes the slot. Vehicle enter/leave and packet arrivals fire
+between ticks in deterministic order.
 """
 
 from __future__ import annotations
@@ -187,8 +188,6 @@ class Scenario:
 
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
-        tti = now // TTI_US
-        self.binder.advance_tti(tti)
         # enter and leave are separate events, so the live set is fixed here
         live_ues = sorted(self.name_of)
 
@@ -198,19 +197,17 @@ class Scenario:
             self.binder.set_position(node, x, y)
 
         decisions: list[HandoverDecision] = []
-        if self.config.handover.enabled:
-            for node in live_ues:
-                decision = self.rrc.handover_check(node, now)
-                if decision is not None:
-                    decisions.append(decision)
+        for node in live_ues:
+            decision = self.rrc.handover_check(node, now)
+            if decision is not None:
+                decisions.append(decision)
 
-        prev_tti = tti - 1
         cqi_dl: dict[int, int] = {}
         cqi_ul: dict[int, int] = {}
         for node in live_ues:
             serving = self.binder.node(node).serving_cell
-            cqi_dl[node] = self.channel.measure(node, serving, prev_tti, Direction.DL).cqi
-            cqi_ul[node] = self.channel.measure(node, serving, prev_tti, Direction.UL).cqi
+            cqi_dl[node] = self.channel.measure(node, serving, Direction.DL).cqi
+            cqi_ul[node] = self.channel.measure(node, serving, Direction.UL).cqi
 
         attached: dict[int, list[int]] = {cell: [] for cell in self.binder.cells}
         for node in live_ues:
@@ -226,13 +223,13 @@ class Scenario:
             for direction in (Direction.DL, Direction.UL):
                 cqi_map = cqi_dl if direction == Direction.DL else cqi_ul
                 ues = [(node, cqi_map[node]) for node in attached[cell]]
-                alloc = schedule(cell, tti, direction, ues, self.channel.tables)
+                alloc = schedule(cell, direction, ues, self.channel.tables)
                 if not alloc.grants:
                     continue
                 for ue in sorted(alloc.grants):
                     transmitter = cell if direction == Direction.DL else ue
                     self.binder.record_allocation(
-                        tti, direction, cell, alloc.grants[ue].rb_set, transmitter
+                        direction, cell, alloc.grants[ue].rb_set, transmitter
                     )
                 cell_stats = self._cell_stats[self.binder.node(cell).name]
                 cell_stats.rb_allocated[direction] += alloc.rb_count()
@@ -261,9 +258,10 @@ class Scenario:
             source_name = self.binder.node(decision.source).name
             self._logline(f"HANDOVER {name} {source_name}->{target_name}")
 
+        self.binder.end_tti()
         next_tick = now + TTI_US
         if next_tick < self.config.sim_end_us:
-            self.engine.schedule_at(next_tick, EventKind.TTI_TICK, tti + 1)
+            self.engine.schedule_at(next_tick, EventKind.TTI_TICK, next_tick // TTI_US)
 
     # ------------------------------------------------------------------
     # run

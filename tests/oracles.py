@@ -7,19 +7,18 @@ from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables
 
 
-def allocation_items(binder: Binder, tti: int, direction: Direction):
-    """Every (cell, rb, transmitter) entry of one TTI/direction grid."""
-    for rb, cells in binder.rb_occupancy(tti, direction).items():
+def allocation_items(grid):
+    """Every (cell, rb, transmitter) entry of one direction's grid,
+    rb -> {cell -> transmitter}, such as `binder.current[Direction.DL]`."""
+    for rb, cells in grid.items():
         for cell, tx in cells.items():
             yield (cell, rb, tx)
 
 
-def co_channel_transmitters(
-    binder: Binder, tti: int, direction: Direction, rb: int, excluding_cell: int
-) -> list[int]:
+def co_channel_transmitters(grid, rb: int, excluding_cell: int) -> list[int]:
     """Sorted ids of the transmitters on `rb` in cells other than `excluding_cell`."""
     return sorted(
-        tx for cell, grid_rb, tx in allocation_items(binder, tti, direction)
+        tx for cell, grid_rb, tx in allocation_items(grid)
         if grid_rb == rb and cell != excluding_cell
     )
 
@@ -64,11 +63,11 @@ def brute_force_sinr_db(
     params: ChannelParams,
     ue: int,
     serving: int,
-    tti: int,
+    grid,
     direction: Direction,
     rb: int,
 ) -> float:
-    """SINR on one RB by direct summation over the whole allocation grid."""
+    """SINR on one RB by direct summation over one direction's whole grid."""
     ue_rec = binder.node(ue)
     cell_rec = binder.node(serving)
     tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
@@ -76,7 +75,7 @@ def brute_force_sinr_db(
     noise = 10.0 ** (reference_noise_dbm(params) / 10.0)
     interference = sum(
         reference_rx_mw(binder.node(other_tx), rx, params)
-        for cell, grid_rb, other_tx in allocation_items(binder, tti, direction)
+        for cell, grid_rb, other_tx in allocation_items(grid)
         if grid_rb == rb and cell != serving
     )
     return 10.0 * math.log10(signal / (noise + interference))
@@ -86,7 +85,7 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
     """A small populated grid: random cells, attached UEs, random grants.
 
     Returns (binder, channel, grants) with grants as
-    (ue, serving_cell, direction, rb tuple) records for TTI 0.
+    (ue, serving_cell, direction, rb tuple) records in the `current` grid.
     """
     params = ChannelParams()
     binder = Binder(num_rbs=num_rbs)
@@ -111,7 +110,6 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
         serving = rng.choice(cells)
         binder.set_serving_cell(rec.node_id, serving)
         ues.append((rec.node_id, serving))
-    binder.advance_tti(0)
     grants = []
     for cell in cells:
         members = [ue for ue, serving in ues if serving == cell]
@@ -124,7 +122,7 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
                 if not rbs:
                     continue
                 transmitter = cell if direction == Direction.DL else ue
-                binder.record_allocation(0, direction, cell, rbs, transmitter)
+                binder.record_allocation(direction, cell, rbs, transmitter)
                 grants.append((ue, cell, direction, tuple(rbs)))
     channel = ChannelModel(binder, params, CqiTables())
     return binder, channel, grants

@@ -200,11 +200,11 @@ def test_sinr_brute_force_equivalence():
             binder, channel, grants = random_allocated_scenario(rng)
             grids += 1
             for ue, cell, direction, rbs in grants:
-                values = channel.sinr(ue, cell, 0, direction, rbs)
+                values = channel.sinr(ue, cell, direction, rbs)
                 for linear, rb in zip(values, rbs):
                     value = 10.0 * math.log10(linear)
                     expected = brute_force_sinr_db(
-                        binder, channel.params, ue, cell, 0, direction, rb
+                        binder, channel.params, ue, cell, binder.current[direction], direction, rb
                     )
                     assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
                     compared += 1
@@ -220,7 +220,6 @@ def test_lifecycle_ledger_fuzz():
         rng = random.Random(987654)
         num_rbs = 16
         binder = Binder(num_rbs=num_rbs)
-        binder.advance_tti(0)
         live: dict[int, NodeKind] = {}
         ever_dead: set[int] = set()
         free: dict[tuple[int, Direction], set[int]] = {}
@@ -233,9 +232,9 @@ def test_lifecycle_ledger_fuzz():
             return sorted(n for n, k in live.items() if k == NodeKind.UE)
 
         def scan_for_dead_references():
-            for tti in (binder.current_tti, binder.current_tti - 1):
+            for grid in (binder.current, binder.last):
                 for direction in (Direction.DL, Direction.UL):
-                    for cell, _rb, tx in allocation_items(binder, tti, direction):
+                    for cell, _rb, tx in allocation_items(grid[direction]):
                         assert cell in live, f"grid names dead cell {cell}"
                         assert tx in live, f"grid names dead transmitter {tx}"
 
@@ -270,9 +269,9 @@ def test_lifecycle_ledger_fuzz():
                         if not candidates:
                             continue
                         tx = rng.choice(candidates)
-                    binder.record_allocation(binder.current_tti, direction, cell, [rb], tx)
+                    binder.record_allocation(direction, cell, [rb], tx)
             else:
-                binder.advance_tti(binder.current_tti + 1)
+                binder.end_tti()
                 free = {}
 
         assert live_ids(binder) == set(live)
@@ -293,7 +292,6 @@ def _mac_env(n_ues, num_rbs):
         rec = binder.register_node(NodeKind.UE, f"car{i}", 26.0, (100.0, float(i)))
         binder.set_serving_cell(rec.node_id, cell)
         ues.append(rec.node_id)
-    binder.advance_tti(0)
     return Mac(binder), cell, ues
 
 
@@ -309,12 +307,12 @@ def test_scheduler_properties():
             cqi = rng.randint(1, 15)
             mac, cell, ues = _mac_env(k, num_rbs)
             totals = {ue: 0 for ue in ues}
-            for tti in range(k * rounds):
+            for _ in range(k * rounds):
                 for ue in ues:
                     mac.clear_node(ue)
                     mac.enqueue(ue, make_packet(10**6))
                 alloc = mac.schedule_tti_rr(
-                    cell, tti, Direction.DL, [(ue, cqi) for ue in ues], TABLES
+                    cell, Direction.DL, [(ue, cqi) for ue in ues], TABLES
                 )
                 for ue, grant in alloc.grants.items():
                     totals[ue] += len(grant.rb_set)
@@ -331,7 +329,7 @@ def test_scheduler_properties():
                 if rng.random() < 0.8:
                     mac.enqueue(ue, make_packet(rng.randint(100, 50_000)))
             alloc = mac.schedule_tti_maxcqi(
-                cell, 0, Direction.DL, list(cqis.items()), TABLES
+                cell, Direction.DL, list(cqis.items()), TABLES
             )
             backlogged = {
                 ue for ue in ues if cqis[ue] >= 1 and mac.buffer_bits(ue, Direction.DL) > 0

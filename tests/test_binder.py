@@ -10,6 +10,9 @@ from vcellsim.errors import LedgerError, RegistryError
 from oracles import allocation_items, co_channel_transmitters, live_ids
 
 
+EMPTY_GRID = {Direction.DL: {}, Direction.UL: {}}
+
+
 def _binder_with_cells(n=2, num_rbs=50):
     binder = Binder(num_rbs=num_rbs)
     cells = [
@@ -75,12 +78,11 @@ def test_failed_registration_consumes_no_ids():
 
 def test_deregister_sole_ue_leaves_only_cells():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
-    binder.record_allocation(0, Direction.UL, cells[0], range(5), ue)
+    binder.record_allocation(Direction.UL, cells[0], range(5), ue)
     binder.deregister_node(ue)
     assert [r.node_id for r in binder.live_nodes()] == cells
-    assert co_channel_transmitters(binder, 0, Direction.UL, 0, excluding_cell=cells[1]) == []
+    assert co_channel_transmitters(binder.current[Direction.UL], 0, excluding_cell=cells[1]) == []
     assert binder.cells == sorted(binder.cells) == cells
 
     # interleaved churn: live_nodes stays in ascending id order, cells unchanged
@@ -97,15 +99,17 @@ def test_deregister_sole_ue_leaves_only_cells():
 
 def test_deregister_purges_grid_like_a_rebuild():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
     ue1 = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     ue2 = binder.register_node(NodeKind.UE, "car1", 26.0).node_id
-    binder.record_allocation(0, Direction.UL, cells[0], range(10), ue1)
-    binder.record_allocation(0, Direction.UL, cells[1], range(4, 12), ue2)
+    binder.record_allocation(Direction.UL, cells[0], range(10), ue1)
+    binder.record_allocation(Direction.UL, cells[1], range(4, 12), ue2)
+    binder.end_tti()
+    binder.record_allocation(Direction.UL, cells[0], range(20, 25), ue1)
+    binder.record_allocation(Direction.UL, cells[1], range(3), ue2)
 
     binder.deregister_node(ue1)
 
-    # oracle: rebuild the grid from scratch without the departed node
+    # oracle: rebuild both grids from scratch without the departed node
     oracle = Binder(num_rbs=50)
     ocells = [
         oracle.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
@@ -113,14 +117,14 @@ def test_deregister_purges_grid_like_a_rebuild():
     ]
     oracle.register_node(NodeKind.UE, "car0", 26.0)
     oue2 = oracle.register_node(NodeKind.UE, "car1", 26.0).node_id
-    oracle.advance_tti(0)
-    oracle.record_allocation(0, Direction.UL, ocells[1], range(4, 12), oue2)
+    oracle.record_allocation(Direction.UL, ocells[1], range(4, 12), oue2)
+    oracle.end_tti()
+    oracle.record_allocation(Direction.UL, ocells[1], range(3), oue2)
 
-    got = {(cell - cells[0], rb) for cell, rb, _ in allocation_items(binder, 0, Direction.UL)}
-    expected = {
-        (cell - ocells[0], rb) for cell, rb, _ in allocation_items(oracle, 0, Direction.UL)
-    }
-    assert got == expected
+    # same registration order, so the same ids; no emptied RB entry may remain
+    assert ocells == cells and oue2 == ue2
+    assert binder.last == oracle.last
+    assert binder.current == oracle.current
 
 
 def test_double_deregistration_rejected():
@@ -133,13 +137,12 @@ def test_double_deregistration_rejected():
 
 def test_deregistering_cell_is_rejected_and_changes_nothing():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     binder.set_serving_cell(ue, cells[1])
-    binder.record_allocation(0, Direction.DL, cells[1], range(3), cells[1])
-    binder.record_allocation(0, Direction.UL, cells[1], range(2), ue)
+    binder.record_allocation(Direction.DL, cells[1], range(3), cells[1])
+    binder.record_allocation(Direction.UL, cells[1], range(2), ue)
     live_before = list(binder.live_nodes())
-    grids_before = {d: copy.deepcopy(binder.rb_occupancy(0, d)) for d in Direction}
+    grids_before = copy.deepcopy(binder.current)
 
     with pytest.raises(RegistryError):
         binder.deregister_node(cells[1])
@@ -147,7 +150,7 @@ def test_deregistering_cell_is_rejected_and_changes_nothing():
     assert binder.live_nodes() == live_before
     assert binder.cells == cells
     assert binder.node(ue).serving_cell == cells[1]
-    assert {d: binder.rb_occupancy(0, d) for d in Direction} == grids_before
+    assert binder.current == grids_before
 
 
 # ----------------------------------------------------------------------
@@ -156,28 +159,25 @@ def test_deregistering_cell_is_rejected_and_changes_nothing():
 
 def test_record_allocation_fills_entries():
     binder, cells = _binder_with_cells(1)
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, cells[0], range(25), cells[0])
-    assert len(list(allocation_items(binder, 0, Direction.DL))) == 25
+    binder.record_allocation(Direction.DL, cells[0], range(25), cells[0])
+    assert len(list(allocation_items(binder.current[Direction.DL]))) == 25
 
 
 def test_double_allocation_within_cell_rejected():
     binder, cells = _binder_with_cells(1)
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, cells[0], [3], cells[0])
+    binder.record_allocation(Direction.DL, cells[0], [3], cells[0])
     with pytest.raises(LedgerError):
-        binder.record_allocation(0, Direction.DL, cells[0], [3], cells[0])
+        binder.record_allocation(Direction.DL, cells[0], [3], cells[0])
 
 
 def test_same_rb_allowed_across_cells():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, cells[0], [7], cells[0])
-    binder.record_allocation(0, Direction.DL, cells[1], [7], cells[1])
+    binder.record_allocation(Direction.DL, cells[0], [7], cells[0])
+    binder.record_allocation(Direction.DL, cells[1], [7], cells[1])
 
     # oracle: per-cell uniqueness holds over the full grid
     seen = {}
-    for cell, rb, _tx in allocation_items(binder, 0, Direction.DL):
+    for cell, rb, _tx in allocation_items(binder.current[Direction.DL]):
         assert (cell, rb) not in seen
         seen[(cell, rb)] = True
     assert len(seen) == 2
@@ -185,9 +185,8 @@ def test_same_rb_allowed_across_cells():
 
 def test_rb_out_of_range_rejected():
     binder, cells = _binder_with_cells(1, num_rbs=10)
-    binder.advance_tti(0)
     with pytest.raises(LedgerError):
-        binder.record_allocation(0, Direction.DL, cells[0], [10], cells[0])
+        binder.record_allocation(Direction.DL, cells[0], [10], cells[0])
 
 
 # ----------------------------------------------------------------------
@@ -196,27 +195,24 @@ def test_rb_out_of_range_rejected():
 
 def test_no_allocations_give_empty_interferer_list():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
-    assert co_channel_transmitters(binder, 0, Direction.DL, 5, cells[0]) == []
+    assert co_channel_transmitters(binder.current[Direction.DL], 5, cells[0]) == []
 
 
 def test_co_channel_excludes_own_cell():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, cells[0], [7], cells[0])
-    binder.record_allocation(0, Direction.DL, cells[1], [7], cells[1])
-    assert binder.rb_occupancy(0, Direction.DL)[7] == {cells[0]: cells[0], cells[1]: cells[1]}
-    got = co_channel_transmitters(binder, 0, Direction.DL, 7, excluding_cell=cells[0])
+    binder.record_allocation(Direction.DL, cells[0], [7], cells[0])
+    binder.record_allocation(Direction.DL, cells[1], [7], cells[1])
+    assert binder.current[Direction.DL][7] == {cells[0]: cells[0], cells[1]: cells[1]}
+    got = co_channel_transmitters(binder.current[Direction.DL], 7, excluding_cell=cells[0])
     assert got == [cells[1]]
 
 
 def test_ul_queries_return_ues_never_enbs():
     binder, cells = _binder_with_cells(2)
-    binder.advance_tti(0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
-    binder.record_allocation(0, Direction.DL, cells[0], [3], cells[0])
-    binder.record_allocation(0, Direction.UL, cells[0], [3], ue)
-    assert co_channel_transmitters(binder, 0, Direction.UL, 3, excluding_cell=cells[1]) == [ue]
+    binder.record_allocation(Direction.DL, cells[0], [3], cells[0])
+    binder.record_allocation(Direction.UL, cells[0], [3], ue)
+    assert co_channel_transmitters(binder.current[Direction.UL], 3, cells[1]) == [ue]
 
 
 # ----------------------------------------------------------------------
@@ -225,38 +221,26 @@ def test_ul_queries_return_ues_never_enbs():
 
 def test_advance_resets_grid_and_keeps_history():
     binder, cells = _binder_with_cells(1)
-    for tti in range(42):
-        binder.advance_tti(tti)
-    binder.record_allocation(41, Direction.DL, cells[0], [0], cells[0])
-    binder.advance_tti(42)
-    assert binder.rb_occupancy(42, Direction.DL) == {}
-    # previous TTI still answerable
-    assert len(list(allocation_items(binder, 41, Direction.DL))) == 1
-
-
-def test_skipping_a_tti_rejected():
-    binder, _ = _binder_with_cells(1)
-    for tti in range(42):
-        binder.advance_tti(tti)
-    with pytest.raises(LedgerError):
-        binder.advance_tti(43)
+    for _ in range(42):
+        binder.end_tti()
+    binder.record_allocation(Direction.DL, cells[0], [0], cells[0])
+    assert binder.last == EMPTY_GRID
+    binder.end_tti()
+    assert binder.current == EMPTY_GRID
+    # the closed TTI is now the last one; new allocations go to current only
+    binder.record_allocation(Direction.DL, cells[0], [1], cells[0])
+    assert list(allocation_items(binder.last[Direction.DL])) == [(cells[0], 0, cells[0])]
+    assert list(allocation_items(binder.current[Direction.DL])) == [(cells[0], 1, cells[0])]
 
 
 def test_two_tti_old_grid_discarded():
-    binder, _ = _binder_with_cells(1)
-    binder.advance_tti(0)
-    binder.advance_tti(1)
-    binder.advance_tti(2)
-    with pytest.raises(LedgerError):
-        binder.rb_occupancy(0, Direction.DL)
-
-
-def test_allocation_only_into_current_tti():
     binder, cells = _binder_with_cells(1)
-    binder.advance_tti(0)
-    binder.advance_tti(1)
-    with pytest.raises(LedgerError):
-        binder.record_allocation(0, Direction.DL, cells[0], [0], cells[0])
+    binder.record_allocation(Direction.DL, cells[0], [0], cells[0])
+    old = binder.current
+    binder.end_tti()
+    binder.end_tti()
+    assert binder.last is not old and binder.current is not old
+    assert binder.last == binder.current == EMPTY_GRID
 
 
 # ----------------------------------------------------------------------

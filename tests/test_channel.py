@@ -79,14 +79,13 @@ def _one_cell_one_ue(distance=1000.0):
     cell = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (distance, 0.0)).node_id
     binder.set_serving_cell(ue, cell)
-    binder.advance_tti(0)
     return binder, ChannelModel(binder, PARAMS, TABLES), cell, ue
 
 
 def test_sinr_without_interference_is_snr():
     binder, channel, cell, ue = _one_cell_one_ue()
-    binder.record_allocation(0, Direction.DL, cell, [0, 1, 2], cell)
-    got = [to_db(v) for v in channel.sinr(ue, cell, 0, Direction.DL, [0, 1, 2])]
+    binder.record_allocation(Direction.DL, cell, [0, 1, 2], cell)
+    got = [to_db(v) for v in channel.sinr(ue, cell, Direction.DL, [0, 1, 2])]
     expected = (46.0 - 128.1) - reference_noise_dbm(PARAMS)
     assert got == pytest.approx([expected] * 3, abs=1e-9)
 
@@ -98,20 +97,19 @@ def test_equal_power_interferer_pushes_sinr_just_below_zero():
     c1 = binder.register_node(NodeKind.ENB, "enb1", 46.0, (2000.0, 0.0)).node_id
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
     binder.set_serving_cell(ue, c0)
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, c0, [4], c0)
-    binder.record_allocation(0, Direction.DL, c1, [4], c1)
+    binder.record_allocation(Direction.DL, c0, [4], c0)
+    binder.record_allocation(Direction.DL, c1, [4], c1)
     channel = ChannelModel(binder, PARAMS, TABLES)
-    got = to_db(*channel.sinr(ue, c0, 0, Direction.DL, [4]))
+    got = to_db(*channel.sinr(ue, c0, Direction.DL, [4]))
     assert got < 0.0
     assert got == pytest.approx(0.0, abs=0.01)  # N is tiny next to S here
 
 
 def test_sinr_on_unallocated_rb_rejected():
     binder, channel, cell, ue = _one_cell_one_ue()
-    binder.record_allocation(0, Direction.DL, cell, [0], cell)
+    binder.record_allocation(Direction.DL, cell, [0], cell)
     with pytest.raises(ChannelError):
-        channel.sinr(ue, cell, 0, Direction.DL, [0, 1])
+        channel.sinr(ue, cell, Direction.DL, [0, 1])
 
 
 def test_sinr_matches_brute_force_on_random_grids():
@@ -119,20 +117,25 @@ def test_sinr_matches_brute_force_on_random_grids():
     for _ in range(40):
         binder, channel, grants = random_allocated_scenario(rng)
         for ue, cell, direction, rbs in grants:
-            got = channel.sinr(ue, cell, 0, direction, rbs)
+            got = channel.sinr(ue, cell, direction, rbs)
             for value, rb in zip(got, rbs):
-                expected = brute_force_sinr_db(binder, channel.params, ue, cell, 0, direction, rb)
+                expected = brute_force_sinr_db(
+                    binder, channel.params, ue, cell, binder.current[direction], direction, rb
+                )
                 assert to_db(value) == pytest.approx(expected, rel=1e-9)
 
 
 def test_measure_full_grid_matches_per_rb_brute_force():
     rng = random.Random(77)
     binder, channel, grants = random_allocated_scenario(rng, num_rbs=8)
+    binder.end_tti()  # measure reads the last completed TTI
     serving_of = {ue: cell for ue, cell, _, _ in grants}
     for ue, cell in serving_of.items():
-        report = channel.measure(ue, cell, 0, Direction.DL)
+        report = channel.measure(ue, cell, Direction.DL)
         per_rb = [
-            brute_force_sinr_db(binder, channel.params, ue, cell, 0, Direction.DL, rb)
+            brute_force_sinr_db(
+                binder, channel.params, ue, cell, binder.last[Direction.DL], Direction.DL, rb
+            )
             for rb in range(binder.num_rbs)
         ]
         expected = sum(10.0 ** (v / 10.0) for v in per_rb) / binder.num_rbs
@@ -153,13 +156,12 @@ def test_added_interferer_never_raises_sinr(seed):
         NodeKind.UE, "car0", 26.0, (rng.uniform(50, 2000), rng.uniform(-500, 500))
     ).node_id
     binder.set_serving_cell(ue, c0)
-    binder.advance_tti(0)
     channel = ChannelModel(binder, PARAMS, TABLES)
 
-    binder.record_allocation(0, Direction.DL, c0, [0], c0)
-    (before,) = channel.sinr(ue, c0, 0, Direction.DL, [0])
-    binder.record_allocation(0, Direction.DL, c1, [0], c1)
-    (after,) = channel.sinr(ue, c0, 0, Direction.DL, [0])
+    binder.record_allocation(Direction.DL, c0, [0], c0)
+    (before,) = channel.sinr(ue, c0, Direction.DL, [0])
+    binder.record_allocation(Direction.DL, c1, [0], c1)
+    (after,) = channel.sinr(ue, c0, Direction.DL, [0])
     assert after < before
 
 
@@ -283,9 +285,9 @@ def test_common_power_offset_preserves_argmax():
 
 def test_channel_is_pure_without_shadowing():
     binder, channel, cell, ue = _one_cell_one_ue()
-    binder.record_allocation(0, Direction.DL, cell, [0, 1], cell)
-    first = channel.sinr(ue, cell, 0, Direction.DL, [0, 1])
-    second = channel.sinr(ue, cell, 0, Direction.DL, [0, 1])
+    binder.record_allocation(Direction.DL, cell, [0, 1], cell)
+    first = channel.sinr(ue, cell, Direction.DL, [0, 1])
+    second = channel.sinr(ue, cell, Direction.DL, [0, 1])
     assert first == second
 
 

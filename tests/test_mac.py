@@ -25,7 +25,6 @@ def _env(n_ues=1, num_rbs=50, ue_distance=100.0):
         )
         binder.set_serving_cell(rec.node_id, cell)
         ues.append(rec.node_id)
-    binder.advance_tti(0)
     channel = ChannelModel(binder, ChannelParams(), TABLES)
     return binder, channel, Mac(binder), cell, ues
 
@@ -105,7 +104,7 @@ def test_clear_dl_buffer_frees_only_the_dl_buffer():
 def test_rr_single_backlogged_ue_takes_all_rbs():
     _, _, mac, cell, (ue,) = _env(1)
     _fill(mac, ue, 10**6)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
     assert len(alloc.grants[ue].rb_set) == 50
 
 
@@ -113,7 +112,7 @@ def test_rr_two_deep_buffers_split_evenly():
     _, _, mac, cell, ues = _env(2)
     for ue in ues:
         _fill(mac, ue, 10**6)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
     assert sorted(len(g.rb_set) for g in alloc.grants.values()) == [25, 25]
 
 
@@ -121,11 +120,11 @@ def test_rr_three_ues_rotate_to_equality_over_three_ttis():
     # oracle: 3-TTI pointer-walk simulation; per-TTI split is 17/17/16
     _, _, mac, cell, ues = _env(3)
     totals = {ue: 0 for ue in ues}
-    for tti in range(3):
+    for _ in range(3):
         for ue in ues:
             mac.clear_node(ue)
             _fill(mac, ue, 10**6)
-        alloc = mac.schedule_tti_rr(cell, tti, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+        alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
         sizes = sorted(len(g.rb_set) for g in alloc.grants.values())
         assert sizes == [16, 17, 17]
         for ue, grant in alloc.grants.items():
@@ -138,7 +137,7 @@ def test_rr_grants_capped_at_demand_with_spillover():
     per_rb = bits_per_rb(15, TABLES)
     _fill(mac, ues[0], 5 * per_rb)  # needs exactly 5 RBs
     _fill(mac, ues[1], 10**6)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
     assert len(alloc.grants[ues[0]].rb_set) == 5
     assert len(alloc.grants[ues[1]].rb_set) == 45
 
@@ -149,14 +148,14 @@ def test_rr_skips_cqi_zero_and_empty_buffers():
     _fill(mac, ues[1], 1000)
     # ues[2] empty; ues[1] reports CQI 0
     alloc = mac.schedule_tti_rr(
-        cell, 0, Direction.DL, [(ues[0], 12), (ues[1], 0), (ues[2], 12)], TABLES
+        cell, Direction.DL, [(ues[0], 12), (ues[1], 0), (ues[2], 12)], TABLES
     )
     assert set(alloc.grants) == {ues[0]}
 
 
 def test_rr_no_backlog_gives_empty_allocation():
     _, _, mac, cell, ues = _env(2)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
     assert alloc.grants == {}
 
 
@@ -164,7 +163,7 @@ def test_rr_allocations_are_disjoint_and_in_bounds():
     _, _, mac, cell, ues = _env(5, num_rbs=13)
     for ue in ues:
         _fill(mac, ue, 10**5)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 7) for ue in ues], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 7) for ue in ues], TABLES)
     seen = set()
     for grant in alloc.grants.values():
         for rb in grant.rb_set:
@@ -183,11 +182,11 @@ def test_rr_window_fairness(k, rounds, num_rbs):
     """K equal-CQI deep-buffered UEs get exactly equal RBs over K*L TTIs."""
     _, _, mac, cell, ues = _env(k, num_rbs=num_rbs)
     totals = {ue: 0 for ue in ues}
-    for tti in range(k * rounds):
+    for _ in range(k * rounds):
         for ue in ues:
             mac.clear_node(ue)
             _fill(mac, ue, 10**6)
-        alloc = mac.schedule_tti_rr(cell, tti, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+        alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
         for ue, grant in alloc.grants.items():
             totals[ue] += len(grant.rb_set)
     assert len(set(totals.values())) == 1
@@ -202,7 +201,7 @@ def test_maxcqi_highest_cqi_takes_what_it_can_fill():
     for ue in ues:
         _fill(mac, ue, 10**6)
     alloc = mac.schedule_tti_maxcqi(
-        cell, 0, Direction.DL, [(ues[0], 7), (ues[1], 12)], TABLES
+        cell, Direction.DL, [(ues[0], 7), (ues[1], 12)], TABLES
     )
     assert set(alloc.grants) == {ues[1]}
     assert len(alloc.grants[ues[1]].rb_set) == 50
@@ -212,7 +211,7 @@ def test_maxcqi_tie_breaks_to_lowest_node_id():
     _, _, mac, cell, ues = _env(2)
     for ue in ues:
         _fill(mac, ue, 10**6)
-    alloc = mac.schedule_tti_maxcqi(cell, 0, Direction.DL, [(ue, 9) for ue in ues], TABLES)
+    alloc = mac.schedule_tti_maxcqi(cell, Direction.DL, [(ue, 9) for ue in ues], TABLES)
     assert set(alloc.grants) == {min(ues)}
 
 
@@ -223,7 +222,7 @@ def test_maxcqi_remainder_flows_to_runner_up():
     _fill(mac, ues[1], 10 * per_rb)  # high-CQI UE needs only 10 RBs
     _fill(mac, ues[0], 10**6)
     alloc = mac.schedule_tti_maxcqi(
-        cell, 0, Direction.DL, [(ues[0], 7), (ues[1], 12)], TABLES
+        cell, Direction.DL, [(ues[0], 7), (ues[1], 12)], TABLES
     )
     assert len(alloc.grants[ues[1]].rb_set) == 10
     assert len(alloc.grants[ues[0]].rb_set) == 40
@@ -237,7 +236,7 @@ def test_maxcqi_dominance(cqis):
     for ue in ues:
         _fill(mac, ue, 10**6)
     pairs = list(zip(ues, cqis))
-    alloc = mac.schedule_tti_maxcqi(cell, 0, Direction.DL, pairs, TABLES)
+    alloc = mac.schedule_tti_maxcqi(cell, Direction.DL, pairs, TABLES)
     backlogged = {ue: cqi for ue, cqi in pairs if cqi >= 1}
     granted = set(alloc.grants)
     for ue in granted:
@@ -253,7 +252,7 @@ def test_maxcqi_dominance(cqis):
 def _record(binder, alloc):
     for ue in sorted(alloc.grants):
         tx = alloc.cell if alloc.direction == Direction.DL else ue
-        binder.record_allocation(alloc.tti, alloc.direction, alloc.cell, alloc.grants[ue].rb_set, tx)
+        binder.record_allocation(alloc.direction, alloc.cell, alloc.grants[ue].rb_set, tx)
 
 
 def test_transmit_delivers_within_capacity():
@@ -261,13 +260,12 @@ def test_transmit_delivers_within_capacity():
     # that size goes out, one bit more waits
     binder, channel, mac, cell, (ue,) = _env(1)
     fits, too_big = make_packet(39_950), make_packet(39_951)
-    for tti, pkt in enumerate((fits, too_big)):
-        if tti:
-            binder.advance_tti(tti)
+    for pkt in (fits, too_big):
         mac.enqueue(ue, pkt)
-        alloc = Allocation(tti, cell, Direction.DL, {ue: Grant(tuple(range(50)), 15)})
+        alloc = Allocation(cell, Direction.DL, {ue: Grant(tuple(range(50)), 15)})
         _record(binder, alloc)
         result = mac.transmit(alloc, channel).grant_outcomes[ue]
+        binder.end_tti()
         assert result.decoded is True
         assert result.rb_count == 50
         assert result.dropped_bits == 0
@@ -283,7 +281,7 @@ def test_transmit_oversized_packet_waits_without_segmentation():
     binder, channel, mac, cell, (ue,) = _env(1, num_rbs=2)
     per_rb = bits_per_rb(15, TABLES)
     mac.enqueue(ue, make_packet(3 * per_rb))  # needs 3 RBs, only 2 exist
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
     outcome = mac.transmit(alloc, channel)
     assert _delivered_bits(outcome) == 0
@@ -297,7 +295,7 @@ def test_transmit_serves_fifo_prefix():
     a, b, c = make_packet(per_rb - 100), make_packet(90), make_packet(500)
     for pkt in (a, b, c):
         mac.enqueue(ue, pkt)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
     _record(binder, alloc)
     outcome = mac.transmit(alloc, channel)
     delivered = outcome.grant_outcomes[ue].delivered
@@ -308,7 +306,7 @@ def test_transmit_serves_fifo_prefix():
 
 def test_transmit_empty_allocation_is_a_no_op():
     binder, channel, mac, cell, (ue,) = _env(1)
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
     outcome = mac.transmit(alloc, channel)
     assert outcome.grant_outcomes == {}
 
@@ -321,13 +319,12 @@ def test_rr_head_of_line_livelock_delivers_nothing():
         mac.enqueue(ue, make_packet(8000))
     assert ceil(8000 / bits_per_rb(15, TABLES)) == 11
     delivered = 0
-    for tti in range(20):
-        if tti:
-            binder.advance_tti(tti)
-        alloc = mac.schedule_tti_rr(cell, tti, Direction.DL, [(ue, 15) for ue in ues], TABLES)
+    for _ in range(20):
+        alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
         assert [len(alloc.grants[ue].rb_set) for ue in ues] == [10] * 5
         _record(binder, alloc)
         outcome = mac.transmit(alloc, channel)
+        binder.end_tti()
         assert all(g.decoded for g in outcome.grant_outcomes.values())
         delivered += _delivered_bits(outcome)
     assert delivered == 0
@@ -337,7 +334,7 @@ def test_rr_head_of_line_livelock_delivers_nothing():
 def test_transmit_unrecorded_grant_rejected():
     binder, channel, mac, cell, (ue,) = _env(1)
     mac.enqueue(ue, make_packet(1000))
-    alloc = mac.schedule_tti_rr(cell, 0, Direction.DL, [(ue, 15)], TABLES)
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
     with pytest.raises(ChannelError, match="not allocated"):
         mac.transmit(alloc, channel)
 
@@ -351,13 +348,12 @@ def test_colliding_cells_at_close_range_drop_both_grants():
     u1 = binder.register_node(NodeKind.UE, "car1", 26.0, (25.0, -10.0)).node_id
     binder.set_serving_cell(u0, c0)
     binder.set_serving_cell(u1, c1)
-    binder.advance_tti(0)
     channel = ChannelModel(binder, ChannelParams(), TABLES)
     mac = Mac(binder)
     mac.enqueue(u0, make_packet(1000))
     mac.enqueue(u1, make_packet(1000))
-    a0 = mac.schedule_tti_rr(c0, 0, Direction.DL, [(u0, 15)], TABLES)
-    a1 = mac.schedule_tti_rr(c1, 0, Direction.DL, [(u1, 15)], TABLES)
+    a0 = mac.schedule_tti_rr(c0, Direction.DL, [(u0, 15)], TABLES)
+    a1 = mac.schedule_tti_rr(c1, Direction.DL, [(u1, 15)], TABLES)
     _record(binder, a0)
     _record(binder, a1)  # both see each other before decode
     out0 = mac.transmit(a0, channel)
@@ -387,7 +383,7 @@ def test_buffer_conservation_over_random_traffic(seed):
                 if small.enqueue(ue, pkt):
                     fates[ue]["enqueued"] += pkt.size_bits
         alloc = small.schedule_tti_rr(
-            cell, binder.current_tti, Direction.DL, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
+            cell, Direction.DL, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
         )
         _record(binder, alloc)
         for ue, result in small.transmit(alloc, channel).grant_outcomes.items():
@@ -396,7 +392,7 @@ def test_buffer_conservation_over_random_traffic(seed):
         if rng.random() < 0.2:
             ue = rng.choice(ues)
             fates[ue]["cleared"] += small.clear_dl_buffer(ue)
-        binder.advance_tti(binder.current_tti + 1)
+        binder.end_tti()
     for ue in ues:
         f = fates[ue]
         assert f["enqueued"] == (

@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import random
 import re
@@ -38,17 +39,22 @@ def _table(traj):
     return list(zip(traj.times, traj.xs, traj.ys))
 
 
+def _parse(content):
+    """parse_trace over an in-memory binary file holding `content`."""
+    return parse_trace(io.BytesIO(content.encode() if isinstance(content, str) else content))
+
+
 # ----------------------------------------------------------------------
 # parse_trace
 
 
 def test_empty_input_gives_empty_list():
-    assert parse_trace(b"") == []
-    assert parse_trace("   \n  \n") == []
+    assert _parse(b"") == []
+    assert _parse("   \n  \n") == []
 
 
 def test_single_vehicle_two_samples():
-    trajs = parse_trace(make_trace([(0, "car0", 0, 0), (10, "car0", 100, 0)]))
+    trajs = _parse(make_trace([(0, "car0", 0, 0), (10, "car0", 100, 0)]))
     assert len(trajs) == 1
     t = trajs[0]
     assert t.vehicle_name == "car0"
@@ -64,7 +70,7 @@ def test_interleaved_vehicles_match_group_sort_oracle():
         (1.5, "car1", 15, 5),
         (2.0, "car0", 20, 0),
     ]
-    trajs = {t.vehicle_name: t for t in parse_trace(make_trace(rows))}
+    trajs = {t.vehicle_name: t for t in _parse(make_trace(rows))}
 
     # oracle: group by vehicle, then sort each group's samples by time
     oracle = {}
@@ -81,31 +87,31 @@ def test_interleaved_vehicles_match_group_sort_oracle():
 def test_malformed_row_reports_line_number():
     text = make_trace([(0, "car0", 0, 0)]) + "not,a,row\n"
     with pytest.raises(TraceError, match="line 3"):
-        parse_trace(text)
+        _parse(text)
 
 
 def test_non_monotonic_vehicle_times_rejected():
     text = make_trace([(5, "car0", 0, 0), (4, "car0", 1, 0)])
     with pytest.raises(TraceError, match="strictly increasing"):
-        parse_trace(text)
+        _parse(text)
 
 
 def test_bad_header_rejected():
     with pytest.raises(TraceError, match="line 1"):
-        parse_trace("time,who,x,y\n0,car0,0,0\n")
+        _parse("time,who,x,y\n0,car0,0,0\n")
 
 
 def test_non_finite_coordinate_rejected():
     with pytest.raises(TraceError, match="line 2"):
-        parse_trace(make_trace([(0, "car0", "nan", 0)]))
+        _parse(make_trace([(0, "car0", "nan", 0)]))
 
 
 def test_non_utf8_bytes_raise_trace_error_with_line():
     with pytest.raises(TraceError, match="line 1: trace is not valid UTF-8"):
-        parse_trace(b"\xff\xfe")
+        _parse(b"\xff\xfe")
     text = make_trace([(0, "car0", 0, 0)]).encode() + b"1,car0,\xe9,0\n"
     with pytest.raises(TraceError, match="line 3: trace is not valid UTF-8"):
-        parse_trace(text)
+        _parse(text)
 
 
 @pytest.mark.parametrize(
@@ -125,31 +131,61 @@ def test_load_trace_errors_name_the_file(tmp_path, content, where):
         load_trace(path)
 
 
+def test_crlf_rows_parse_like_lf_rows():
+    text = make_trace([(0, "car0", 0, 0), (0.5, "car0", 1.5, 2), (0.2, "car1", 3, 4)])
+    assert _parse(text.replace("\n", "\r\n")) == _parse(text)
+    with pytest.raises(TraceError, match="line 5: expected 4 fields"):
+        _parse(text.replace("\n", "\r\n") + "1,car0\r\n")
+
+
 def test_spaces_around_fields_are_stripped():
-    plain = parse_trace(make_trace([(0, "car0", 0, 0), (0.5, "car0", 1.5, 2)]))
-    spaced = parse_trace(make_trace([(0, "car0", 0, 0)]) + "0.5 , car0 , 1.5 , 2\n")
+    plain = _parse(make_trace([(0, "car0", 0, 0), (0.5, "car0", 1.5, 2)]))
+    spaced = _parse(make_trace([(0, "car0", 0, 0)]) + "0.5 , car0 , 1.5 , 2\n")
     assert spaced == plain
     assert spaced[0].vehicle_name == "car0"
 
 
-def test_parsed_trace_retains_at_most_80_bytes_per_row():
-    rows, vehicles = 50_000, 50
+ROWS, VEHICLES = 50_000, 50
+
+
+def _many_rows_file():
+    """An in-memory binary trace file of ROWS rows over VEHICLES vehicles."""
     text = make_trace(
-        (f"{k // vehicles * 0.1:.1f}", f"car{k % vehicles}", k * 0.25, -k * 0.5)
-        for k in range(rows)
+        (f"{k // VEHICLES * 0.1:.1f}", f"car{k % VEHICLES}", k * 0.25, -k * 0.5)
+        for k in range(ROWS)
     )
+    return io.BytesIO(text.encode())
+
+
+def _traced_parse(source):
+    """Parse under tracemalloc; returns (peak bytes, retained bytes), both
+    counted from the start of the parse."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trajs = parse_trace(text)
+        tracemalloc.reset_peak()
+        trajs = parse_trace(source)
+        peak = tracemalloc.get_traced_memory()[1] - before
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(trajs) == vehicles
-    assert sum(len(t.times) for t in trajs) == rows
-    assert retained / rows <= 80, f"{retained / rows:.1f} B per row"
+    assert len(trajs) == VEHICLES
+    assert sum(len(t.times) for t in trajs) == ROWS
+    return peak, retained
+
+
+def test_parsed_trace_retains_at_most_80_bytes_per_row():
+    _, retained = _traced_parse(_many_rows_file())
+    assert retained / ROWS <= 80, f"{retained / ROWS:.1f} B per row"
+
+
+def test_parse_peak_is_at_most_100_bytes_per_row():
+    # the file is read one line at a time, so the peak stays near the
+    # retained store (about 58 B per row) rather than adding the whole text
+    peak, _ = _traced_parse(_many_rows_file())
+    assert peak / ROWS <= 100, f"{peak / ROWS:.1f} B per row"
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +265,7 @@ def test_position_at_on_long_trajectory_matches_linear_scan_oracle(case, data):
 
 
 def test_columns_are_a_list_and_two_float_arrays():
-    (parsed,) = parse_trace(make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0), (3, "car0", 9, 2)]))
+    (parsed,) = _parse(make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0), (3, "car0", 9, 2)]))
     built = _traj("v", [(0, 0, 0), (10, 100, 0), (20, 100, 50)])
     shifted = apply_accident(built, AccidentSpec(s_to_us(5), s_to_us(7)))
     for traj in (parsed, built, shifted):

@@ -97,8 +97,8 @@ def test_sinr_metric_can_diverge_from_power_metric():
     a = binder.register_node(NodeKind.ENB, "enbA", 46.0, (0.0, 0.0)).node_id
     b = binder.register_node(NodeKind.ENB, "enbB", 46.0, (1940.6, 0.0)).node_id
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
-    binder.advance_tti(0)
-    binder.record_allocation(0, Direction.DL, a, range(10), a)
+    binder.record_allocation(Direction.DL, a, range(10), a)
+    binder.end_tti()  # association between ticks reads the last completed TTI
     channel = ChannelModel(binder, PARAMS, CqiTables())
 
     by_power = Rrc(binder, channel, HandoverConfig(), association_metric="rx_power")
