@@ -2,9 +2,10 @@
 
 Every node (vehicle UE or eNB) registers here and gets a run-unique id.
 eNBs are registered once and stay for the whole run; only vehicle UEs join
-and leave. The binder also keeps the resource-block ledger: for each cell
-and direction, which node transmits on which RB. Downlink and uplink use
-two distinct RB sets. It holds exactly two grids. `current` is the TTI
+and leave, and the binder is the only record of which vehicles are live.
+The binder also keeps the resource-block ledger: for each cell and
+direction, which node transmits on which RB. Downlink and uplink use two
+distinct RB sets. It holds exactly two grids. `current` is the TTI
 being scheduled: allocations are recorded into it and decoding reads it.
 `last` is the last completed TTI: CQI measurement reads it, in the tick
 and between ticks alike. `end_tti` closes a TTI, and anything older than
@@ -60,8 +61,9 @@ class Binder:
     """Node registry plus RB allocation ledger.
 
     Node ids are handed out from a monotonic counter starting at 1 and are
-    never reused, so a stale reference is always detectable. `cells` holds
-    the eNB ids in ascending order; eNBs never deregister.
+    never reused, so a stale reference is always detectable. Live node
+    names index their ids. `cells` holds the eNB ids in ascending order;
+    eNBs never deregister.
     """
 
     def __init__(self, num_rbs: int = DEFAULT_NUM_RBS) -> None:
@@ -69,7 +71,7 @@ class Binder:
         self.num_rbs = num_rbs
         self._next_node_id = 1
         self._nodes: dict[int, NodeRecord] = {}
-        self._live_names: set[str] = set()
+        self._live_ids: dict[str, int] = {}
         self.cells: list[int] = []
         self.last: Grid = _empty_grid()
         self.current: Grid = _empty_grid()
@@ -84,7 +86,7 @@ class Binder:
         tx_power_dbm: float,
         position: tuple[float, float] = (0.0, 0.0),
     ) -> NodeRecord:
-        if name in self._live_names:
+        if name in self._live_ids:
             raise RegistryError(f"a live node named {name!r} already exists")
         record = NodeRecord(
             node_id=self._next_node_id,
@@ -95,7 +97,7 @@ class Binder:
         )
         self._next_node_id += 1
         self._nodes[record.node_id] = record
-        self._live_names.add(name)
+        self._live_ids[name] = record.node_id
         if kind is NodeKind.ENB:
             self.cells.append(record.node_id)
         return record
@@ -108,7 +110,7 @@ class Binder:
         if rec.kind is NodeKind.ENB:
             raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
         del self._nodes[node_id]
-        self._live_names.remove(rec.name)
+        del self._live_ids[rec.name]
         for grid in (self.last, self.current):
             for per_rb in grid.values():
                 empty_rbs = []
@@ -124,6 +126,10 @@ class Binder:
     def is_live(self, node_id: int) -> bool:
         return node_id in self._nodes
 
+    def live_id(self, name: str) -> Optional[int]:
+        """The id of the live node called `name`, or None."""
+        return self._live_ids.get(name)
+
     def node(self, node_id: int) -> NodeRecord:
         try:
             return self._nodes[node_id]
@@ -136,9 +142,6 @@ class Binder:
         if kind is None:
             return recs
         return [r for r in recs if r.kind == kind]
-
-    def set_position(self, node_id: int, x: float, y: float) -> None:
-        self.node(node_id).position = (x, y)
 
     def set_serving_cell(self, ue_id: int, cell_id: int) -> None:
         rec = self.node(ue_id)

@@ -4,8 +4,9 @@ The surface is a flat UTF-8 ``key = value`` format. Entity groups use
 indexed prefixes (``enb[0].x_m``, ``flow[1].interval_ms``); per-vehicle
 settings use ``car[<i>].`` where ``<i>`` is the vehicle's position in enter
 order (ties broken by name), and ``car.default.`` supplies the value for
-every vehicle without an override. Unknown and duplicate keys are hard
-errors: a typo must never silently run the wrong experiment.
+every vehicle without an override; ``config.cars.get(i, config.default_car)``
+is vehicle i's settings with the defaults applied. Unknown and duplicate
+keys are hard errors: a typo must never silently run the wrong experiment.
 
 Every key is one row of ``KEYS`` (scalar keys) or of an entity's field
 table (``ENB_FIELDS``, ``CAR_FIELDS``, ``FLOW_FIELDS``). The rows drive
@@ -49,9 +50,9 @@ class EnbConfig:
 
 
 @dataclass(frozen=True)
-class CarOverride:
-    master_id: Optional[int] = None
-    tx_power_dbm: Optional[float] = None
+class CarConfig:
+    master_id: Optional[int]  # None: no pinned eNB
+    tx_power_dbm: float
     accident: Optional[AccidentSpec] = None
 
 
@@ -68,10 +69,9 @@ class ScenarioConfig:
     backhaul: BackhaulConfig
     channel: ChannelParams
     tables: CqiTables
-    ue_tx_power_dbm: float
-    default_master_id: Optional[int]
+    default_car: CarConfig
     enbs: tuple[EnbConfig, ...]
-    cars: dict[int, CarOverride] = field(default_factory=dict)
+    cars: dict[int, CarConfig] = field(default_factory=dict)
     flows: tuple[FlowSpec, ...] = ()
 
 
@@ -345,13 +345,13 @@ def _accident(entry: dict[str, Any], i: int) -> Optional[AccidentSpec]:
         raise ConfigError(f"car[{i}]: {exc}") from None
 
 
-def _cars(raw: _RawConfig, n_enbs: int) -> dict[int, CarOverride]:
+def _cars(raw: _RawConfig, n_enbs: int, default: CarConfig) -> dict[int, CarConfig]:
     cars = {}
     for i, entry in sorted(raw.group("car", CAR_FIELDS).items()):
         _check_master(entry.get("master_id"), n_enbs, f"car[{i}].master_id")
-        cars[i] = CarOverride(
-            master_id=entry.get("master_id"),
-            tx_power_dbm=entry.get("tx_power_dbm"),
+        cars[i] = CarConfig(
+            master_id=entry.get("master_id", default.master_id),
+            tx_power_dbm=entry.get("tx_power_dbm", default.tx_power_dbm),
             accident=_accident(entry, i),
         )
     return cars
@@ -387,11 +387,15 @@ def parse_config_text(text: str, base_dir: Path) -> ScenarioConfig:
 
     enbs = _enbs(raw, v["channel.enb_tx_power_dbm"])
     _check_master(v["car.default.master_id"], len(enbs), "car.default.master_id")
-    cars = _cars(raw, len(enbs))
+    car_power = v["car.default.tx_power_dbm"]
+    default_car = CarConfig(
+        master_id=v["car.default.master_id"],
+        tx_power_dbm=v["channel.ue_tx_power_dbm"] if car_power is None else car_power,
+    )
+    cars = _cars(raw, len(enbs), default_car)
     flows = _flows(raw)
     raw.reject_unused()
 
-    car_power = v["car.default.tx_power_dbm"]
     try:
         return ScenarioConfig(
             sim_end_us=v["sim_end_s"],
@@ -420,8 +424,7 @@ def parse_config_text(text: str, base_dir: Path) -> ScenarioConfig:
                 sinr_thresholds_db=v["channel.cqi_thresholds_db"],
                 bits_per_rb=v["channel.bits_per_rb"],
             ),
-            ue_tx_power_dbm=v["channel.ue_tx_power_dbm"] if car_power is None else car_power,
-            default_master_id=v["car.default.master_id"],
+            default_car=default_car,
             enbs=enbs,
             cars=cars,
             flows=flows,

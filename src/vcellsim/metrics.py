@@ -42,8 +42,11 @@ class VehicleStats:
     latency_max_us: int = 0
     delivered_packets: int = 0
     handovers: int = 0
-    first_cell: str = ""
-    timeline: list[tuple[int, str]] = field(default_factory=list)
+    timeline: list[tuple[int, str]] = field(default_factory=list)  # (time, cell name)
+
+    @property
+    def first_cell(self) -> str:  # empty if the vehicle never entered
+        return self.timeline[0][1] if self.timeline else ""
 
     def record_delivery(self, size_bits: int, latency_us: int) -> None:
         self.delivered_bits += size_bits

@@ -2,7 +2,8 @@
 
 A vehicle attaches when it enters the simulation, either to the cell it
 receives most strongly (dynamic association) or to a manually configured
-cell regardless of position. Received power is the default association
+cell regardless of position; `Rrc.initial_association` takes that cell's
+id, or None for dynamic association. Received power is the default association
 metric; mean downlink SINR against the current interference picture can be
 selected instead for experimentation. While attached, a neighbor that exceeds the
 serving cell's received power by more than the hysteresis margin for the
@@ -14,7 +15,6 @@ schedulable in the target from the next TTI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .binder import Binder, Direction
@@ -24,21 +24,6 @@ from .mac import Mac
 
 
 ASSOCIATION_METRICS = ("rx_power", "sinr")  # the first is the default
-
-
-class AssociationMode(Enum):
-    DYNAMIC = "DYNAMIC"
-    MANUAL = "MANUAL"
-
-
-@dataclass(frozen=True)
-class AssociationPolicy:
-    mode: AssociationMode
-    manual_cell: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mode == AssociationMode.MANUAL and self.manual_cell is None:
-            raise ValueError("MANUAL association requires a target cell")
 
 
 @dataclass(frozen=True)
@@ -94,23 +79,17 @@ class Rrc:
             for c in self.binder.cells
         ]
 
-    def initial_association(self, ue: int, policy: AssociationPolicy) -> int:
-        """Attach the UE and return its serving cell id."""
+    def initial_association(self, ue: int, manual_cell: Optional[int] = None) -> int:
+        """Attach the UE to `manual_cell`, or to the best cell if None; return the cell."""
         if not self.binder.cells:
             raise AssociationError("no eNB is registered")
-        if policy.mode == AssociationMode.MANUAL:
-            cell = policy.manual_cell
-            if cell not in self.binder.cells:
-                raise AssociationError(f"manual association target {cell} is not a live eNB")
-            self.binder.set_serving_cell(ue, cell)
-            return cell
-        best_cell = None
-        best_score = None
-        for cell_id, score in self._association_scores(ue):
-            if best_score is None or score > best_score:
-                best_cell, best_score = cell_id, score
-        self.binder.set_serving_cell(ue, best_cell)
-        return best_cell
+        cell = manual_cell
+        if cell is None:
+            cell = max(self._association_scores(ue), key=lambda pair: pair[1])[0]
+        elif cell not in self.binder.cells:
+            raise AssociationError(f"manual association target {cell} is not a live eNB")
+        self.binder.set_serving_cell(ue, cell)
+        return cell
 
     def handover_check(self, ue: int, now_us: int) -> Optional[HandoverDecision]:
         """A3-style evaluation at current positions; None when nothing triggers."""

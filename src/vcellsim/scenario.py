@@ -6,12 +6,16 @@ scheduling, grid recording (so overlapping cells see each other), decode,
 and finally handover execution at the slot boundary, after which the
 binder closes the slot. Vehicle enter/leave and packet arrivals fire
 between ticks in deterministic order.
+One `Vehicle` record per trace vehicle holds its set-up facts and stats;
+only the binder knows which vehicles are live, and under which node id.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
+from typing import Optional
 
 from .binder import Binder, Direction, NodeKind
 from .channel import ChannelModel, ShadowingMap
@@ -21,10 +25,20 @@ from .errors import ConfigError
 from .mac import Mac
 from .metrics import CellStats, MetricsReport, VehicleStats, write_outputs
 from .mobility import Trajectory, apply_accident, lifecycle_events, load_trace, position_at
-from .rrc import AssociationMode, AssociationPolicy, HandoverDecision, Rrc
+from .rrc import HandoverDecision, Rrc
 from .traffic import Packet, backhaul_deliver, expand_flows, generate_flow_events
 
 __all__ = ["Scenario", "run_scenario", "write_outputs"]
+
+
+@dataclass(frozen=True)
+class Vehicle:
+    """A trace vehicle's set-up facts and its run statistics."""
+
+    traj: Trajectory
+    manual_cell: Optional[int]  # None: dynamic association
+    tx_power_dbm: float
+    stats: VehicleStats
 
 
 class Scenario:
@@ -47,8 +61,6 @@ class Scenario:
 
         self._load_vehicles()
 
-        self.node_of: dict[str, int] = {}
-        self.name_of: dict[int, str] = {}
         self.log: list[str] = []
         self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
 
@@ -68,6 +80,10 @@ class Scenario:
         config = self.config
         trajectories = load_trace(config.trace_file)
         roster = sorted(trajectories, key=lambda t: (t.enter_us, t.vehicle_name))
+        # the binder looks live nodes up by name, so a vehicle must not share one
+        clash = sorted({t.vehicle_name for t in roster} & {enb.name for enb in config.enbs})
+        if clash:
+            raise ConfigError(f"vehicle {clash[0]!r} has the name of an eNB")
         for i in config.cars:
             if i >= len(roster):
                 raise ConfigError(
@@ -75,47 +91,32 @@ class Scenario:
                     f"{len(roster)} vehicles"
                 )
 
-        self.trajs: dict[str, Trajectory] = {}
-        self.policies: dict[str, AssociationPolicy] = {}
-        self.ue_power: dict[str, float] = {}
-        self.stats: dict[str, VehicleStats] = {}
+        self.vehicles: dict[str, Vehicle] = {}
         for i, traj in enumerate(roster):
-            override = config.cars.get(i)
-            if override is not None and override.accident is not None:
-                traj = apply_accident(traj, override.accident)
+            car = config.cars.get(i, config.default_car)
+            if car.accident is not None:
+                traj = apply_accident(traj, car.accident)
             name = traj.vehicle_name
-            master = None
-            if override is not None and override.master_id is not None:
-                master = override.master_id
-            elif config.default_master_id is not None:
-                master = config.default_master_id
             if config.dynamic_cell_association:
-                policy = AssociationPolicy(AssociationMode.DYNAMIC)
-            elif master is not None:
-                policy = AssociationPolicy(
-                    AssociationMode.MANUAL, manual_cell=self.binder.cells[master]
-                )
+                manual_cell = None
+            elif car.master_id is not None:
+                manual_cell = self.binder.cells[car.master_id]
             else:
                 raise ConfigError(
                     f"car[{i}] ({name}) has no master_id and "
                     f"dynamic_cell_association is false"
                 )
-            power = config.ue_tx_power_dbm
-            if override is not None and override.tx_power_dbm is not None:
-                power = override.tx_power_dbm
-            self.trajs[name] = traj
-            self.policies[name] = policy
-            self.ue_power[name] = power
-            self.stats[name] = VehicleStats(name, traj.enter_us, traj.leave_us)
+            stats = VehicleStats(name, traj.enter_us, traj.leave_us)
+            self.vehicles[name] = Vehicle(traj, manual_cell, car.tx_power_dbm, stats)
 
     def _schedule_initial_events(self) -> None:
         config = self.config
-        for event in lifecycle_events(self.trajs.values()):
+        for event in lifecycle_events(v.traj for v in self.vehicles.values()):
             if event.fire_time <= config.sim_end_us:
                 self.engine.schedule(event)
-        flows = expand_flows(list(config.flows), list(self.trajs))
+        flows = expand_flows(list(config.flows), list(self.vehicles))
         for flow in flows:
-            if flow.target not in self.trajs:
+            if flow.target not in self.vehicles:
                 raise ConfigError(
                     f"flow {flow.name} targets unknown vehicle {flow.target!r}"
                 )
@@ -135,34 +136,29 @@ class Scenario:
 
     def _on_enter(self, event: SimEvent) -> None:
         name = event.payload
-        traj = self.trajs[name]
-        pos = position_at(traj, self.engine.now)
-        rec = self.binder.register_node(NodeKind.UE, name, self.ue_power[name], pos)
-        self.node_of[name] = rec.node_id
-        self.name_of[rec.node_id] = name
-        cell = self.rrc.initial_association(rec.node_id, self.policies[name])
+        vehicle = self.vehicles[name]
+        pos = position_at(vehicle.traj, self.engine.now)
+        rec = self.binder.register_node(NodeKind.UE, name, vehicle.tx_power_dbm, pos)
+        cell = self.rrc.initial_association(rec.node_id, vehicle.manual_cell)
         cell_name = self.binder.node(cell).name
-        stats = self.stats[name]
-        stats.first_cell = cell_name
-        stats.timeline.append((self.engine.now, cell_name))
+        vehicle.stats.timeline.append((self.engine.now, cell_name))
         self._logline(f"ENTER {name}")
         self._logline(f"ATTACH {name} cell={cell_name}")
 
     def _on_leave(self, event: SimEvent) -> None:
         name = event.payload
-        node = self.node_of.pop(name)
-        del self.name_of[node]
+        node = self.binder.live_id(name)
         dl_bits, ul_bits = self.mac.clear_node(node)
-        self.stats[name].residual_bits += dl_bits + ul_bits
+        self.vehicles[name].stats.residual_bits += dl_bits + ul_bits
         self.rrc.forget(node)
         self.binder.deregister_node(node)
         self._logline(f"LEAVE {name} residual_bits={dl_bits + ul_bits}")
 
     def _on_packet_arrival(self, event: SimEvent) -> None:
         packet: Packet = event.payload
-        stats = self.stats[packet.vehicle]
+        stats = self.vehicles[packet.vehicle].stats
         stats.offered_bits += packet.size_bits
-        node = self.node_of.get(packet.vehicle)
+        node = self.binder.live_id(packet.vehicle)
         if node is None:
             stats.lost_core_bits += packet.size_bits
             return
@@ -174,9 +170,9 @@ class Scenario:
 
     def _on_backhaul_delivery(self, event: SimEvent) -> None:
         packet: Packet = event.payload
-        stats = self.stats[packet.vehicle]
+        stats = self.vehicles[packet.vehicle].stats
         stats.backhaul_inflight_bits -= packet.size_bits
-        node = self.node_of.get(packet.vehicle)
+        node = self.binder.live_id(packet.vehicle)
         if node is None:
             stats.lost_core_bits += packet.size_bits
             return
@@ -188,30 +184,25 @@ class Scenario:
 
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
-        # enter and leave are separate events, so the live set is fixed here
-        live_ues = sorted(self.name_of)
+        # enter and leave are separate events, so the live set is fixed here;
+        # it comes in ascending id order
+        live_ues = self.binder.live_nodes(NodeKind.UE)
 
-        for node in live_ues:
-            traj = self.trajs[self.name_of[node]]
-            x, y = position_at(traj, now)
-            self.binder.set_position(node, x, y)
+        for rec in live_ues:
+            rec.position = position_at(self.vehicles[rec.name].traj, now)
 
         decisions: list[HandoverDecision] = []
-        for node in live_ues:
-            decision = self.rrc.handover_check(node, now)
+        for rec in live_ues:
+            decision = self.rrc.handover_check(rec.node_id, now)
             if decision is not None:
                 decisions.append(decision)
 
-        cqi_dl: dict[int, int] = {}
-        cqi_ul: dict[int, int] = {}
-        for node in live_ues:
-            serving = self.binder.node(node).serving_cell
-            cqi_dl[node] = self.channel.measure(node, serving, Direction.DL).cqi
-            cqi_ul[node] = self.channel.measure(node, serving, Direction.UL).cqi
-
-        attached: dict[int, list[int]] = {cell: [] for cell in self.binder.cells}
-        for node in live_ues:
-            attached[self.binder.node(node).serving_cell].append(node)
+        # shadowing is drawn at a pair's first query, so this order matters
+        candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
+        for rec in live_ues:
+            for direction in (Direction.DL, Direction.UL):
+                cqi = self.channel.measure(rec.node_id, rec.serving_cell, direction).cqi
+                candidates.setdefault((rec.serving_cell, direction), []).append((rec.node_id, cqi))
 
         schedule = (
             self.mac.schedule_tti_rr
@@ -221,8 +212,7 @@ class Scenario:
         allocations = []
         for cell in self.binder.cells:
             for direction in (Direction.DL, Direction.UL):
-                cqi_map = cqi_dl if direction == Direction.DL else cqi_ul
-                ues = [(node, cqi_map[node]) for node in attached[cell]]
+                ues = candidates.get((cell, direction), [])
                 alloc = schedule(cell, direction, ues, self.channel.tables)
                 if not alloc.grants:
                     continue
@@ -242,15 +232,15 @@ class Scenario:
             outcome = self.mac.transmit(alloc, self.channel)
             done_us = deliver_us if alloc.direction == Direction.DL else ul_deliver_us
             for ue, result in outcome.grant_outcomes.items():
-                stats = self.stats[self.name_of[ue]]
+                stats = self.vehicles[self.binder.node(ue).name].stats
                 for pkt in result.delivered:
                     stats.record_delivery(pkt.size_bits, done_us - pkt.created_us)
                 stats.dropped_radio_bits += result.dropped_bits
 
         for decision in decisions:
             dropped = self.rrc.execute_handover(decision, self.mac)
-            name = self.name_of[decision.ue]
-            stats = self.stats[name]
+            name = self.binder.node(decision.ue).name
+            stats = self.vehicles[name].stats
             stats.dropped_handover_bits += dropped
             stats.handovers += 1
             target_name = self.binder.node(decision.target).name
@@ -271,11 +261,11 @@ class Scenario:
         summary = self.engine.run_until(self.config.sim_end_us)
         wall_ms = round((time.perf_counter() - started) * 1000)
 
-        for name in list(self.node_of):
-            node = self.node_of[name]
-            dl_bits, ul_bits = self.mac.clear_node(node)
-            self.stats[name].residual_bits += dl_bits + ul_bits
-        for stats in self.stats.values():
+        vehicles = {name: v.stats for name, v in self.vehicles.items()}
+        for rec in self.binder.live_nodes(NodeKind.UE):
+            dl_bits, ul_bits = self.mac.clear_node(rec.node_id)
+            vehicles[rec.name].residual_bits += dl_bits + ul_bits
+        for stats in vehicles.values():
             stats.residual_bits += stats.backhaul_inflight_bits
             stats.backhaul_inflight_bits = 0
 
@@ -288,7 +278,7 @@ class Scenario:
             sim_end_us=self.config.sim_end_us,
             events_processed=summary.total,
             wall_ms=wall_ms,
-            vehicles=self.stats,
+            vehicles=vehicles,
             cells=self._cell_stats,
             event_log=self.log,
         )

@@ -8,7 +8,7 @@ the eNB (the same core delay is added to their reported latency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .binder import Direction
 from .engine import EventKind, SimEvent
@@ -31,6 +31,8 @@ class FlowSpec:
             raise ValueError(f"flow {self.name}: packet_bits must be positive")
         if self.interval_us <= 0:
             raise ValueError(f"flow {self.name}: interval must be positive")
+        if self.start_us < 0:
+            raise ValueError(f"flow {self.name}: start must be non-negative")
         if self.start_us > self.stop_us:
             raise ValueError(f"flow {self.name}: start is after stop")
 
@@ -64,17 +66,7 @@ def expand_flows(specs: list[FlowSpec], vehicle_names: list[str]) -> list[FlowSp
     for spec in specs:
         if spec.target == ALL_VEHICLES:
             for name in sorted(vehicle_names):
-                out.append(
-                    FlowSpec(
-                        name=f"{spec.name}.{name}",
-                        direction=spec.direction,
-                        target=name,
-                        packet_bits=spec.packet_bits,
-                        interval_us=spec.interval_us,
-                        start_us=spec.start_us,
-                        stop_us=spec.stop_us,
-                    )
-                )
+                out.append(replace(spec, name=f"{spec.name}.{name}", target=name))
         else:
             out.append(spec)
     return out

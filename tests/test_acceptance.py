@@ -116,7 +116,7 @@ def test_accident_freeze_and_shift(tmp_path):
         positions = {}
         for ms in range(0, 58_000):
             scn.engine.run_until(ms_to_us(ms))
-            node = scn.node_of.get("car0")
+            node = scn.binder.live_id("car0")
             if node is not None:
                 positions[ms] = scn.binder.node(node).position
 

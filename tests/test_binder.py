@@ -58,9 +58,12 @@ def test_duplicate_live_name_rejected():
 def test_name_reusable_after_deregistration():
     binder = Binder()
     rec = binder.register_node(NodeKind.UE, "car0", 26.0)
+    assert binder.live_id("car0") == rec.node_id
     binder.deregister_node(rec.node_id)
+    assert binder.live_id("car0") is None
     again = binder.register_node(NodeKind.UE, "car0", 26.0)
     assert again.node_id == 2
+    assert binder.live_id("car0") == 2
 
 
 def test_failed_registration_consumes_no_ids():
@@ -254,15 +257,30 @@ def test_registry_matches_set_oracle(seed):
     binder = Binder(num_rbs=10)
     ue_oracle: set[int] = set()
     cell_oracle: set[int] = set()
+    name_oracle: dict[str, int] = {}  # live name -> id
+    dead_names: set[str] = set()
     names = iter(range(10_000))
     for _ in range(300):
         if ue_oracle and rng.random() < 0.4:
             victim = rng.choice(sorted(ue_oracle))
             binder.deregister_node(victim)
             ue_oracle.discard(victim)
+            (name,) = [n for n, i in name_oracle.items() if i == victim]
+            del name_oracle[name]
+            dead_names.add(name)
         else:
             kind = NodeKind.UE if rng.random() < 0.8 else NodeKind.ENB
-            rec = binder.register_node(kind, f"n{next(names)}", 26.0)
+            if dead_names and rng.random() < 0.3:  # a departed vehicle's name comes back
+                name = rng.choice(sorted(dead_names))
+                dead_names.remove(name)
+            else:
+                name = f"n{next(names)}"
+            rec = binder.register_node(kind, name, 26.0)
             (ue_oracle if kind is NodeKind.UE else cell_oracle).add(rec.node_id)
+            name_oracle[name] = rec.node_id
         assert live_ids(binder) == ue_oracle | cell_oracle
         assert binder.cells == sorted(cell_oracle)
+        for name, node_id in name_oracle.items():
+            assert binder.live_id(name) == node_id
+        for name in dead_names:
+            assert binder.live_id(name) is None

@@ -117,6 +117,17 @@ def _assert_config_error(code, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    return err
+
+
+def test_negative_flow_start_is_a_config_error(tmp_path, capsys):
+    text = CONFIG.replace("flow[0].start_s = 0\n", "flow[0].start_s = -1\n")
+    assert text != CONFIG
+    config = write_scenario(tmp_path, text, TRACE)
+    err = _assert_config_error(main(["validate", "--config", str(config)]), capsys)
+    assert "flow[0]" in err
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert "flow[0]" in _assert_config_error(code, capsys)
 
 
 @pytest.mark.parametrize("until", ["inf", "nan", "-1"])

@@ -7,6 +7,7 @@ from vcellsim.binder import Direction
 from vcellsim.channel import CQI_BITS_PER_RB, CQI_SINR_THRESHOLDS_DB
 from vcellsim.config import (
     CAR_FIELDS,
+    CarConfig,
     ENB_FIELDS,
     FLOW_FIELDS,
     KEYS,
@@ -61,6 +62,25 @@ def test_car0_accident_keys(tmp_path, count):
         assert accident is None
     else:
         assert accident == AccidentSpec(start_us=s_to_us(20), duration_us=s_to_us(30))
+
+
+def test_car_settings_arrive_with_defaults_applied(tmp_path):
+    base = build_config("trace_file = trace.csv", TWO_CELLS)
+    config = _load(tmp_path, base + "channel.ue_tx_power_dbm = 23\ncar[1].master_id = 1\n")
+    assert config.default_car == CarConfig(master_id=None, tx_power_dbm=23.0)
+    assert config.cars == {1: CarConfig(master_id=1, tx_power_dbm=23.0)}
+
+    config = _load(
+        tmp_path,
+        base
+        + "car.default.master_id = 0\ncar.default.tx_power_dbm = 20\n"
+        + "car[0].tx_power_dbm = 10\ncar[2].master_id = 1\n",
+    )
+    assert config.default_car == CarConfig(master_id=0, tx_power_dbm=20.0)
+    assert config.cars == {
+        0: CarConfig(master_id=0, tx_power_dbm=10.0),
+        2: CarConfig(master_id=1, tx_power_dbm=20.0),
+    }
 
 
 def test_handover_defaults_applied_when_omitted(tmp_path):
@@ -263,7 +283,7 @@ def test_dumped_defaults_round_trip(tmp_path):
     assert config.scheduler == "rr"
     assert config.dynamic_cell_association is False
     assert config.association_metric == "rx_power"
-    assert config.default_master_id == 0
+    assert config.default_car.master_id == 0
     assert config.handover.enabled is False
     assert config.handover.hysteresis_db == 3.0
     assert config.handover.time_to_trigger_us == ms_to_us(256)
@@ -277,7 +297,7 @@ def test_dumped_defaults_round_trip(tmp_path):
     assert config.channel.shadowing_sigma_db == 8.0
     assert config.tables.sinr_thresholds_db == CQI_SINR_THRESHOLDS_DB
     assert config.tables.bits_per_rb == CQI_BITS_PER_RB
-    assert config.ue_tx_power_dbm == 26.0
+    assert config.default_car.tx_power_dbm == 26.0
     assert len(config.enbs) == 1
     assert config.enbs[0].tx_power_dbm == 46.0
     # loading the dump twice resolves identically

@@ -12,13 +12,7 @@ from vcellsim.channel import (
 from vcellsim.engine import ms_to_us
 from vcellsim.errors import AssociationError
 from vcellsim.mac import Mac
-from vcellsim.rrc import (
-    AssociationMode,
-    AssociationPolicy,
-    HandoverConfig,
-    HandoverDecision,
-    Rrc,
-)
+from vcellsim.rrc import HandoverConfig, HandoverDecision, Rrc
 
 from conftest import make_packet
 
@@ -40,10 +34,9 @@ def _two_cell_env(ho=HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_tri
 
 def test_manual_association_ignores_position():
     binder, _, rrc, c0, c1 = _two_cell_env()
-    policy = AssociationPolicy(AssociationMode.MANUAL, manual_cell=c0)
     for i, x in enumerate((0.0, 1500.0, 1999.0)):  # even right next to the other cell
         ue = binder.register_node(NodeKind.UE, f"car{i}", 26.0, (x, 0.0)).node_id
-        assert rrc.initial_association(ue, policy) == c0
+        assert rrc.initial_association(ue, c0) == c0
         assert binder.node(ue).serving_cell == c0
 
 
@@ -53,13 +46,13 @@ def test_dynamic_single_cell():
     channel = ChannelModel(binder, PARAMS, CqiTables())
     rrc = Rrc(binder, channel, HandoverConfig())
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (5000.0, 0.0)).node_id
-    assert rrc.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC)) == cell
+    assert rrc.initial_association(ue, None) == cell
 
 
 def test_dynamic_picks_argmax_received_power():
     binder, _, rrc, c0, c1 = _two_cell_env(spacing=1000.0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (400.0, 0.0)).node_id
-    got = rrc.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC))
+    got = rrc.initial_association(ue, None)
 
     # oracle: evaluate received power for both cells, take the argmax
     p0 = received_power_dbm(46.0, (0.0, 0.0), (400.0, 0.0), PARAMS)
@@ -71,7 +64,7 @@ def test_dynamic_picks_argmax_received_power():
 def test_dynamic_tie_goes_to_lowest_cell_id():
     binder, _, rrc, c0, c1 = _two_cell_env(spacing=2000.0)
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
-    assert rrc.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC)) == c0
+    assert rrc.initial_association(ue, None) == c0
 
 
 def test_association_without_cells_fails():
@@ -80,14 +73,14 @@ def test_association_without_cells_fails():
     rrc = Rrc(binder, channel, HandoverConfig())
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     with pytest.raises(AssociationError):
-        rrc.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC))
+        rrc.initial_association(ue, None)
 
 
 def test_manual_association_to_unknown_cell_fails():
     binder, _, rrc, c0, c1 = _two_cell_env()
     ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
     with pytest.raises(AssociationError):
-        rrc.initial_association(ue, AssociationPolicy(AssociationMode.MANUAL, manual_cell=999))
+        rrc.initial_association(ue, 999)
 
 
 def test_sinr_metric_can_diverge_from_power_metric():
@@ -102,10 +95,10 @@ def test_sinr_metric_can_diverge_from_power_metric():
     channel = ChannelModel(binder, PARAMS, CqiTables())
 
     by_power = Rrc(binder, channel, HandoverConfig(), association_metric="rx_power")
-    assert by_power.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC)) == b
+    assert by_power.initial_association(ue, None) == b
 
     by_sinr = Rrc(binder, channel, HandoverConfig(), association_metric="sinr")
-    assert by_sinr.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC)) == a
+    assert by_sinr.initial_association(ue, None) == a
 
 
 def test_unknown_association_metric_rejected():
@@ -124,7 +117,7 @@ def _walk(rrc, binder, ue, positions_by_ms):
     mac = Mac(binder)
     decisions = []
     for ms, x in positions_by_ms:
-        binder.set_position(ue, x, 0.0)
+        binder.node(ue).position = (x, 0.0)
         decision = rrc.handover_check(ue, ms_to_us(ms))
         if decision is not None:
             decisions.append((decision, ms))
@@ -134,7 +127,7 @@ def _walk(rrc, binder, ue, positions_by_ms):
 
 def _attached_ue(binder, rrc, x=0.0):
     ue = binder.register_node(NodeKind.UE, "car0", 26.0, (x, 0.0)).node_id
-    rrc.initial_association(ue, AssociationPolicy(AssociationMode.DYNAMIC))
+    rrc.initial_association(ue, None)
     return ue
 
 
@@ -261,7 +254,7 @@ def test_double_handover_a_b_a_keeps_history_consistent():
         (40 + i, 1560.0 - 40.0 * i) for i in range(40)
     ]
     for ms, x in path:
-        binder.set_position(ue, x, 0.0)
+        binder.node(ue).position = (x, 0.0)
         decision = rrc.handover_check(ue, ms_to_us(ms))
         if decision is not None:
             rrc.execute_handover(decision, mac)

@@ -76,6 +76,23 @@ def test_ten_vehicles_two_cells_shape(tmp_path):
         assert stats.first_cell == first_cell
 
 
+def test_vehicle_entering_after_sim_end_has_no_first_cell(tmp_path):
+    trace = make_trace(
+        [(0.0, "car0", 0.0, 0.0), (1.0, "car0", 10.0, 0.0),
+         (0.5, "late", 0.0, 0.0), (1.0, "late", 10.0, 0.0)]
+    )
+    report, _ = _run(
+        tmp_path,
+        build_config("sim_end_s = 0.2", "trace_file = trace.csv",
+                     "dynamic_cell_association = true", ONE_CELL),
+        trace,
+    )
+    assert report.vehicles["car0"].first_cell == "enb0"
+    late = report.vehicles["late"]
+    assert late.timeline == [] and late.first_cell == ""
+    assert report.vehicles_csv().splitlines()[2].endswith(",0,,")
+
+
 def test_manual_association_binds_everyone_to_the_master(tmp_path):
     # every vehicle parked right next to enb1 still attaches to enb0
     trace = make_trace(
@@ -124,6 +141,22 @@ def test_car_override_beyond_roster_rejected(tmp_path):
         write_scenario(tmp_path, cfg, make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0)]))
     )
     with pytest.raises(ConfigError, match="car\\[3\\]"):
+        run_scenario(config)
+
+
+def test_vehicle_named_like_an_enb_rejected(tmp_path):
+    # it never enters, so only the load-time check can catch it
+    trace = make_trace(
+        [(0, "car0", 0, 0), (1, "car0", 5, 0), (5, "enb0", 0, 0), (6, "enb0", 5, 0)]
+    )
+    cfg = build_config(
+        "sim_end_s = 0.1",
+        "trace_file = trace.csv",
+        "dynamic_cell_association = true",
+        ONE_CELL,
+    )
+    config = load_config(write_scenario(tmp_path, cfg, trace))
+    with pytest.raises(ConfigError, match="'enb0' has the name of an eNB"):
         run_scenario(config)
 
 
