@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for runtime
-failures during a simulation.
+failures, such as a malformed trace. `validate` builds the same `Scenario`
+as `run`, so it exits as `run` would before the first event.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .config import SIM_END, ScenarioConfig, dump_defaults, load_config
 from .engine import us_to_s
 from .errors import ConfigError
 from .metrics import write_outputs
-from .scenario import run_scenario
+from .scenario import Scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run this many consecutive seeds, each into out/seed-<n>/",
     )
 
-    validate = sub.add_parser("validate", help="check a config file and exit")
+    validate = sub.add_parser("validate", help="check a config and its trace, and exit")
     validate.add_argument("--config", required=True, type=Path)
 
     sub.add_parser("dump-defaults", help="print a fully resolved default config")
@@ -81,15 +82,10 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "validate":
-        print(f"{args.config}: OK")
-        return EXIT_OK
-
-    try:
+        if args.command == "validate":
+            Scenario(config)  # the whole set-up of a run, trace included
+            print(f"{args.config}: OK")
+            return EXIT_OK
         config = _apply_overrides(config, args)
         if args.jobs == 1:
             print(_run_one(config, args.out))

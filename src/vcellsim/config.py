@@ -29,7 +29,7 @@ from .engine import US_PER_MS, US_PER_S
 from .errors import ConfigError
 from .mobility import AccidentSpec
 from .rrc import ASSOCIATION_METRICS, HandoverConfig
-from .traffic import BackhaulConfig, FlowSpec
+from .traffic import FlowSpec
 
 SCHEDULERS = ("rr", "maxcqi")
 
@@ -37,6 +37,7 @@ SCHEDULERS = ("rr", "maxcqi")
 DEFAULT_SIM_END_US = 10 * US_PER_S
 DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "rr"
+DEFAULT_BACKHAUL_DELAY_US = US_PER_MS
 DEFAULT_UE_TX_POWER_DBM = 26.0
 DEFAULT_ENB_TX_POWER_DBM = 46.0
 
@@ -66,7 +67,7 @@ class ScenarioConfig:
     dynamic_cell_association: bool
     association_metric: str
     handover: HandoverConfig
-    backhaul: BackhaulConfig
+    backhaul_delay_us: int
     channel: ChannelParams
     tables: CqiTables
     default_car: CarConfig
@@ -119,9 +120,12 @@ def _list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
     return parse
 
 
-def _check_sim_end(seconds: float) -> None:
-    if seconds < 0:
-        raise ValueError("sim_end_s must be non-negative")
+def _non_negative(name: str) -> Callable[[float], None]:
+    def check(value: float) -> None:
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+    return check
 
 
 REQUIRED = object()  # default of a key that must be given
@@ -160,7 +164,7 @@ class Key:
 
 
 SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US, "simulated duration", US_PER_S,
-              _check_sim_end)
+              _non_negative("sim_end_s"))
 
 KEYS = (
     SIM_END,
@@ -180,8 +184,8 @@ KEYS = (
         "margin by which a neighbour must beat the serving cell"),
     Key("handover.time_to_trigger_ms", _float, HandoverConfig.time_to_trigger_us,
         "how long the margin must hold before a handover", US_PER_MS),
-    Key("backhaul.delay_ms", _float, BackhaulConfig.one_way_delay_us,
-        "one-way core network delay", US_PER_MS),
+    Key("backhaul.delay_ms", _float, DEFAULT_BACKHAUL_DELAY_US,
+        "one-way core network delay", US_PER_MS, _non_negative("backhaul.delay_ms")),
     Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db, "path loss at 1 km"),
     Key("channel.pathloss_b_db", _float, ChannelParams.pathloss_b_db,
         "path loss per decade of distance"),
@@ -410,7 +414,7 @@ def parse_config_text(text: str, base_dir: Path) -> ScenarioConfig:
                 hysteresis_db=v["handover.hysteresis_db"],
                 time_to_trigger_us=v["handover.time_to_trigger_ms"],
             ),
-            backhaul=BackhaulConfig(one_way_delay_us=v["backhaul.delay_ms"]),
+            backhaul_delay_us=v["backhaul.delay_ms"],
             channel=ChannelParams(
                 pathloss_a_db=v["channel.pathloss_a_db"],
                 pathloss_b_db=v["channel.pathloss_b_db"],

@@ -116,9 +116,9 @@ class Mac:
         buf = self._buffers.pop((owner, direction), None)
         return buf.occupancy_bits if buf else 0
 
-    def clear_node(self, owner: int) -> tuple[int, int]:
-        """Free both of a node's buffers; returns the (DL, UL) bits they held."""
-        return self._free(owner, Direction.DL), self._free(owner, Direction.UL)
+    def clear_node(self, owner: int) -> int:
+        """Free both of a node's buffers; returns the bits they held."""
+        return self._free(owner, Direction.DL) + self._free(owner, Direction.UL)
 
     def clear_dl_buffer(self, owner: int) -> int:
         """Handover teardown: free the buffer toward the UE, returning its bits."""

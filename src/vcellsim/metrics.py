@@ -41,12 +41,16 @@ class VehicleStats:
     latency_sum_us: int = 0
     latency_max_us: int = 0
     delivered_packets: int = 0
-    handovers: int = 0
-    timeline: list[tuple[int, str]] = field(default_factory=list)  # (time, cell name)
+    # (time, cell name): one entry at attach and one per handover
+    timeline: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def first_cell(self) -> str:  # empty if the vehicle never entered
         return self.timeline[0][1] if self.timeline else ""
+
+    @property
+    def handovers(self) -> int:
+        return max(len(self.timeline) - 1, 0)
 
     def record_delivery(self, size_bits: int, latency_us: int) -> None:
         self.delivered_bits += size_bits
@@ -72,7 +76,6 @@ class CellStats:
     rb_allocated: dict[Direction, int] = field(
         default_factory=lambda: {Direction.DL: 0, Direction.UL: 0}
     )
-    rb_capacity: int = 0  # num_rbs * TTIs simulated, per direction
 
 
 @dataclass
@@ -81,6 +84,7 @@ class MetricsReport:
     sim_end_us: int
     events_processed: int
     wall_ms: int
+    rb_capacity: int  # of every cell and direction: num_rbs * TTIs simulated
     vehicles: dict[str, VehicleStats] = field(default_factory=dict)
     cells: dict[str, CellStats] = field(default_factory=dict)
     event_log: list[str] = field(default_factory=list)
@@ -117,14 +121,13 @@ class MetricsReport:
 
     def cells_csv(self) -> str:
         lines = [CELLS_COLUMNS]
+        capacity = self.rb_capacity
         for name in sorted(self.cells):
             c = self.cells[name]
             for direction in (Direction.DL, Direction.UL):
                 allocated = c.rb_allocated[direction]
-                util = allocated / c.rb_capacity if c.rb_capacity else 0.0
-                lines.append(
-                    f"{c.name},{direction.value},{allocated},{c.rb_capacity},{util:.6f}"
-                )
+                util = allocated / capacity if capacity else 0.0
+                lines.append(f"{c.name},{direction.value},{allocated},{capacity},{util:.6f}")
         return "\n".join(lines) + "\n"
 
     def run_csv(self) -> str:

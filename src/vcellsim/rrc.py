@@ -45,13 +45,6 @@ class HandoverState:
     condition_since_us: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class HandoverDecision:
-    ue: int
-    source: int
-    target: int
-
-
 class Rrc:
     def __init__(
         self,
@@ -91,8 +84,8 @@ class Rrc:
         self.binder.set_serving_cell(ue, cell)
         return cell
 
-    def handover_check(self, ue: int, now_us: int) -> Optional[HandoverDecision]:
-        """A3-style evaluation at current positions; None when nothing triggers."""
+    def handover_check(self, ue: int, now_us: int) -> Optional[int]:
+        """A3-style evaluation at current positions: the target cell, or None."""
         if not self.config.enabled:
             return None
         serving = self.binder.node(ue).serving_cell
@@ -115,17 +108,17 @@ class Rrc:
             self._states[ue] = state
         if now_us - state.condition_since_us >= self.config.time_to_trigger_us:
             self._states.pop(ue, None)
-            return HandoverDecision(ue=ue, source=serving, target=best_cell)
+            return best_cell
         return None
 
-    def execute_handover(self, decision: HandoverDecision, mac: Mac) -> int:
+    def execute_handover(self, ue: int, target: int, mac: Mac) -> int:
         """Switch the serving cell; returns the DL bits flushed at the source.
 
         Runs in the TTI that made the decision; a UE cannot leave within a
         TTI and cells never leave, so both ends are still live here.
         """
-        dropped = mac.clear_dl_buffer(decision.ue)
-        self.binder.set_serving_cell(decision.ue, decision.target)
+        dropped = mac.clear_dl_buffer(ue)
+        self.binder.set_serving_cell(ue, target)
         return dropped
 
     def forget(self, ue: int) -> None:

@@ -25,8 +25,8 @@ from .errors import ConfigError
 from .mac import Mac
 from .metrics import CellStats, MetricsReport, VehicleStats, write_outputs
 from .mobility import Trajectory, apply_accident, lifecycle_events, load_trace, position_at
-from .rrc import HandoverDecision, Rrc
-from .traffic import Packet, backhaul_deliver, expand_flows, generate_flow_events
+from .rrc import Rrc
+from .traffic import Packet, expand_flows, generate_flow_events
 
 __all__ = ["Scenario", "run_scenario", "write_outputs"]
 
@@ -120,9 +120,8 @@ class Scenario:
                 raise ConfigError(
                     f"flow {flow.name} targets unknown vehicle {flow.target!r}"
                 )
-            for event in generate_flow_events(flow):
-                if event.fire_time <= config.sim_end_us:
-                    self.engine.schedule(event)
+            for event in generate_flow_events(flow, config.sim_end_us):
+                self.engine.schedule(event)
         self.engine.schedule_at(config.sim_end_us, EventKind.SIM_END)
         # the first tick goes in last so same-time ENTER/arrival events precede it
         if config.sim_end_us > 0:
@@ -148,11 +147,11 @@ class Scenario:
     def _on_leave(self, event: SimEvent) -> None:
         name = event.payload
         node = self.binder.live_id(name)
-        dl_bits, ul_bits = self.mac.clear_node(node)
-        self.vehicles[name].stats.residual_bits += dl_bits + ul_bits
+        residual = self.mac.clear_node(node)
+        self.vehicles[name].stats.residual_bits += residual
         self.rrc.forget(node)
         self.binder.deregister_node(node)
-        self._logline(f"LEAVE {name} residual_bits={dl_bits + ul_bits}")
+        self._logline(f"LEAVE {name} residual_bits={residual}")
 
     def _on_packet_arrival(self, event: SimEvent) -> None:
         packet: Packet = event.payload
@@ -163,7 +162,8 @@ class Scenario:
             stats.lost_core_bits += packet.size_bits
             return
         if packet.direction == Direction.DL:
-            self.engine.schedule(backhaul_deliver(packet, self.config.backhaul, self.engine.now))
+            delivery_us = self.engine.now + self.config.backhaul_delay_us
+            self.engine.schedule_at(delivery_us, EventKind.BACKHAUL_DELIVERY, packet)
             stats.backhaul_inflight_bits += packet.size_bits
         elif not self.mac.enqueue(node, packet):
             stats.dropped_radio_bits += packet.size_bits
@@ -191,11 +191,11 @@ class Scenario:
         for rec in live_ues:
             rec.position = position_at(self.vehicles[rec.name].traj, now)
 
-        decisions: list[HandoverDecision] = []
+        handovers = []  # (UE record, target cell)
         for rec in live_ues:
-            decision = self.rrc.handover_check(rec.node_id, now)
-            if decision is not None:
-                decisions.append(decision)
+            target = self.rrc.handover_check(rec.node_id, now)
+            if target is not None:
+                handovers.append((rec, target))
 
         # shadowing is drawn at a pair's first query, so this order matters
         candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
@@ -227,7 +227,7 @@ class Scenario:
 
         # delivered at the end of the slot; UL then still crosses the core
         deliver_us = now + TTI_US
-        ul_deliver_us = deliver_us + self.config.backhaul.one_way_delay_us
+        ul_deliver_us = deliver_us + self.config.backhaul_delay_us
         for alloc in allocations:
             outcome = self.mac.transmit(alloc, self.channel)
             done_us = deliver_us if alloc.direction == Direction.DL else ul_deliver_us
@@ -237,16 +237,13 @@ class Scenario:
                     stats.record_delivery(pkt.size_bits, done_us - pkt.created_us)
                 stats.dropped_radio_bits += result.dropped_bits
 
-        for decision in decisions:
-            dropped = self.rrc.execute_handover(decision, self.mac)
-            name = self.binder.node(decision.ue).name
-            stats = self.vehicles[name].stats
-            stats.dropped_handover_bits += dropped
-            stats.handovers += 1
-            target_name = self.binder.node(decision.target).name
+        for rec, target in handovers:
+            source_name = self.binder.node(rec.serving_cell).name  # before the switch
+            stats = self.vehicles[rec.name].stats
+            stats.dropped_handover_bits += self.rrc.execute_handover(rec.node_id, target, self.mac)
+            target_name = self.binder.node(target).name
             stats.timeline.append((now, target_name))
-            source_name = self.binder.node(decision.source).name
-            self._logline(f"HANDOVER {name} {source_name}->{target_name}")
+            self._logline(f"HANDOVER {rec.name} {source_name}->{target_name}")
 
         self.binder.end_tti()
         next_tick = now + TTI_US
@@ -263,21 +260,17 @@ class Scenario:
 
         vehicles = {name: v.stats for name, v in self.vehicles.items()}
         for rec in self.binder.live_nodes(NodeKind.UE):
-            dl_bits, ul_bits = self.mac.clear_node(rec.node_id)
-            vehicles[rec.name].residual_bits += dl_bits + ul_bits
+            vehicles[rec.name].residual_bits += self.mac.clear_node(rec.node_id)
         for stats in vehicles.values():
             stats.residual_bits += stats.backhaul_inflight_bits
             stats.backhaul_inflight_bits = 0
-
-        ticks = summary.counts.get(EventKind.TTI_TICK, 0)
-        for cell_stats in self._cell_stats.values():
-            cell_stats.rb_capacity = self.config.num_rbs * ticks
 
         report = MetricsReport(
             seed=self.config.seed,
             sim_end_us=self.config.sim_end_us,
             events_processed=summary.total,
             wall_ms=wall_ms,
+            rb_capacity=self.config.num_rbs * summary.counts.get(EventKind.TTI_TICK, 0),
             vehicles=vehicles,
             cells=self._cell_stats,
             event_log=self.log,

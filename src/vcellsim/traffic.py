@@ -1,9 +1,10 @@
-"""Constant-bit-rate application flows and the fixed-delay core backhaul.
+"""Constant-bit-rate application flows.
 
 Downlink packets originate at a remote server and cross the core network,
-modeled as a one-way delay pipe, before landing in the serving eNB's
-buffer. Uplink packets originate at the vehicle and count as delivered at
-the eNB (the same core delay is added to their reported latency).
+a fixed one-way delay (`ScenarioConfig.backhaul_delay_us`), before landing
+in the serving eNB's buffer. Uplink packets originate at the vehicle and
+count as delivered at the eNB (the same core delay is added to their
+reported latency).
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ class Packet:
         return f"{self.flow}#{self.seq}"
 
 
-@dataclass(frozen=True)
-class BackhaulConfig:
-    one_way_delay_us: int = 1_000
-
-    def __post_init__(self) -> None:
-        if self.one_way_delay_us < 0:
-            raise ValueError("backhaul delay must be non-negative")
-
-
 def expand_flows(specs: list[FlowSpec], vehicle_names: list[str]) -> list[FlowSpec]:
     """Expand ALL-target specs into one flow per vehicle (name order)."""
     out: list[FlowSpec] = []
@@ -72,21 +64,18 @@ def expand_flows(specs: list[FlowSpec], vehicle_names: list[str]) -> list[FlowSp
     return out
 
 
-def generate_flow_events(spec: FlowSpec) -> list[SimEvent]:
-    """PACKET_ARRIVAL events at start, start+interval, ... strictly before stop."""
+def generate_flow_events(spec: FlowSpec, until_us: int) -> list[SimEvent]:
+    """PACKET_ARRIVAL events at start, start+interval, ... strictly before stop
+    and no later than `until_us`, the last time a run fires events."""
     if spec.target == ALL_VEHICLES:
         raise ValueError("expand_flows must run before event generation")
     events = []
     t = spec.start_us
     seq = 0
-    while t < spec.stop_us:
+    while t < spec.stop_us and t <= until_us:
         packet = Packet(spec.name, seq, spec.target, spec.direction, spec.packet_bits, t)
         events.append(SimEvent(t, EventKind.PACKET_ARRIVAL, packet))
         seq += 1
         t += spec.interval_us
     return events
 
-
-def backhaul_deliver(packet: Packet, config: BackhaulConfig, now_us: int) -> SimEvent:
-    """Delivery event that lands the packet core-side after the backhaul delay."""
-    return SimEvent(now_us + config.one_way_delay_us, EventKind.BACKHAUL_DELIVERY, packet)

@@ -1,11 +1,15 @@
 """Shared helpers for building traces, configs, and small scenarios."""
 
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 from vcellsim.binder import Direction
 from vcellsim.traffic import Packet
 
 TRACE_HEADER = "time_s,vehicle,x_m,y_m"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def make_trace(rows) -> str:
@@ -53,3 +57,13 @@ def build_config(*blocks: str) -> str:
 def make_packet(bits, direction=Direction.DL):
     """A traffic packet for direct MAC calls, which read only its size and direction."""
     return Packet("f", 0, "car", direction, bits, 0)
+
+
+@functools.cache
+def bench_generate():
+    """`bench/generate.py`, which writes the benchmark workloads; only read here."""
+    spec = importlib.util.spec_from_file_location("bench_generate", BENCH / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module

@@ -8,30 +8,18 @@ into the test's temporary directory.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from vcellsim import load_config
 from vcellsim.scenario import run_scenario, write_outputs
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH, bench_generate
+
 DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
 PINNED_SEED = 1
-
-
-def _generate_module():
-    spec = importlib.util.spec_from_file_location("bench_generate", BENCH / "generate.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
-generate = _generate_module().generate
+generate = bench_generate().generate
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))

@@ -3,7 +3,7 @@ import pytest
 from vcellsim.cli import main
 from vcellsim.config import CAR_FIELDS, ENB_FIELDS, FLOW_FIELDS, KEYS, load_config
 
-from conftest import ONE_CELL, build_config, make_trace, write_scenario
+from conftest import ONE_CELL, bench_generate, build_config, make_trace, write_scenario
 
 TRACE = make_trace([(0, "car0", 100, 0), (0.5, "car0", 150, 0)])
 
@@ -76,6 +76,52 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("nonsense = true\n")
     assert main(["validate", "--config", str(bad)]) == 2
+
+
+# Set-up errors that only reading the trace reveals: (config, trace, exit
+# code, text the error line must contain).
+SETUP_ERRORS = {
+    "unknown flow target": (
+        CONFIG.replace("flow[0].target = car0", "flow[0].target = ghost"), TRACE, 2, "'ghost'"
+    ),
+    "car beyond the roster": (CONFIG + "car[1].tx_power_dbm = 20\n", TRACE, 2, "car[1]"),
+    "manual association without master_id": (
+        CONFIG.replace("dynamic_cell_association = true", "dynamic_cell_association = false"),
+        TRACE,
+        2,
+        "no master_id",
+    ),
+    "vehicle named like an enb": (
+        CONFIG.replace("car0", "enb0"), TRACE.replace("car0", "enb0"), 2, "name of an eNB"
+    ),
+    "malformed trace row": (CONFIG, TRACE + "broken row\n", 3, "trace.csv: line 4:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_ERRORS))
+def test_validate_exits_as_run_does(tmp_path, capsys, case):
+    text, trace, code, needle = SETUP_ERRORS[case]
+    config = write_scenario(tmp_path, text, trace)
+    results = []
+    for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        exit_code = main([*command, "--config", str(config)])
+        out, err = capsys.readouterr()
+        assert "OK" not in out
+        results.append((exit_code, err))
+    assert results[0] == results[1]
+    exit_code, err = results[0]
+    assert exit_code == code
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    prefix = "config error: " if code == 2 else "runtime error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix) and needle in lines[0], err
+
+
+@pytest.mark.parametrize("workload", sorted(bench_generate().WORKLOADS))
+def test_validate_accepts_the_bench_workloads(tmp_path, capsys, workload):
+    ini = bench_generate().generate(workload, 1, tmp_path)
+    assert main(["validate", "--config", str(ini)]) == 0
+    assert capsys.readouterr().out == f"{ini}: OK\n"
 
 
 def test_dump_defaults_is_loadable(tmp_path, capsys):
@@ -184,6 +230,9 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("num_rbs", "0"),
     ("num_rbs", "111"),
     ("channel.shadowing_sigma_db", "-1"),
+    ("backhaul.delay_ms", "-1"),
+    ("handover.hysteresis_db", "-1"),
+    ("handover.time_to_trigger_ms", "-1"),
 ]
 
 

@@ -287,7 +287,7 @@ def test_dumped_defaults_round_trip(tmp_path):
     assert config.handover.enabled is False
     assert config.handover.hysteresis_db == 3.0
     assert config.handover.time_to_trigger_us == ms_to_us(256)
-    assert config.backhaul.one_way_delay_us == ms_to_us(1)
+    assert config.backhaul_delay_us == ms_to_us(1)
     assert config.channel.pathloss_a_db == 128.1
     assert config.channel.pathloss_b_db == 37.6
     assert config.channel.min_distance_m == 35.0

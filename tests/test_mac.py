@@ -81,7 +81,7 @@ def test_clear_node_empties_both_directions():
     _, _, mac, _, (ue,) = _env()
     _fill(mac, ue, 500, Direction.DL)
     _fill(mac, ue, 300, Direction.UL)
-    assert mac.clear_node(ue) == (500, 300)
+    assert mac.clear_node(ue) == 800
     assert mac.buffer_bits(ue, Direction.DL) == 0
     assert mac.buffer_bits(ue, Direction.UL) == 0
     assert not [key for key in mac._buffers if key[0] == ue]  # freed, not kept empty

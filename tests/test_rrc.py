@@ -12,7 +12,7 @@ from vcellsim.channel import (
 from vcellsim.engine import ms_to_us
 from vcellsim.errors import AssociationError
 from vcellsim.mac import Mac
-from vcellsim.rrc import HandoverConfig, HandoverDecision, Rrc
+from vcellsim.rrc import HandoverConfig, Rrc
 
 from conftest import make_packet
 
@@ -112,16 +112,16 @@ def test_unknown_association_metric_rejected():
 
 
 def _walk(rrc, binder, ue, positions_by_ms):
-    """Step the UE one position per TTI, executing any decision like the
-    TTI pipeline does; returns (decision, ms) pairs."""
+    """Step the UE one position per TTI, executing any handover like the
+    TTI pipeline does; returns (source, target, ms) triples."""
     mac = Mac(binder)
     decisions = []
     for ms, x in positions_by_ms:
         binder.node(ue).position = (x, 0.0)
-        decision = rrc.handover_check(ue, ms_to_us(ms))
-        if decision is not None:
-            decisions.append((decision, ms))
-            rrc.execute_handover(decision, mac)
+        target = rrc.handover_check(ue, ms_to_us(ms))
+        if target is not None:
+            decisions.append((binder.node(ue).serving_cell, target, ms))
+            rrc.execute_handover(ue, target, mac)
     return decisions
 
 
@@ -148,8 +148,8 @@ def test_midpoint_crossing_triggers_at_first_tti_past_the_bisector():
     walk = [(ms, 20.0 * ms) for ms in range(1, 100)]
     decisions = _walk(rrc, binder, ue, walk)
     assert len(decisions) == 1
-    decision, ms = decisions[0]
-    assert decision.source == c0 and decision.target == c1
+    source, target, ms = decisions[0]
+    assert source == c0 and target == c1
 
     # oracle: first TTI where the co-cell power strictly exceeds the serving one
     def stronger(ms):
@@ -173,7 +173,7 @@ def test_hysteresis_defers_to_the_closed_form_crossing():
     walk = [(ms, speed * ms) for ms in range(1, 100)]
     decisions = _walk(rrc, binder, ue, walk)
     assert len(decisions) == 1
-    _, ms = decisions[0]
+    *_, ms = decisions[0]
 
     # closed form: B*log10(x/(D-x)) > H  =>  x > D*r/(1+r), r = 10^(H/B)
     r = 10.0 ** (hysteresis / PARAMS.pathloss_b_db)
@@ -193,7 +193,7 @@ def test_no_decision_before_time_to_trigger_elapses():
     walk = [(ms, 400.0 if ms < 10 else 1600.0) for ms in range(1, 40)]
     decisions = _walk(rrc, binder, ue, walk)
     assert len(decisions) == 1
-    _, ms = decisions[0]
+    *_, ms = decisions[0]
 
     # oracle: per-TTI boolean condition trace; decision once it held for ttt
     condition = {m: (x > 1000.0) for m, x in walk}
@@ -221,8 +221,50 @@ def test_condition_lapse_resets_the_trigger_clock():
     walk = [(ms, 400.0 if ms == 4 else 1600.0) for ms in range(1, 40)]
     decisions = _walk(rrc, binder, ue, walk)
     assert len(decisions) == 1
-    _, ms = decisions[0]
+    *_, ms = decisions[0]
     assert ms == 10  # clock restarted at ms 5, fires 5 ms later
+
+
+def _three_cell_env(ho):
+    """Serving cell enb0 at the origin, enb1 on the x axis, enb2 on the y axis."""
+    binder = Binder(num_rbs=10)
+    cells = [
+        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, pos).node_id
+        for i, pos in enumerate([(0.0, 0.0), (2000.0, 0.0), (0.0, 2000.0)])
+    ]
+    rrc = Rrc(binder, ChannelModel(binder, PARAMS, CqiTables()), ho)
+    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (0.0, 0.0)).node_id
+    rrc.initial_association(ue, cells[0])
+    return binder, rrc, ue, cells
+
+
+def test_equal_neighbours_hand_over_to_the_lower_id():
+    binder, rrc, ue, (c0, c1, c2) = _three_cell_env(
+        HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0)
+    )
+    binder.node(ue).position = (1500.0, 1500.0)  # on the bisector of enb1 and enb2
+    p1 = rrc.channel.rx_power_from_cell(ue, c1)
+    assert p1 == rrc.channel.rx_power_from_cell(ue, c2) > rrc.channel.rx_power_from_cell(ue, c0)
+    assert c1 < c2
+    assert rrc.handover_check(ue, 0) == c1
+
+
+def test_new_best_neighbour_restarts_the_trigger_clock():
+    ttt_ms = 5
+    binder, rrc, ue, (c0, c1, c2) = _three_cell_env(
+        HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=ms_to_us(ttt_ms))
+    )
+    mac = Mac(binder)
+    # near enb1 at ms 1..3, then near enb2 for good: enb2 overtakes enb1
+    # within the window, so the clock restarts at ms 4 and fires 5 ms later
+    decisions = []
+    for ms in range(1, 20):
+        binder.node(ue).position = (1600.0, 0.0) if ms < 4 else (0.0, 1600.0)
+        target = rrc.handover_check(ue, ms_to_us(ms))
+        if target is not None:
+            decisions.append((binder.node(ue).serving_cell, target, ms))
+            rrc.execute_handover(ue, target, mac)
+    assert decisions == [(c0, c2, 4 + ttt_ms)]
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +276,7 @@ def test_execute_switches_cell_and_flushes_dl_buffer():
     mac = Mac(binder)
     ue = _attached_ue(binder, rrc, x=0.0)
     mac.enqueue(ue, make_packet(5000))
-    decision = HandoverDecision(ue=ue, source=c0, target=c1)
-    dropped = rrc.execute_handover(decision, mac)
+    dropped = rrc.execute_handover(ue, c1, mac)
     assert dropped == 5000
     assert binder.node(ue).serving_cell == c1
     assert mac.buffer_bits(ue, Direction.DL) == 0
@@ -255,8 +296,8 @@ def test_double_handover_a_b_a_keeps_history_consistent():
     ]
     for ms, x in path:
         binder.node(ue).position = (x, 0.0)
-        decision = rrc.handover_check(ue, ms_to_us(ms))
-        if decision is not None:
-            rrc.execute_handover(decision, mac)
+        target = rrc.handover_check(ue, ms_to_us(ms))
+        if target is not None:
+            rrc.execute_handover(ue, target, mac)
             serving_history.append(binder.node(ue).serving_cell)
     assert serving_history == [c0, c1, c0]

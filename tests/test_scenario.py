@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from vcellsim.config import load_config
 from vcellsim.engine import ms_to_us
 from vcellsim.errors import ConfigError
 from vcellsim.metrics import write_outputs
-from vcellsim.scenario import run_scenario
+from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
 
@@ -193,6 +194,34 @@ def test_flow_targeting_unknown_vehicle_rejected(tmp_path):
         run_scenario(config)
 
 
+def test_setup_holds_only_the_arrivals_the_run_fires(tmp_path):
+    # a 1 ms flow meant to last 200 s in a 0.1 s run: 200,000 arrivals would
+    # take tens of MiB to set up, but only those at 0, 1, ..., 100 ms fire
+    cfg = build_config(
+        "sim_end_s = 0.1",
+        "trace_file = trace.csv",
+        "dynamic_cell_association = true",
+        ONE_CELL,
+        "flow[0].direction = dl",
+        "flow[0].target = car0",
+        "flow[0].packet_bits = 100",
+        "flow[0].interval_ms = 1",
+        "flow[0].start_s = 0",
+        "flow[0].stop_s = 200",
+    )
+    config = load_config(
+        write_scenario(tmp_path, cfg, make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0)]))
+    )
+    tracemalloc.start()
+    try:
+        scn = Scenario(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert scn.run().vehicles["car0"].offered_bits == 101 * 100
+
+
 # ----------------------------------------------------------------------
 # latency and conservation
 
@@ -218,7 +247,7 @@ def test_latency_equals_backhaul_plus_one_tti(tmp_path, direction):
     )
     stats = report.vehicles["car0"]
     assert stats.delivered_packets == 40
-    expected_us = config.backhaul.one_way_delay_us + ms_to_us(1)
+    expected_us = config.backhaul_delay_us + ms_to_us(1)
     assert expected_us == 8000
     assert stats.latency_sum_us == expected_us * stats.delivered_packets
     assert stats.latency_max_us == expected_us

@@ -2,15 +2,7 @@ import pytest
 
 from vcellsim.binder import Direction
 from vcellsim.engine import EventKind, ms_to_us, s_to_us
-from vcellsim.traffic import (
-    ALL_VEHICLES,
-    BackhaulConfig,
-    FlowSpec,
-    Packet,
-    backhaul_deliver,
-    expand_flows,
-    generate_flow_events,
-)
+from vcellsim.traffic import ALL_VEHICLES, FlowSpec, expand_flows, generate_flow_events
 
 
 def _spec(**kw):
@@ -27,13 +19,18 @@ def _spec(**kw):
     return FlowSpec(**base)
 
 
+def _events(spec):
+    """Every arrival of `spec`, with no run end to cut them short."""
+    return generate_flow_events(spec, spec.stop_us)
+
+
 def test_zero_length_window_generates_nothing():
-    assert generate_flow_events(_spec(stop_us=0)) == []
+    assert _events(_spec(stop_us=0)) == []
 
 
 def test_cbr_window_event_count_and_bits():
     # oracle: arithmetic sequence 0, 125, ..., 875 ms -> 8 packets
-    events = generate_flow_events(_spec())
+    events = _events(_spec())
     assert len(events) == 8
     assert all(e.kind == EventKind.PACKET_ARRIVAL for e in events)
     assert sum(e.payload.size_bits for e in events) == 8000
@@ -42,7 +39,7 @@ def test_cbr_window_event_count_and_bits():
 
 
 def test_packet_ids_sequential_per_flow():
-    events = generate_flow_events(_spec(interval_us=ms_to_us(250)))
+    events = _events(_spec(interval_us=ms_to_us(250)))
     assert [e.payload.packet_id for e in events] == [
         "flow0#0",
         "flow0#1",
@@ -66,7 +63,7 @@ def test_non_all_specs_pass_through_unchanged():
 
 def test_generate_rejects_unexpanded_all():
     with pytest.raises(ValueError):
-        generate_flow_events(_spec(target=ALL_VEHICLES))
+        _events(_spec(target=ALL_VEHICLES))
 
 
 def test_invalid_specs_rejected():
@@ -78,15 +75,15 @@ def test_invalid_specs_rejected():
         _spec(start_us=10, stop_us=5)
 
 
-def test_backhaul_delay_is_additive():
-    packet = Packet("flow0", 0, "car0", Direction.DL, 1000, ms_to_us(100))
-    event = backhaul_deliver(packet, BackhaulConfig(ms_to_us(10)), ms_to_us(100))
-    assert event.kind == EventKind.BACKHAUL_DELIVERY
-    assert event.fire_time == ms_to_us(110)
-    assert event.payload is packet
+
+def test_no_arrival_after_the_run_ends():
+    # a 1 ms flow to 200 s in a run that ends at 0.5 s: the run fires events
+    # up to and including its end, so the arrivals are at 0, 1, ..., 500 ms
+    spec = _spec(interval_us=ms_to_us(1), stop_us=s_to_us(200))
+    events = generate_flow_events(spec, ms_to_us(500))
+    assert [e.fire_time for e in events] == [ms_to_us(ms) for ms in range(501)]
+    assert [e.payload.seq for e in events] == list(range(501))
 
 
-def test_backhaul_zero_delay_fires_at_now():
-    packet = Packet("flow0", 0, "car0", Direction.DL, 1000, 0)
-    event = backhaul_deliver(packet, BackhaulConfig(0), ms_to_us(7))
-    assert event.fire_time == ms_to_us(7)
+def test_a_run_longer_than_the_flow_leaves_stop_in_charge():
+    assert generate_flow_events(_spec(), s_to_us(5)) == _events(_spec())
