@@ -10,6 +10,13 @@ being scheduled: allocations are recorded into it and decoding reads it.
 `last` is the last completed TTI: CQI measurement reads it, in the tick
 and between ticks alike. `end_tti` closes a TTI, and anything older than
 `last` is discarded.
+
+Each grid direction has an occupancy-pattern index. `last` is indexed in
+`end_tti` and after the deregistration purge, `current` on the first read
+after a `record_allocation`. `version` grows with every change that can
+move a received power or a grid: (de)registration, `set_position`,
+`record_allocation` and `end_tti`; the channel's memos live while it
+stays the same, so positions change only through `set_position`.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ MAX_NUM_RBS = 110  # 20 MHz, the largest LTE grid (3GPP TS 36.211)
 
 def check_num_rbs(num_rbs: int) -> None:
     if not 1 <= num_rbs <= MAX_NUM_RBS:
-        raise ValueError(f"num_rbs must be in 1..{MAX_NUM_RBS}, got {num_rbs}")
+        raise ValueError(f"must be in 1..{MAX_NUM_RBS}, got {num_rbs}")
 
 
 class NodeKind(Enum):
@@ -57,6 +64,19 @@ def _empty_grid() -> Grid:
     return {Direction.DL: {}, Direction.UL: {}}
 
 
+class PatternIndex:
+    """One grid direction's distinct occupant tuples, ((cell, transmitter), ...)
+    in first-appearance order, and each RB's pattern id, in grid order.
+    Compared and hashed by identity, so it keys memos of this one index."""
+
+    def __init__(self, per_rb: dict[int, dict[int, int]]) -> None:
+        ids: dict[tuple[tuple[int, int], ...], int] = {}
+        self.rb_pattern = {
+            rb: ids.setdefault(tuple(cells.items()), len(ids)) for rb, cells in per_rb.items()
+        }
+        self.patterns = list(ids)
+
+
 class Binder:
     """Node registry plus RB allocation ledger.
 
@@ -73,8 +93,10 @@ class Binder:
         self._nodes: dict[int, NodeRecord] = {}
         self._live_ids: dict[str, int] = {}
         self.cells: list[int] = []
+        self.version = 0
         self.last: Grid = _empty_grid()
         self.current: Grid = _empty_grid()
+        self._grids_changed()
 
     # ------------------------------------------------------------------
     # registry
@@ -96,6 +118,7 @@ class Binder:
             position=position,
         )
         self._next_node_id += 1
+        self.version += 1
         self._nodes[record.node_id] = record
         self._live_ids[name] = record.node_id
         if kind is NodeKind.ENB:
@@ -122,6 +145,7 @@ class Binder:
                         empty_rbs.append(rb)
                 for rb in empty_rbs:
                     del per_rb[rb]
+        self._grids_changed()
 
     def is_live(self, node_id: int) -> bool:
         return node_id in self._nodes
@@ -151,6 +175,10 @@ class Binder:
             raise RegistryError(f"node {cell_id} is not an eNB")
         rec.serving_cell = cell_id
 
+    def set_position(self, node_id: int, position: tuple[float, float]) -> None:
+        self.node(node_id).position = position
+        self.version += 1
+
     # ------------------------------------------------------------------
     # resource grid
 
@@ -158,6 +186,20 @@ class Binder:
         """Close the TTI being scheduled: it becomes `last`; `current` opens empty."""
         self.last = self.current
         self.current = _empty_grid()
+        self._grids_changed()
+
+    def _grids_changed(self) -> None:
+        """Index `last` now and `current` on its next read."""
+        self.version += 1
+        self.last_index = {d: PatternIndex(per_rb) for d, per_rb in self.last.items()}
+        self._current_index: dict[Direction, PatternIndex] = {}
+
+    def current_index(self, direction: Direction) -> PatternIndex:
+        """The `current` grid's pattern index, built on the first read after a change."""
+        index = self._current_index.get(direction)
+        if index is None:
+            index = self._current_index[direction] = PatternIndex(self.current[direction])
+        return index
 
     def record_allocation(
         self, direction: Direction, cell: int, rb_set: Iterable[int], transmitter: int
@@ -179,3 +221,5 @@ class Binder:
                 )
         for rb in rbs:
             per_rb.setdefault(rb, {})[cell] = transmitter
+        self.version += 1
+        self._current_index.pop(direction, None)

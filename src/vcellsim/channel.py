@@ -8,13 +8,18 @@ single seed.
 
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
-ledger: other cells' eNBs in downlink, other cells' UEs in uplink. SINR
-stays linear from that sum onward: it is averaged and compared in the
-linear domain. The mean SINR maps to a 4-bit CQI through a threshold
-table, the CQI selects the MCS, and decoding succeeds exactly when the
-mean SINR is at or above the threshold of the CQI the transmission was
-sent with. The threshold table is configured in dB and converted to linear
-once, so CQI selection and the decode gate read the same number.
+ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
+sum is memoized per (receiver, excluded serving cell, grid, occupancy
+pattern of the binder's index), and each pair's mW per receiver, until
+`Binder.version` moves. A pattern is summed in item order when the RB walk
+first reaches it and each RB adds its own term, so floats and shadowing
+draw order are those of a per-RB walk. SINR stays linear from that sum
+onward: it is averaged and compared in the linear domain. The mean SINR
+maps to a 4-bit CQI through a threshold table, the CQI selects the MCS,
+and decoding succeeds exactly when the mean SINR is at or above the
+threshold of the CQI the transmission was sent with. The threshold table
+is configured in dB and converted to linear once, so CQI selection and
+the decode gate read the same number.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .binder import Binder, Direction, NodeRecord
+from .binder import Binder, Direction, NodeRecord, PatternIndex
 from .errors import ChannelError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -59,16 +64,6 @@ class ChannelParams:
     shadowing_enabled: bool = False
     shadowing_sigma_db: float = 8.0
 
-    def __post_init__(self) -> None:
-        if self.pathloss_b_db <= 0:
-            raise ValueError("pathloss_b_db must be positive")
-        if self.min_distance_m <= 0:
-            raise ValueError("min_distance_m must be positive")
-        if self.rb_bandwidth_hz <= 0:
-            raise ValueError("rb_bandwidth_hz must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError("shadowing_sigma_db must be non-negative")
-
 
 @dataclass(frozen=True)
 class CqiTables:
@@ -78,16 +73,6 @@ class CqiTables:
     sinr_thresholds: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.sinr_thresholds_db) != 15 or len(self.bits_per_rb) != 15:
-            raise ValueError("CQI tables must have 15 entries (CQI 1..15)")
-        for a, b in zip(self.sinr_thresholds_db, self.sinr_thresholds_db[1:]):
-            if b <= a:
-                raise ValueError("SINR thresholds must be strictly ascending")
-        for a, b in zip(self.bits_per_rb, self.bits_per_rb[1:]):
-            if b <= a:
-                raise ValueError("bits-per-RB values must be strictly ascending")
-        if any(b <= 0 for b in self.bits_per_rb):
-            raise ValueError("bits-per-RB values must be positive")
         object.__setattr__(
             self, "sinr_thresholds", tuple(db_to_linear(t) for t in self.sinr_thresholds_db)
         )
@@ -185,6 +170,11 @@ class ChannelModel:
         self.tables = tables
         self.shadowing = shadowing or ShadowingMap(random.Random(0), 0.0, enabled=False)
         self._noise_mw = db_to_linear(noise_dbm(params))
+        # memos of the binder state at `_version`: mW per (tx, rx) pair, and
+        # per (index, pattern id, receiver, excluded serving cell)
+        self._version = -1
+        self._pair_mw: dict[tuple[int, int], float] = {}
+        self._pattern_mw: dict[tuple[PatternIndex, int, int, int], float] = {}
 
     def received_power_nodes(self, tx: NodeRecord, rx: NodeRecord) -> float:
         return received_power_dbm(
@@ -199,33 +189,43 @@ class ChannelModel:
         """Power the UE receives from one eNB at current positions (dBm)."""
         return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
 
-    def _link(
+    def _signal(
         self, ue: int, serving_cell: int, direction: Direction
-    ) -> tuple[int, float, Callable[[dict[int, int]], float]]:
-        """Transmitter id, signal (mW), and an interference sum.
+    ) -> tuple[int, NodeRecord, float]:
+        """Transmitter id, receiver record and signal (mW) of the serving link.
 
-        The function gives the co-channel interference (mW) on one RB from
-        its {cell: transmitter} grid entry; each interferer is computed once.
+        First drops the memos if the binder changed since they were filled.
         """
         ue_rec = self.binder.node(ue)
         cell_rec = self.binder.node(serving_cell)
         tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
-        signal_mw = db_to_linear(self.received_power_nodes(tx, rx))
-        pair_mw: dict[int, float] = {}
+        if self._version != self.binder.version:
+            self._version = self.binder.version
+            self._pair_mw.clear()
+            self._pattern_mw.clear()
+        return tx.node_id, rx, self._power_mw(tx.node_id, rx)
 
-        def interference(occupants: dict[int, int]) -> float:
+    def _power_mw(self, tx_id: int, rx: NodeRecord) -> float:
+        key = (tx_id, rx.node_id)
+        mw = self._pair_mw.get(key)
+        if mw is None:
+            tx = self.binder.node(tx_id)
+            mw = self._pair_mw[key] = db_to_linear(self.received_power_nodes(tx, rx))
+        return mw
+
+    def _interference_mw(
+        self, index: PatternIndex, pid: int, rx: NodeRecord, serving_cell: int
+    ) -> float:
+        """Co-channel interference (mW) at `rx` from one pattern of `index`."""
+        key = (index, pid, rx.node_id, serving_cell)
+        total = self._pattern_mw.get(key)
+        if total is None:
             total = 0.0
-            for cell, tx_id in occupants.items():
-                if cell == serving_cell:
-                    continue
-                mw = pair_mw.get(tx_id)
-                if mw is None:
-                    mw = db_to_linear(self.received_power_nodes(self.binder.node(tx_id), rx))
-                    pair_mw[tx_id] = mw
-                total += mw
-            return total
-
-        return tx.node_id, signal_mw, interference
+            for cell, tx_id in index.patterns[pid]:
+                if cell != serving_cell:
+                    total += self._power_mw(tx_id, rx)
+            self._pattern_mw[key] = total
+        return total
 
     def sinr(
         self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
@@ -236,17 +236,18 @@ class ChannelModel:
         binder's `current` grid; the intercell interference on each RB
         comes from the co-channel transmitters that grid holds for it.
         """
-        tx_id, signal_mw, interference = self._link(ue, serving_cell, direction)
+        tx_id, rx, signal_mw = self._signal(ue, serving_cell, direction)
         grid = self.binder.current[direction]
+        index = self.binder.current_index(direction)
         out = []
         for rb in sorted(set(rb_set)):
-            occupants = grid.get(rb, {})
-            if occupants.get(serving_cell) != tx_id:
+            if grid.get(rb, {}).get(serving_cell) != tx_id:
                 raise ChannelError(
                     f"RB {rb} of cell {serving_cell} ({direction.value}) "
                     f"is not allocated to node {tx_id}"
                 )
-            out.append(signal_mw / (self._noise_mw + interference(occupants)))
+            interference = self._interference_mw(index, index.rb_pattern[rb], rx, serving_cell)
+            out.append(signal_mw / (self._noise_mw + interference))
         return out
 
     def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
@@ -256,10 +257,19 @@ class ChannelModel:
         whether or not it is allocated, with interference taken from the
         last completed TTI. An RB nobody used sees S/N.
         """
-        _, signal_mw, interference = self._link(ue, serving_cell, direction)
-        grid = self.binder.last[direction]
-        total = (self.binder.num_rbs - len(grid)) * signal_mw / self._noise_mw
-        for occupants in grid.values():
-            total += signal_mw / (self._noise_mw + interference(occupants))
-        mean = total / self.binder.num_rbs
+        _, rx, signal_mw = self._signal(ue, serving_cell, direction)
+        index = self.binder.last_index[direction]
+        if not index.rb_pattern:
+            mean = signal_mw / self._noise_mw
+        else:
+            total = (self.binder.num_rbs - len(index.rb_pattern)) * signal_mw / self._noise_mw
+            # RBs of one pattern add the same term, still one add per RB in grid order
+            terms: dict[int, float] = {}
+            for pid in index.rb_pattern.values():
+                term = terms.get(pid)
+                if term is None:
+                    interference = self._interference_mw(index, pid, rx, serving_cell)
+                    term = terms[pid] = signal_mw / (self._noise_mw + interference)
+                total += term
+            mean = total / self.binder.num_rbs
         return ChannelReport(mean_sinr=mean, cqi=cqi_from_sinr(mean, self.tables))

@@ -35,6 +35,7 @@ SCHEDULERS = ("rr", "maxcqi")
 
 # Defaults of the top-level keys; the others are dataclass field defaults.
 DEFAULT_SIM_END_US = 10 * US_PER_S
+MAX_SIM_END_S = 86_400  # one simulated day
 DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "rr"
 DEFAULT_BACKHAUL_DELAY_US = US_PER_MS
@@ -120,12 +121,33 @@ def _list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
     return parse
 
 
-def _non_negative(name: str) -> Callable[[float], None]:
-    def check(value: float) -> None:
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative")
+def _non_negative(value: float) -> None:
+    if value < 0:
+        raise ValueError("must be non-negative")
 
-    return check
+
+def _positive(value: float) -> None:
+    if value <= 0:
+        raise ValueError("must be positive")
+
+
+def _cqi_table(values: tuple) -> None:
+    if len(values) != 15:
+        raise ValueError(f"must have 15 entries (CQI 1..15), got {len(values)}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("must be strictly ascending")
+
+
+def _bits_table(values: tuple) -> None:
+    _cqi_table(values)
+    if values[0] <= 0:
+        raise ValueError("must be positive")
+
+
+def _sim_end(value: float) -> None:
+    # a finite duration is not enough: 1e300 s would validate and never end
+    if not 0 <= value <= MAX_SIM_END_S:
+        raise ValueError(f"must be in 0..{MAX_SIM_END_S}")
 
 
 REQUIRED = object()  # default of a key that must be given
@@ -159,12 +181,12 @@ class Key:
             try:
                 self.check(value)
             except ValueError as exc:
-                raise ConfigError(f"{where}{exc}") from None
+                raise ConfigError(f"{where}{name or self.name} {exc}") from None
         return value if self.scale is None else round(value * self.scale)
 
 
-SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US, "simulated duration", US_PER_S,
-              _non_negative("sim_end_s"))
+SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US,
+              f"simulated duration, 0 to {MAX_SIM_END_S} (one day)", US_PER_S, _sim_end)
 
 KEYS = (
     SIM_END,
@@ -181,26 +203,29 @@ KEYS = (
     Key("enable_handover", _bool, HandoverConfig.enabled,
         "A3 handover with hysteresis and time-to-trigger"),
     Key("handover.hysteresis_db", _float, HandoverConfig.hysteresis_db,
-        "margin by which a neighbour must beat the serving cell"),
+        "margin by which a neighbour must beat the serving cell, at least 0",
+        check=_non_negative),
     Key("handover.time_to_trigger_ms", _float, HandoverConfig.time_to_trigger_us,
-        "how long the margin must hold before a handover", US_PER_MS),
+        "how long the margin must hold before a handover, at least 0", US_PER_MS,
+        _non_negative),
     Key("backhaul.delay_ms", _float, DEFAULT_BACKHAUL_DELAY_US,
-        "one-way core network delay", US_PER_MS, _non_negative("backhaul.delay_ms")),
+        "one-way core network delay, at least 0", US_PER_MS, _non_negative),
     Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db, "path loss at 1 km"),
     Key("channel.pathloss_b_db", _float, ChannelParams.pathloss_b_db,
-        "path loss per decade of distance"),
+        "path loss per decade of distance, above 0", check=_positive),
     Key("channel.min_distance_m", _float, ChannelParams.min_distance_m,
-        "minimum coupling distance of the path loss model"),
+        "minimum coupling distance of the path loss model, above 0", check=_positive),
     Key("channel.noise_figure_db", _float, ChannelParams.noise_figure_db, "receiver noise figure"),
-    Key("channel.rb_bandwidth_hz", _float, ChannelParams.rb_bandwidth_hz, "bandwidth of one RB"),
+    Key("channel.rb_bandwidth_hz", _float, ChannelParams.rb_bandwidth_hz,
+        "bandwidth of one RB, above 0", check=_positive),
     Key("channel.shadowing", _bool, ChannelParams.shadowing_enabled,
         "log-normal shadowing, one draw per node pair"),
     Key("channel.shadowing_sigma_db", _float, ChannelParams.shadowing_sigma_db,
-        "standard deviation of shadowing, at least 0"),
+        "standard deviation of shadowing, at least 0", check=_non_negative),
     Key("channel.cqi_thresholds_db", _list(_float), CqiTables.sinr_thresholds_db,
-        "mean SINR needed for CQI 1..15, ascending"),
+        "mean SINR needed for CQI 1..15, ascending", check=_cqi_table),
     Key("channel.bits_per_rb", _list(_int), CqiTables.bits_per_rb,
-        "bits one RB carries at CQI 1..15, ascending"),
+        "bits one RB carries at CQI 1..15, ascending, above 0", check=_bits_table),
     Key("channel.ue_tx_power_dbm", _float, DEFAULT_UE_TX_POWER_DBM, "UE transmit power"),
     Key("channel.enb_tx_power_dbm", _float, DEFAULT_ENB_TX_POWER_DBM, "eNB transmit power"),
     Key("car.default.master_id", _int, None,
@@ -400,41 +425,38 @@ def parse_config_text(text: str, base_dir: Path) -> ScenarioConfig:
     flows = _flows(raw)
     raw.reject_unused()
 
-    try:
-        return ScenarioConfig(
-            sim_end_us=v["sim_end_s"],
-            seed=v["seed"],
-            num_rbs=v["num_rbs"],
-            scheduler=v["scheduler"],
-            trace_file=trace_file,
-            dynamic_cell_association=v["dynamic_cell_association"],
-            association_metric=v["association_metric"],
-            handover=HandoverConfig(
-                enabled=v["enable_handover"],
-                hysteresis_db=v["handover.hysteresis_db"],
-                time_to_trigger_us=v["handover.time_to_trigger_ms"],
-            ),
-            backhaul_delay_us=v["backhaul.delay_ms"],
-            channel=ChannelParams(
-                pathloss_a_db=v["channel.pathloss_a_db"],
-                pathloss_b_db=v["channel.pathloss_b_db"],
-                min_distance_m=v["channel.min_distance_m"],
-                noise_figure_db=v["channel.noise_figure_db"],
-                rb_bandwidth_hz=v["channel.rb_bandwidth_hz"],
-                shadowing_enabled=v["channel.shadowing"],
-                shadowing_sigma_db=v["channel.shadowing_sigma_db"],
-            ),
-            tables=CqiTables(
-                sinr_thresholds_db=v["channel.cqi_thresholds_db"],
-                bits_per_rb=v["channel.bits_per_rb"],
-            ),
-            default_car=default_car,
-            enbs=enbs,
-            cars=cars,
-            flows=flows,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(
+        sim_end_us=v["sim_end_s"],
+        seed=v["seed"],
+        num_rbs=v["num_rbs"],
+        scheduler=v["scheduler"],
+        trace_file=trace_file,
+        dynamic_cell_association=v["dynamic_cell_association"],
+        association_metric=v["association_metric"],
+        handover=HandoverConfig(
+            enabled=v["enable_handover"],
+            hysteresis_db=v["handover.hysteresis_db"],
+            time_to_trigger_us=v["handover.time_to_trigger_ms"],
+        ),
+        backhaul_delay_us=v["backhaul.delay_ms"],
+        channel=ChannelParams(
+            pathloss_a_db=v["channel.pathloss_a_db"],
+            pathloss_b_db=v["channel.pathloss_b_db"],
+            min_distance_m=v["channel.min_distance_m"],
+            noise_figure_db=v["channel.noise_figure_db"],
+            rb_bandwidth_hz=v["channel.rb_bandwidth_hz"],
+            shadowing_enabled=v["channel.shadowing"],
+            shadowing_sigma_db=v["channel.shadowing_sigma_db"],
+        ),
+        tables=CqiTables(
+            sinr_thresholds_db=v["channel.cqi_thresholds_db"],
+            bits_per_rb=v["channel.bits_per_rb"],
+        ),
+        default_car=default_car,
+        enbs=enbs,
+        cars=cars,
+        flows=flows,
+    )
 
 
 def load_config(path) -> ScenarioConfig:

@@ -32,12 +32,6 @@ class HandoverConfig:
     hysteresis_db: float = 3.0
     time_to_trigger_us: int = 256_000
 
-    def __post_init__(self) -> None:
-        if self.hysteresis_db < 0:
-            raise ValueError("hysteresis must be non-negative")
-        if self.time_to_trigger_us < 0:
-            raise ValueError("time-to-trigger must be non-negative")
-
 
 @dataclass
 class HandoverState:

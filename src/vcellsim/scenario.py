@@ -189,7 +189,7 @@ class Scenario:
         live_ues = self.binder.live_nodes(NodeKind.UE)
 
         for rec in live_ues:
-            rec.position = position_at(self.vehicles[rec.name].traj, now)
+            self.binder.set_position(rec.node_id, position_at(self.vehicles[rec.name].traj, now))
 
         handovers = []  # (UE record, target cell)
         for rec in live_ues:

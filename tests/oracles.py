@@ -81,6 +81,54 @@ def brute_force_sinr_db(
     return 10.0 * math.log10(signal / (noise + interference))
 
 
+def brute_force_mean_sinr(binder: Binder, params: ChannelParams, ue: int, serving: int, direction: Direction) -> float:
+    """Linear mean SINR over every RB of the `last` grid, one brute-force RB at a time."""
+    per_rb = [
+        brute_force_sinr_db(binder, params, ue, serving, binder.last[direction], direction, rb)
+        for rb in range(binder.num_rbs)
+    ]
+    return sum(10.0 ** (v / 10.0) for v in per_rb) / binder.num_rbs
+
+
+def per_rb_pair_walk(ue: int, serving: int, direction: Direction, grid, rbs):
+    """The (tx, rx) node pairs a per-RB SINR walk evaluates, in its order.
+
+    First the serving link, then for each RB of `rbs` in turn every occupant
+    of another cell, in the grid entry's item order. `grid` is one
+    direction's rb -> {cell -> transmitter}.
+    """
+    tx, rx = (serving, ue) if direction == Direction.DL else (ue, serving)
+    yield (tx, rx)
+    for rb in rbs:
+        for cell, other in grid.get(rb, {}).items():
+            if cell != serving:
+                yield (other, rx)
+
+
+def record_random_grants(binder: Binder, rng: random.Random, ues, cells) -> list:
+    """Random disjoint grants of up to 4 RBs for the UEs of `cells`, both
+    directions, recorded in the `current` grid.
+
+    `ues` holds (ue, serving_cell) records. Returns the grants as
+    (ue, serving_cell, direction, rb tuple) records.
+    """
+    grants = []
+    for cell in cells:
+        members = [ue for ue, serving in ues if serving == cell]
+        for direction in (Direction.DL, Direction.UL):
+            free = list(range(binder.num_rbs))
+            rng.shuffle(free)
+            for ue in members:
+                take = rng.randint(0, min(4, len(free)))
+                rbs, free = sorted(free[:take]), free[take:]
+                if not rbs:
+                    continue
+                transmitter = cell if direction == Direction.DL else ue
+                binder.record_allocation(direction, cell, rbs, transmitter)
+                grants.append((ue, cell, direction, tuple(rbs)))
+    return grants
+
+
 def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: int = 3, max_ues: int = 10):
     """A small populated grid: random cells, attached UEs, random grants.
 
@@ -110,19 +158,6 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
         serving = rng.choice(cells)
         binder.set_serving_cell(rec.node_id, serving)
         ues.append((rec.node_id, serving))
-    grants = []
-    for cell in cells:
-        members = [ue for ue, serving in ues if serving == cell]
-        for direction in (Direction.DL, Direction.UL):
-            free = list(range(num_rbs))
-            rng.shuffle(free)
-            for ue in members:
-                take = rng.randint(0, min(4, len(free)))
-                rbs, free = sorted(free[:take]), free[take:]
-                if not rbs:
-                    continue
-                transmitter = cell if direction == Direction.DL else ue
-                binder.record_allocation(direction, cell, rbs, transmitter)
-                grants.append((ue, cell, direction, tuple(rbs)))
+    grants = record_random_grants(binder, rng, ues, cells)
     channel = ChannelModel(binder, params, CqiTables())
     return binder, channel, grants

@@ -128,6 +128,11 @@ def test_deregister_purges_grid_like_a_rebuild():
     assert ocells == cells and oue2 == ue2
     assert binder.last == oracle.last
     assert binder.current == oracle.current
+    for direction in Direction:
+        assert _fields(binder.last_index[direction]) == _fields(oracle.last_index[direction])
+        assert _fields(binder.current_index(direction)) == _fields(
+            oracle.current_index(direction)
+        )
 
 
 def test_double_deregistration_rejected():
@@ -244,6 +249,46 @@ def test_two_tti_old_grid_discarded():
     binder.end_tti()
     assert binder.last is not old and binder.current is not old
     assert binder.last == binder.current == EMPTY_GRID
+
+
+# ----------------------------------------------------------------------
+# occupancy-pattern index
+
+
+def _fields(index):
+    return index.patterns, index.rb_pattern
+
+
+def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
+    binder, (c0, c1) = _binder_with_cells(2, num_rbs=8)
+    binder.record_allocation(Direction.DL, c0, [5, 0, 1, 2], c0)
+    assert _fields(binder.current_index(Direction.DL)) == (
+        [((c0, c0),)],
+        {0: 0, 1: 0, 2: 0, 5: 0},
+    )
+    # a later allocation re-indexes `current` on the next read
+    binder.record_allocation(Direction.DL, c1, [2, 5, 6], c1)
+    expected = ([((c0, c0),), ((c0, c0), (c1, c1)), ((c1, c1),)], {0: 0, 1: 0, 2: 1, 5: 1, 6: 2})
+    assert _fields(binder.current_index(Direction.DL)) == expected
+    assert _fields(binder.current_index(Direction.UL)) == ([], {})
+    binder.end_tti()
+    assert _fields(binder.last_index[Direction.DL]) == expected
+    assert _fields(binder.current_index(Direction.DL)) == ([], {})
+
+
+def test_every_change_to_positions_or_grids_moves_the_version():
+    binder, (c0, _) = _binder_with_cells(2)
+    steps = [
+        lambda: binder.register_node(NodeKind.UE, "car0", 26.0),
+        lambda: binder.set_position(3, (10.0, 0.0)),
+        lambda: binder.record_allocation(Direction.UL, c0, [0], 3),
+        lambda: binder.end_tti(),
+        lambda: binder.deregister_node(3),
+    ]
+    for step in steps:
+        before = binder.version
+        step()
+        assert binder.version > before
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 import random
 
@@ -22,7 +24,14 @@ from vcellsim.channel import (
 )
 from vcellsim.errors import ChannelError
 
-from oracles import brute_force_sinr_db, random_allocated_scenario, reference_noise_dbm
+from oracles import (
+    brute_force_mean_sinr,
+    brute_force_sinr_db,
+    per_rb_pair_walk,
+    random_allocated_scenario,
+    record_random_grants,
+    reference_noise_dbm,
+)
 
 PARAMS = ChannelParams()
 TABLES = CqiTables()
@@ -132,15 +141,133 @@ def test_measure_full_grid_matches_per_rb_brute_force():
     serving_of = {ue: cell for ue, cell, _, _ in grants}
     for ue, cell in serving_of.items():
         report = channel.measure(ue, cell, Direction.DL)
-        per_rb = [
-            brute_force_sinr_db(
-                binder, channel.params, ue, cell, binder.last[Direction.DL], Direction.DL, rb
-            )
-            for rb in range(binder.num_rbs)
-        ]
-        expected = sum(10.0 ** (v / 10.0) for v in per_rb) / binder.num_rbs
+        expected = brute_force_mean_sinr(binder, channel.params, ue, cell, Direction.DL)
         assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
         assert report.cqi == cqi_from_sinr(report.mean_sinr, TABLES)
+
+
+def _assert_memo_matches_brute_force(binder, channel, grants):
+    """Every live UE's `measure` in both directions and every grant's `sinr`
+    equal the brute-force per-RB sums over the binder's grids."""
+    for rec in binder.live_nodes(NodeKind.UE):
+        for direction in (Direction.DL, Direction.UL):
+            report = channel.measure(rec.node_id, rec.serving_cell, direction)
+            expected = brute_force_mean_sinr(
+                binder, channel.params, rec.node_id, rec.serving_cell, direction
+            )
+            assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
+    for ue, cell, direction, rbs in grants:
+        got = [to_db(v) for v in channel.sinr(ue, cell, direction, rbs)]
+        expected = [
+            brute_force_sinr_db(binder, channel.params, ue, cell, binder.current[direction], direction, rb)
+            for rb in rbs
+        ]
+        assert got == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_memoized_interference_follows_every_binder_change(seed):
+    # each check fills the memos, so a change that left them stale would show
+    rng = random.Random(seed)
+    binder = Binder(num_rbs=10)
+    cells = [
+        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        for i in range(3)
+    ]
+    ues = []
+    for j in range(12):
+        pos = (rng.uniform(-300.0, 2300.0), rng.uniform(-300.0, 300.0))
+        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, pos).node_id
+        binder.set_serving_cell(ue, cells[j % 3])
+        ues.append((ue, cells[j % 3]))
+    channel = ChannelModel(binder, PARAMS, TABLES)
+    check = functools.partial(_assert_memo_matches_brute_force, binder, channel)
+
+    grants = record_random_grants(binder, rng, ues, cells)
+    check(grants)  # `last` still empty
+    binder.end_tti()
+    grants = record_random_grants(binder, rng, ues, cells[:1])
+    check(grants)
+    grants += record_random_grants(binder, rng, ues, cells[1:])  # record_allocation
+    check(grants)
+
+    gone = ues.pop(0)[0]
+    binder.deregister_node(gone)  # purges its UL RBs from both grids
+    grants = [g for g in grants if g[0] != gone]
+    check(grants)
+
+    mover, _ = ues[0]
+    binder.set_position(mover, (2100.0, 50.0))  # a UE move
+    check(grants)
+
+    binder.set_serving_cell(mover, cells[2])  # measure now excludes another cell
+    check(grants)
+
+    binder.end_tti()
+    check([])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
+    # Shadowing is drawn at a pair's first query, so the memos must query
+    # pairs in the order of a walk that visits every RB of the call.
+    rng = random.Random(seed)
+    binder = Binder(num_rbs=10)
+    cells = [
+        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        for i in range(3)
+    ]
+    ues = []
+    for j in range(12):
+        pos = (rng.uniform(-300.0, 2300.0), rng.uniform(-300.0, 300.0))
+        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, pos).node_id
+        binder.set_serving_cell(ue, cells[j % 3])
+        ues.append((ue, cells[j % 3]))
+    shadowing = ShadowingMap(random.Random(seed), sigma_db=8.0, enabled=True)
+    channel = ChannelModel(binder, PARAMS, TABLES, shadowing)
+    walk = []
+    for _ in range(2):  # the first TTI measures against an empty `last` grid
+        grants = record_random_grants(binder, rng, ues, cells)
+        for ue, cell in ues:
+            for direction in (Direction.DL, Direction.UL):
+                grid = binder.last[direction]
+                walk.extend(per_rb_pair_walk(ue, cell, direction, grid, list(grid)))
+                channel.measure(ue, cell, direction)
+        for ue, cell, direction, rbs in grants:
+            walk.extend(per_rb_pair_walk(ue, cell, direction, binder.current[direction], rbs))
+            channel.sinr(ue, cell, direction, rbs)
+        binder.end_tti()
+    assert list(shadowing._draws) == list(dict.fromkeys(tuple(sorted(p)) for p in walk))
+
+
+def test_ul_measure_sums_each_interferer_once_per_tti():
+    binder = Binder(num_rbs=10)
+    a = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    b = binder.register_node(NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
+    own, others = [], []
+    for j, (cell, members) in enumerate([(a, own)] * 4 + [(b, others)] * 3):
+        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, (300.0 * j, 20.0)).node_id
+        binder.set_serving_cell(ue, cell)
+        members.append(ue)
+    for cell, members in ((a, own), (b, others)):
+        for k, ue in enumerate(members):
+            binder.record_allocation(Direction.UL, cell, [2 * k, 2 * k + 1], ue)
+    binder.end_tti()
+    channel = ChannelModel(binder, PARAMS, TABLES)
+    evaluations = collections.Counter()
+    original = channel.received_power_nodes
+
+    def counting(tx, rx):
+        evaluations[(tx.node_id, rx.node_id)] += 1
+        return original(tx, rx)
+
+    channel.received_power_nodes = counting
+    for tti in (1, 2):
+        for ue in own:
+            channel.measure(ue, a, Direction.UL)
+        assert [evaluations[(other, a)] for other in others] == [tti] * len(others)
+        for ue in own + others:  # the next tick moves every UE
+            binder.set_position(ue, binder.node(ue).position)
 
 
 @settings(max_examples=30, deadline=None)

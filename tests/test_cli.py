@@ -176,7 +176,7 @@ def test_negative_flow_start_is_a_config_error(tmp_path, capsys):
     assert "flow[0]" in _assert_config_error(code, capsys)
 
 
-@pytest.mark.parametrize("until", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("until", ["inf", "nan", "-1", "1e300"])
 def test_bad_until_exits_two(tmp_path, capsys, until):
     config = write_scenario(tmp_path, CONFIG, TRACE)
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--until", until])
@@ -230,9 +230,17 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("num_rbs", "0"),
     ("num_rbs", "111"),
     ("channel.shadowing_sigma_db", "-1"),
+    ("channel.pathloss_b_db", "0"),
+    ("channel.min_distance_m", "0"),
+    ("channel.rb_bandwidth_hz", "0"),
     ("backhaul.delay_ms", "-1"),
     ("handover.hysteresis_db", "-1"),
     ("handover.time_to_trigger_ms", "-1"),
+    ("sim_end_s", "1e300"),  # finite, but a run that would not end
+    ("channel.cqi_thresholds_db", "1, 2"),
+    ("channel.cqi_thresholds_db", ", ".join(str(15 - k) for k in range(15))),
+    ("channel.bits_per_rb", ", ".join(str(k) for k in range(15))),
+    ("channel.bits_per_rb", ", ".join(str(15 - k) for k in range(15))),
 ]
 
 
@@ -248,4 +256,5 @@ def test_bad_value_cases_start_from_a_valid_config(tmp_path):
 def test_bad_value_exits_two(tmp_path, capsys, key, bad):
     text = "".join(f"{k} = {v}\n" for k, v in {**BASE, key: bad}.items())
     config = write_scenario(tmp_path, text, TRACE)
-    _assert_config_error(main(["validate", "--config", str(config)]), capsys)
+    err = _assert_config_error(main(["validate", "--config", str(config)]), capsys)
+    assert f": {key} " in err

@@ -11,6 +11,7 @@ from vcellsim.metrics import write_outputs
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
+from oracles import per_rb_pair_walk
 
 
 def _run(tmp_path, cfg_text, trace_text):
@@ -520,6 +521,32 @@ def test_golden_three_cell_churn(tmp_path, config_text, vehicles, cells, log_sha
     assert report.cells_csv() == cells
     log = "".join(line + "\n" for line in report.event_log)
     assert hashlib.sha256(log.encode()).hexdigest() == log_sha256
+
+
+def test_shadowing_draws_follow_the_per_rb_walk(tmp_path):
+    # Under manual association with handover off, `measure` and `sinr` make
+    # every shadowing draw, so the run RNG must be drawn in the order of a
+    # per-RB walk that re-evaluates each interferer on each RB it occupies.
+    scn = Scenario(load_config(write_scenario(tmp_path, MANUAL_CONFIG, CHURN_TRACE)))
+    channel, binder = scn.channel, scn.binder
+    measure, sinr = channel.measure, channel.sinr
+    walk = []
+
+    def walked_measure(ue, cell, direction):
+        grid = binder.last[direction]
+        walk.extend(per_rb_pair_walk(ue, cell, direction, grid, list(grid)))
+        return measure(ue, cell, direction)
+
+    def walked_sinr(ue, cell, direction, rb_set):
+        grid = binder.current[direction]
+        walk.extend(per_rb_pair_walk(ue, cell, direction, grid, sorted(set(rb_set))))
+        return sinr(ue, cell, direction, rb_set)
+
+    channel.measure, channel.sinr = walked_measure, walked_sinr
+    scn.run()
+    first_queries = list(dict.fromkeys(tuple(sorted(pair)) for pair in walk))
+    assert len(first_queries) >= 30  # of the 36 vehicle-eNB pairs
+    assert list(channel.shadowing._draws) == first_queries
 
 
 def test_write_outputs_creates_all_files_and_overwrites(tmp_path):
