@@ -13,10 +13,8 @@ and between ticks alike. `end_tti` closes a TTI, and anything older than
 
 Each grid direction has an occupancy-pattern index. `last` is indexed in
 `end_tti` and after the deregistration purge, `current` on the first read
-after a `record_allocation`. `version` grows with every change that can
-move a received power or a grid: (de)registration, `set_position`,
-`record_allocation` and `end_tti`; the channel's memos live while it
-stays the same, so positions change only through `set_position`.
+after a `record_allocation`. `moves` counts `set_position` calls, the only
+way a position changes.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ class Binder:
         self._nodes: dict[int, NodeRecord] = {}
         self._live_ids: dict[str, int] = {}
         self.cells: list[int] = []
-        self.version = 0
+        self.moves = 0
         self.last: Grid = _empty_grid()
         self.current: Grid = _empty_grid()
         self._grids_changed()
@@ -118,7 +116,6 @@ class Binder:
             position=position,
         )
         self._next_node_id += 1
-        self.version += 1
         self._nodes[record.node_id] = record
         self._live_ids[name] = record.node_id
         if kind is NodeKind.ENB:
@@ -177,7 +174,7 @@ class Binder:
 
     def set_position(self, node_id: int, position: tuple[float, float]) -> None:
         self.node(node_id).position = position
-        self.version += 1
+        self.moves += 1
 
     # ------------------------------------------------------------------
     # resource grid
@@ -190,7 +187,6 @@ class Binder:
 
     def _grids_changed(self) -> None:
         """Index `last` now and `current` on its next read."""
-        self.version += 1
         self.last_index = {d: PatternIndex(per_rb) for d, per_rb in self.last.items()}
         self._current_index: dict[Direction, PatternIndex] = {}
 
@@ -221,5 +217,4 @@ class Binder:
                 )
         for rb in rbs:
             per_rb.setdefault(rb, {})[cell] = transmitter
-        self.version += 1
         self._current_index.pop(direction, None)

@@ -3,15 +3,15 @@
 The propagation model is log-distance path loss, PL = A + B*log10(d / 1 km),
 with the distance clamped below at a minimum coupling distance. Fast fading
 is not modeled; optional log-normal shadowing draws one dB offset per node
-pair and holds it for the whole run, which keeps runs reproducible from a
-single seed.
+pair, at the pair's first query, from the channel's own RNG seeded with the
+run seed, and holds it for the whole run.
 
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
 ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
-sum is memoized per (receiver, excluded serving cell, grid, occupancy
-pattern of the binder's index), and each pair's mW per receiver, until
-`Binder.version` moves. A pattern is summed in item order when the RB walk
+sum is memoized per (receiver, excluded serving cell, occupancy pattern of
+one of the binder's pattern indexes), and each pair's mW, until a node
+moves. A pattern is summed in item order when the RB walk
 first reaches it and each RB adds its own term, so floats and shadowing
 draw order are those of a per-RB walk. SINR stays linear from that sum
 onward: it is averaged and compared in the linear domain. The mean SINR
@@ -28,7 +28,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .binder import Binder, Direction, NodeRecord, PatternIndex
 from .errors import ChannelError
@@ -132,49 +132,33 @@ def bits_per_rb(cqi: int, tables: CqiTables) -> int:
     return tables.bits_per_rb[cqi - 1]
 
 
-class ShadowingMap:
-    """Log-normal shadowing, one symmetric draw per node pair per run.
-
-    Draws pull from the run RNG on first use and are cached, so the value a
-    pair sees does not depend on how often it is queried. The key is
-    unordered: the channel is reciprocal.
-    """
-
-    def __init__(self, rng: random.Random, sigma_db: float, enabled: bool) -> None:
-        self._rng = rng
-        self._sigma = sigma_db
-        self._enabled = enabled
-        self._draws: dict[tuple[int, int], float] = {}
-
-    def loss_db(self, node_a: int, node_b: int) -> float:
-        if not self._enabled:
-            return 0.0
-        key = (node_a, node_b) if node_a <= node_b else (node_b, node_a)
-        if key not in self._draws:
-            self._draws[key] = self._rng.gauss(0.0, self._sigma)
-        return self._draws[key]
-
-
 class ChannelModel:
     """Binds propagation parameters to the binder's registry and ledger."""
 
     def __init__(
-        self,
-        binder: Binder,
-        params: ChannelParams,
-        tables: CqiTables,
-        shadowing: Optional[ShadowingMap] = None,
+        self, binder: Binder, params: ChannelParams, tables: CqiTables, seed: int = 0
     ) -> None:
         self.binder = binder
         self.params = params
         self.tables = tables
-        self.shadowing = shadowing or ShadowingMap(random.Random(0), 0.0, enabled=False)
         self._noise_mw = db_to_linear(noise_dbm(params))
-        # memos of the binder state at `_version`: mW per (tx, rx) pair, and
-        # per (index, pattern id, receiver, excluded serving cell)
-        self._version = -1
+        self._rng = random.Random(seed)
+        self._shadowing_db: dict[tuple[int, int], float] = {}
+        # memos of the positions at `_moves`: mW per (tx, rx) pair, and per
+        # (index, pattern id, receiver, excluded serving cell)
+        self._moves = -1
         self._pair_mw: dict[tuple[int, int], float] = {}
         self._pattern_mw: dict[tuple[PatternIndex, int, int, int], float] = {}
+
+    def shadowing_db(self, node_a: int, node_b: int) -> float:
+        """The pair's shadowing loss, drawn at its first query; reciprocal."""
+        if not self.params.shadowing_enabled:
+            return 0.0
+        key = (node_a, node_b) if node_a <= node_b else (node_b, node_a)
+        loss = self._shadowing_db.get(key)
+        if loss is None:
+            loss = self._shadowing_db[key] = self._rng.gauss(0.0, self.params.shadowing_sigma_db)
+        return loss
 
     def received_power_nodes(self, tx: NodeRecord, rx: NodeRecord) -> float:
         return received_power_dbm(
@@ -182,7 +166,7 @@ class ChannelModel:
             tx.position,
             rx.position,
             self.params,
-            self.shadowing.loss_db(tx.node_id, rx.node_id),
+            self.shadowing_db(tx.node_id, rx.node_id),
         )
 
     def rx_power_from_cell(self, ue_id: int, cell_id: int) -> float:
@@ -194,13 +178,13 @@ class ChannelModel:
     ) -> tuple[int, NodeRecord, float]:
         """Transmitter id, receiver record and signal (mW) of the serving link.
 
-        First drops the memos if the binder changed since they were filled.
+        First drops the memos if a node moved since they were filled.
         """
         ue_rec = self.binder.node(ue)
         cell_rec = self.binder.node(serving_cell)
         tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
-        if self._version != self.binder.version:
-            self._version = self.binder.version
+        if self._moves != self.binder.moves:
+            self._moves = self.binder.moves
             self._pair_mw.clear()
             self._pattern_mw.clear()
         return tx.node_id, rx, self._power_mw(tx.node_id, rx)

@@ -36,6 +36,7 @@ SCHEDULERS = ("rr", "maxcqi")
 # Defaults of the top-level keys; the others are dataclass field defaults.
 DEFAULT_SIM_END_US = 10 * US_PER_S
 MAX_SIM_END_S = 86_400  # one simulated day
+MAX_CQI_THRESHOLD_DB = 100.0  # 10**10 in linear, far from float overflow
 DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "rr"
 DEFAULT_BACKHAUL_DELAY_US = US_PER_MS
@@ -138,6 +139,12 @@ def _cqi_table(values: tuple) -> None:
         raise ValueError("must be strictly ascending")
 
 
+def _cqi_thresholds(values: tuple) -> None:
+    _cqi_table(values)
+    if not all(-MAX_CQI_THRESHOLD_DB <= v <= MAX_CQI_THRESHOLD_DB for v in values):
+        raise ValueError(f"entries must be in -{MAX_CQI_THRESHOLD_DB:g}..{MAX_CQI_THRESHOLD_DB:g}")
+
+
 def _bits_table(values: tuple) -> None:
     _cqi_table(values)
     if values[0] <= 0:
@@ -190,7 +197,7 @@ SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US,
 
 KEYS = (
     SIM_END,
-    Key("seed", _int, DEFAULT_SEED, "seed of the run's random number generator"),
+    Key("seed", _int, DEFAULT_SEED, "seed of the shadowing draws"),
     Key("num_rbs", _int, DEFAULT_NUM_RBS, "resource blocks per cell and direction, 1 to 110",
         check=check_num_rbs),
     Key("scheduler", _choice(*SCHEDULERS), DEFAULT_SCHEDULER, "rr (round robin) or maxcqi"),
@@ -223,7 +230,8 @@ KEYS = (
     Key("channel.shadowing_sigma_db", _float, ChannelParams.shadowing_sigma_db,
         "standard deviation of shadowing, at least 0", check=_non_negative),
     Key("channel.cqi_thresholds_db", _list(_float), CqiTables.sinr_thresholds_db,
-        "mean SINR needed for CQI 1..15, ascending", check=_cqi_table),
+        "mean SINR needed for CQI 1..15, ascending, each in -100..100",
+        check=_cqi_thresholds),
     Key("channel.bits_per_rb", _list(_int), CqiTables.bits_per_rb,
         "bits one RB carries at CQI 1..15, ascending, above 0", check=_bits_table),
     Key("channel.ue_tx_power_dbm", _float, DEFAULT_UE_TX_POWER_DBM, "UE transmit power"),

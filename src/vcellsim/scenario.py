@@ -12,13 +12,12 @@ only the binder knows which vehicles are live, and under which node id.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .binder import Binder, Direction, NodeKind
-from .channel import ChannelModel, ShadowingMap
+from .channel import ChannelModel
 from .config import ScenarioConfig
 from .engine import TTI_US, Engine, EventKind, SimEvent, us_to_s
 from .errors import ConfigError
@@ -46,11 +45,7 @@ class Scenario:
         self.config = config
         self.engine = Engine()
         self.binder = Binder(config.num_rbs)
-        self.rng = random.Random(config.seed)
-        shadowing = ShadowingMap(
-            self.rng, config.channel.shadowing_sigma_db, config.channel.shadowing_enabled
-        )
-        self.channel = ChannelModel(self.binder, config.channel, config.tables, shadowing)
+        self.channel = ChannelModel(self.binder, config.channel, config.tables, config.seed)
         self.mac = Mac(self.binder)
         self.rrc = Rrc(
             self.binder, self.channel, config.handover, config.association_metric

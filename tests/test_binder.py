@@ -276,19 +276,22 @@ def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
     assert _fields(binder.current_index(Direction.DL)) == ([], {})
 
 
-def test_every_change_to_positions_or_grids_moves_the_version():
+def test_only_set_position_moves_the_counter():
+    # the channel keeps received powers until `moves` changes; grids have
+    # their own pattern indexes and new nodes new ids
     binder, (c0, _) = _binder_with_cells(2)
     steps = [
         lambda: binder.register_node(NodeKind.UE, "car0", 26.0),
-        lambda: binder.set_position(3, (10.0, 0.0)),
         lambda: binder.record_allocation(Direction.UL, c0, [0], 3),
         lambda: binder.end_tti(),
+        lambda: binder.set_serving_cell(3, c0),
         lambda: binder.deregister_node(3),
     ]
     for step in steps:
-        before = binder.version
         step()
-        assert binder.version > before
+        assert binder.moves == 0
+    binder.set_position(c0, (10.0, 0.0))
+    assert binder.moves == 1
 
 
 # ----------------------------------------------------------------------

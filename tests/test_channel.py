@@ -13,7 +13,6 @@ from vcellsim.channel import (
     ChannelModel,
     ChannelParams,
     CqiTables,
-    ShadowingMap,
     bits_per_rb,
     cqi_from_sinr,
     db_to_linear,
@@ -34,6 +33,7 @@ from oracles import (
 )
 
 PARAMS = ChannelParams()
+SHADOWED = ChannelParams(shadowing_enabled=True)
 TABLES = CqiTables()
 
 
@@ -223,8 +223,7 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
         ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, pos).node_id
         binder.set_serving_cell(ue, cells[j % 3])
         ues.append((ue, cells[j % 3]))
-    shadowing = ShadowingMap(random.Random(seed), sigma_db=8.0, enabled=True)
-    channel = ChannelModel(binder, PARAMS, TABLES, shadowing)
+    channel = ChannelModel(binder, SHADOWED, TABLES, seed)
     walk = []
     for _ in range(2):  # the first TTI measures against an empty `last` grid
         grants = record_random_grants(binder, rng, ues, cells)
@@ -237,7 +236,7 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
             walk.extend(per_rb_pair_walk(ue, cell, direction, binder.current[direction], rbs))
             channel.sinr(ue, cell, direction, rbs)
         binder.end_tti()
-    assert list(shadowing._draws) == list(dict.fromkeys(tuple(sorted(p)) for p in walk))
+    assert list(channel._shadowing_db) == list(dict.fromkeys(tuple(sorted(p)) for p in walk))
 
 
 def test_ul_measure_sums_each_interferer_once_per_tti():
@@ -268,6 +267,58 @@ def test_ul_measure_sums_each_interferer_once_per_tti():
         assert [evaluations[(other, a)] for other in others] == [tti] * len(others)
         for ue in own + others:  # the next tick moves every UE
             binder.set_position(ue, binder.node(ue).position)
+
+
+def test_pair_powers_live_until_a_node_moves():
+    binder = Binder(num_rbs=10)
+    a = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    b = binder.register_node(NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
+    ues = []
+    for j, cell in enumerate([a, a, b, b]):
+        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, (300.0 * j, 20.0)).node_id
+        binder.set_serving_cell(ue, cell)
+        ues.append((ue, cell))
+    grants = [
+        (ue, cell, direction, [2 * (k % 2), 2 * (k % 2) + 1])  # both cells use RBs 0-3
+        for k, (ue, cell) in enumerate(ues)
+        for direction in (Direction.DL, Direction.UL)
+    ]
+
+    def record():
+        for ue, cell, direction, rbs in grants:
+            binder.record_allocation(direction, cell, rbs, cell if direction == Direction.DL else ue)
+
+    record()
+    binder.end_tti()
+    channel = ChannelModel(binder, PARAMS, TABLES)
+    evaluations = collections.Counter()
+    original = channel.received_power_nodes
+
+    def counting(tx, rx):
+        evaluations[(tx.node_id, rx.node_id)] += 1
+        return original(tx, rx)
+
+    def measure_all():
+        for ue, cell in ues:
+            for direction in (Direction.DL, Direction.UL):
+                channel.measure(ue, cell, direction)
+
+    channel.received_power_nodes = counting
+    measure_all()
+    measured = collections.Counter(evaluations)
+    assert len(measured) == 16  # every UE-eNB pair, both ways
+    assert set(measured.values()) == {1}
+
+    evaluations.clear()
+    record()  # the same grants in the same tick move no power
+    for ue, cell, direction, rbs in grants:
+        channel.sinr(ue, cell, direction, rbs)
+    assert not set(evaluations) & set(measured)
+
+    evaluations.clear()
+    binder.set_position(ues[0][0], binder.node(ues[0][0]).position)
+    measure_all()
+    assert evaluations == measured
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,14 +470,20 @@ def test_channel_is_pure_without_shadowing():
 
 
 def test_shadowing_is_fixed_per_pair_and_reciprocal():
-    rng = random.Random(3)
-    shadow = ShadowingMap(rng, sigma_db=8.0, enabled=True)
-    a = shadow.loss_db(1, 2)
-    assert shadow.loss_db(1, 2) == a
-    assert shadow.loss_db(2, 1) == a  # reciprocal channel
-    assert shadow.loss_db(1, 3) != a or shadow.loss_db(1, 4) != a
+    channel = ChannelModel(Binder(), SHADOWED, TABLES, seed=3)
+    a = channel.shadowing_db(1, 2)
+    assert channel.shadowing_db(1, 2) == a
+    assert channel.shadowing_db(2, 1) == a  # reciprocal channel
+    assert channel.shadowing_db(1, 3) != a or channel.shadowing_db(1, 4) != a
 
 
 def test_shadowing_disabled_is_zero():
-    shadow = ShadowingMap(random.Random(3), sigma_db=8.0, enabled=False)
-    assert shadow.loss_db(1, 2) == 0.0
+    channel = ChannelModel(Binder(), ChannelParams(shadowing_sigma_db=8.0), TABLES, seed=3)
+    assert channel.shadowing_db(1, 2) == 0.0
+
+
+def test_shadowing_enabled_in_the_params_alone_shadows():
+    binder, _, cell, ue = _one_cell_one_ue()
+    unshadowed = received_power_dbm(46.0, (0.0, 0.0), (1000.0, 0.0), PARAMS)
+    channel = ChannelModel(binder, SHADOWED, TABLES)
+    assert channel.rx_power_from_cell(ue, cell) != unshadowed

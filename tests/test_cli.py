@@ -239,6 +239,7 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("sim_end_s", "1e300"),  # finite, but a run that would not end
     ("channel.cqi_thresholds_db", "1, 2"),
     ("channel.cqi_thresholds_db", ", ".join(str(15 - k) for k in range(15))),
+    ("channel.cqi_thresholds_db", ", ".join(str(4000 + k) for k in range(15))),
     ("channel.bits_per_rb", ", ".join(str(k) for k in range(15))),
     ("channel.bits_per_rb", ", ".join(str(15 - k) for k in range(15))),
 ]

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
 from oracles import per_rb_pair_walk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(tmp_path, cfg_text, trace_text):
@@ -523,9 +529,29 @@ def test_golden_three_cell_churn(tmp_path, config_text, vehicles, cells, log_sha
     assert hashlib.sha256(log.encode()).hexdigest() == log_sha256
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so set order, change with PYTHONHASHSEED; a shadowed
+    # run with handover must not let that reach its outputs
+    config = write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vcellsim.cli", "run", "--config", config, "--out", out],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = ("vehicles.csv", "cells.csv", "events.log")
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
 def test_shadowing_draws_follow_the_per_rb_walk(tmp_path):
     # Under manual association with handover off, `measure` and `sinr` make
-    # every shadowing draw, so the run RNG must be drawn in the order of a
+    # every shadowing draw, so the channel's RNG must be drawn in the order of a
     # per-RB walk that re-evaluates each interferer on each RB it occupies.
     scn = Scenario(load_config(write_scenario(tmp_path, MANUAL_CONFIG, CHURN_TRACE)))
     channel, binder = scn.channel, scn.binder
@@ -546,7 +572,7 @@ def test_shadowing_draws_follow_the_per_rb_walk(tmp_path):
     scn.run()
     first_queries = list(dict.fromkeys(tuple(sorted(pair)) for pair in walk))
     assert len(first_queries) >= 30  # of the 36 vehicle-eNB pairs
-    assert list(channel.shadowing._draws) == first_queries
+    assert list(channel._shadowing_db) == first_queries
 
 
 def test_write_outputs_creates_all_files_and_overwrites(tmp_path):
