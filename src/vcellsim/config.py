@@ -35,7 +35,7 @@ SCHEDULERS = ("rr", "maxcqi")
 
 # Defaults of the top-level keys; the others are dataclass field defaults.
 DEFAULT_SIM_END_US = 10 * US_PER_S
-MAX_SIM_END_S = 86_400  # one simulated day
+MAX_SIM_END_S = 86_400  # one simulated day: finite is not enough, 1e300 s would never end
 MAX_CQI_THRESHOLD_DB = 100.0  # 10**10 in linear, far from float overflow
 DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "rr"
@@ -127,9 +127,21 @@ def _non_negative(value: float) -> None:
         raise ValueError("must be non-negative")
 
 
-def _positive(value: float) -> None:
-    if value <= 0:
-        raise ValueError("must be positive")
+def _within(low: float, high: float, above: bool = False) -> Callable[[float], None]:
+    """A check of low <= value <= high, or of low < value <= high if `above`."""
+
+    def check(value: float) -> None:
+        if value > high or (value <= low if above else value < low):
+            raise ValueError(
+                f"must be above {low} and at most {high}" if above else f"must be in {low}..{high}"
+            )
+
+    return check
+
+
+# Physical ranges: no value inside them overflows or divides by zero in the
+# channel, and every value a real LTE deployment uses lies inside them.
+_TX_POWER = _within(-50, 100)  # dBm
 
 
 def _cqi_table(values: tuple) -> None:
@@ -149,12 +161,6 @@ def _bits_table(values: tuple) -> None:
     _cqi_table(values)
     if values[0] <= 0:
         raise ValueError("must be positive")
-
-
-def _sim_end(value: float) -> None:
-    # a finite duration is not enough: 1e300 s would validate and never end
-    if not 0 <= value <= MAX_SIM_END_S:
-        raise ValueError(f"must be in 0..{MAX_SIM_END_S}")
 
 
 REQUIRED = object()  # default of a key that must be given
@@ -193,7 +199,8 @@ class Key:
 
 
 SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US,
-              f"simulated duration, 0 to {MAX_SIM_END_S} (one day)", US_PER_S, _sim_end)
+              f"simulated duration, 0 to {MAX_SIM_END_S} (one day)", US_PER_S,
+              _within(0, MAX_SIM_END_S))
 
 KEYS = (
     SIM_END,
@@ -217,43 +224,51 @@ KEYS = (
         _non_negative),
     Key("backhaul.delay_ms", _float, DEFAULT_BACKHAUL_DELAY_US,
         "one-way core network delay, at least 0", US_PER_MS, _non_negative),
-    Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db, "path loss at 1 km"),
+    Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db,
+        "path loss at 1 km, 0 to 300", check=_within(0, 300)),
     Key("channel.pathloss_b_db", _float, ChannelParams.pathloss_b_db,
-        "path loss per decade of distance, above 0", check=_positive),
+        "path loss per decade of distance, above 0 and at most 100",
+        check=_within(0, 100, above=True)),
     Key("channel.min_distance_m", _float, ChannelParams.min_distance_m,
-        "minimum coupling distance of the path loss model, above 0", check=_positive),
-    Key("channel.noise_figure_db", _float, ChannelParams.noise_figure_db, "receiver noise figure"),
+        "minimum coupling distance of the path loss model, 1 to 100000",
+        check=_within(1, 100_000)),
+    Key("channel.noise_figure_db", _float, ChannelParams.noise_figure_db,
+        "receiver noise figure, 0 to 50", check=_within(0, 50)),
     Key("channel.rb_bandwidth_hz", _float, ChannelParams.rb_bandwidth_hz,
-        "bandwidth of one RB, above 0", check=_positive),
+        "bandwidth of one RB, 1000 to 20000000", check=_within(1_000, 20_000_000)),
     Key("channel.shadowing", _bool, ChannelParams.shadowing_enabled,
         "log-normal shadowing, one draw per node pair"),
     Key("channel.shadowing_sigma_db", _float, ChannelParams.shadowing_sigma_db,
-        "standard deviation of shadowing, at least 0", check=_non_negative),
+        "standard deviation of shadowing, 0 to 30", check=_within(0, 30)),
     Key("channel.cqi_thresholds_db", _list(_float), CqiTables.sinr_thresholds_db,
         "mean SINR needed for CQI 1..15, ascending, each in -100..100",
         check=_cqi_thresholds),
     Key("channel.bits_per_rb", _list(_int), CqiTables.bits_per_rb,
         "bits one RB carries at CQI 1..15, ascending, above 0", check=_bits_table),
-    Key("channel.ue_tx_power_dbm", _float, DEFAULT_UE_TX_POWER_DBM, "UE transmit power"),
-    Key("channel.enb_tx_power_dbm", _float, DEFAULT_ENB_TX_POWER_DBM, "eNB transmit power"),
+    Key("channel.ue_tx_power_dbm", _float, DEFAULT_UE_TX_POWER_DBM,
+        "UE transmit power, -50 to 100", check=_TX_POWER),
+    Key("channel.enb_tx_power_dbm", _float, DEFAULT_ENB_TX_POWER_DBM,
+        "eNB transmit power, -50 to 100", check=_TX_POWER),
     Key("car.default.master_id", _int, None,
         "eNB index vehicles attach to while dynamic_cell_association is false", example=0),
     Key("car.default.tx_power_dbm", _float, None,
-        "UE transmit power of every vehicle; unset means channel.ue_tx_power_dbm",
-        example=DEFAULT_UE_TX_POWER_DBM),
+        "UE transmit power of every vehicle, -50 to 100; unset means channel.ue_tx_power_dbm",
+        check=_TX_POWER, example=DEFAULT_UE_TX_POWER_DBM),
 )
 
 ENB_FIELDS = (
     Key("name", str, None, "unique name; unset means enb0, enb1, ...", example="enb0"),
     Key("x_m", _float, REQUIRED, "position", example=0.0),
     Key("y_m", _float, REQUIRED, "position", example=0.0),
-    Key("tx_power_dbm", _float, None, "transmit power; unset means channel.enb_tx_power_dbm",
-        example=DEFAULT_ENB_TX_POWER_DBM),
+    Key("tx_power_dbm", _float, None,
+        "transmit power, -50 to 100; unset means channel.enb_tx_power_dbm",
+        check=_TX_POWER, example=DEFAULT_ENB_TX_POWER_DBM),
 )
 
 CAR_FIELDS = (
     Key("master_id", _int, None, "overrides car.default.master_id"),
-    Key("tx_power_dbm", _float, None, "overrides car.default.tx_power_dbm"),
+    Key("tx_power_dbm", _float, None, "overrides car.default.tx_power_dbm, -50 to 100",
+        check=_TX_POWER),
     Key("accident.count", _int, None, "1 stops the vehicle once on its route, 0 never"),
     Key("accident.start_s", _float, None, "stop begins this long after departure", US_PER_S),
     Key("accident.duration_s", _float, None, "how long the vehicle stands still", US_PER_S),

@@ -6,17 +6,19 @@ queued for a later TTI, so bit accounting is exact. Each grant gets one
 decode decision per TTI, taken on the linear-mean SINR over its RBs; a
 failed decode drops the packets it carried (no HARQ).
 
-Round-robin scheduling deals RBs one at a time over the backlogged UEs in
-ascending node-id order, resuming each TTI after the UE that took the last
-RB of the previous one; over a window with a stable backlog this hands
-every UE exactly the same number of RBs per full rotation. The max-CQI
-scheduler instead fills greedily in descending CQI order (ties to the
-lowest node id), spilling capacity a UE cannot use to the runner-up.
+Both schedulers read each backlogged UE's RB demand, ceil(buffered bits /
+bits per RB at its CQI), worked out once per TTI. Round robin deals RBs one
+at a time from a rotation of the UEs still short of their demand, in
+ascending node-id order, starting each TTI after the UE that took the last
+RB of the previous one; it runs in time linear in RBs plus UEs, and over a
+window with a stable backlog it hands every UE exactly the same number of
+RBs per full rotation. The max-CQI scheduler instead fills greedily in
+descending CQI order (ties to the lowest node id), spilling capacity a UE
+cannot use to the runner-up.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
@@ -128,14 +130,14 @@ class Mac:
     # scheduling
 
     def _backlogged(
-        self, direction: Direction, ues_with_cqi: Sequence[tuple[int, int]]
-    ) -> list[tuple[int, int]]:
-        out = [
-            (ue, cqi)
+        self, direction: Direction, ues_with_cqi: Sequence[tuple[int, int]], tables
+    ) -> list[tuple[int, int, int]]:
+        """(ue, cqi, RB demand) of each schedulable UE, in ascending node id."""
+        return [
+            (ue, cqi, ceil(bits / bits_per_rb(cqi, tables)))
             for ue, cqi in sorted(ues_with_cqi)
-            if cqi >= 1 and self.buffer_bits(ue, direction) > 0
+            if cqi >= 1 and (bits := self.buffer_bits(ue, direction)) > 0
         ]
-        return out
 
     def schedule_tti_rr(
         self,
@@ -145,39 +147,25 @@ class Mac:
         tables,
     ) -> Allocation:
         """Round-robin: deal RBs one by one, resuming after last TTI's stop."""
-        backlogged = self._backlogged(direction, ues_with_cqi)
-        alloc = Allocation(cell, direction)
-        if not backlogged:
-            return alloc
-        ids = [ue for ue, _ in backlogged]
-        cqis = dict(backlogged)
-        pointer = self._rr_pointer.get((cell, direction))
-        start = bisect_right(ids, pointer) % len(ids) if pointer is not None else 0
-        order = ids[start:] + ids[:start]
-        demand = {
-            ue: ceil(self.buffer_bits(ue, direction) / bits_per_rb(cqis[ue], tables))
-            for ue in ids
-        }
-        granted: dict[int, list[int]] = {ue: [] for ue in ids}
-        cursor = 0
-        last_served = None
-        k = len(order)
+        key = (cell, direction)
+        pointer = self._rr_pointer.get(key, 0)  # node ids start at 1
+        entries = [
+            (ue, cqi, demand, [])
+            for ue, cqi, demand in self._backlogged(direction, ues_with_cqi, tables)
+        ]
+        start = sum(entry[0] <= pointer for entry in entries)
+        short = deque(entries[start:] + entries[:start])  # UEs short of demand
         for rb in range(self.binder.num_rbs):
-            for step in range(k):
-                ue = order[(cursor + step) % k]
-                if len(granted[ue]) < demand[ue]:
-                    granted[ue].append(rb)
-                    last_served = ue
-                    cursor = (cursor + step + 1) % k
-                    break
-            else:
-                break  # every demand met
-        if last_served is not None:
-            self._rr_pointer[(cell, direction)] = last_served
-        alloc.grants = {
-            ue: Grant(tuple(rbs), cqis[ue]) for ue, rbs in granted.items() if rbs
-        }
-        return alloc
+            if not short:
+                break
+            entry = short.popleft()
+            ue, _, demand, rbs = entry
+            rbs.append(rb)
+            if len(rbs) < demand:
+                short.append(entry)
+            self._rr_pointer[key] = ue
+        grants = {ue: Grant(tuple(rbs), cqi) for ue, cqi, _, rbs in entries if rbs}
+        return Allocation(cell, direction, grants)
 
     def schedule_tti_maxcqi(
         self,
@@ -187,17 +175,15 @@ class Mac:
         tables,
     ) -> Allocation:
         """Greedy fill by descending CQI, ties to the lowest node id."""
-        backlogged = self._backlogged(direction, ues_with_cqi)
+        backlogged = self._backlogged(direction, ues_with_cqi, tables)
         alloc = Allocation(cell, direction)
         rb_cursor = 0
-        for ue, cqi in sorted(backlogged, key=lambda item: (-item[1], item[0])):
+        for ue, cqi, demand in sorted(backlogged, key=lambda item: (-item[1], item[0])):
             if rb_cursor >= self.binder.num_rbs:
                 break
-            want = ceil(self.buffer_bits(ue, direction) / bits_per_rb(cqi, tables))
-            take = min(want, self.binder.num_rbs - rb_cursor)
-            if take > 0:
-                alloc.grants[ue] = Grant(tuple(range(rb_cursor, rb_cursor + take)), cqi)
-                rb_cursor += take
+            take = min(demand, self.binder.num_rbs - rb_cursor)
+            alloc.grants[ue] = Grant(tuple(range(rb_cursor, rb_cursor + take)), cqi)
+            rb_cursor += take
         return alloc
 
     # ------------------------------------------------------------------

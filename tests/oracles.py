@@ -2,9 +2,10 @@
 
 import math
 import random
+from bisect import bisect_right
 
 from vcellsim.binder import Binder, Direction, NodeKind
-from vcellsim.channel import ChannelModel, ChannelParams, CqiTables
+from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
 
 
 def allocation_items(grid):
@@ -161,3 +162,62 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
     grants = record_random_grants(binder, rng, ues, cells)
     channel = ChannelModel(binder, params, CqiTables())
     return binder, channel, grants
+
+
+def _reference_backlogged(ues_with_cqi, buffer_bits, tables):
+    """(ue, cqi, RB demand) of every UE with CQI >= 1 and a non-empty buffer,
+    in ascending id; `buffer_bits` maps ue -> buffered bits."""
+    return [
+        (ue, cqi, math.ceil(buffer_bits.get(ue, 0) / bits_per_rb(cqi, tables)))
+        for ue, cqi in sorted(ues_with_cqi)
+        if cqi >= 1 and buffer_bits.get(ue, 0) > 0
+    ]
+
+
+def reference_rr(ues_with_cqi, buffer_bits, num_rbs, pointer, tables):
+    """Round robin by pointer walk: for every RB, scan the rotation from a
+    cursor for the next UE still short of its demand.
+
+    The rotation starts after `pointer` (the UE that took the last RB of the
+    previous TTI, or None). Returns ({ue: (rb tuple, cqi)}, new pointer).
+    """
+    backlogged = _reference_backlogged(ues_with_cqi, buffer_bits, tables)
+    if not backlogged:
+        return {}, pointer
+    ids = [ue for ue, _, _ in backlogged]
+    cqis = {ue: cqi for ue, cqi, _ in backlogged}
+    demand = {ue: need for ue, _, need in backlogged}
+    start = bisect_right(ids, pointer) % len(ids) if pointer is not None else 0
+    order = ids[start:] + ids[:start]
+    granted = {ue: [] for ue in ids}
+    cursor = 0
+    last_served = None
+    k = len(order)
+    for rb in range(num_rbs):
+        for step in range(k):
+            ue = order[(cursor + step) % k]
+            if len(granted[ue]) < demand[ue]:
+                granted[ue].append(rb)
+                last_served = ue
+                cursor = (cursor + step + 1) % k
+                break
+        else:
+            break  # every demand met
+    grants = {ue: (tuple(rbs), cqis[ue]) for ue, rbs in granted.items() if rbs}
+    return grants, last_served if last_served is not None else pointer
+
+
+def reference_maxcqi(ues_with_cqi, buffer_bits, num_rbs, tables):
+    """Max-CQI greedy fill: contiguous RBs by descending CQI, ties to the
+    lowest id, each UE up to its demand. Returns {ue: (rb tuple, cqi)}."""
+    backlogged = _reference_backlogged(ues_with_cqi, buffer_bits, tables)
+    grants = {}
+    rb_cursor = 0
+    for ue, cqi, want in sorted(backlogged, key=lambda item: (-item[1], item[0])):
+        if rb_cursor >= num_rbs:
+            break
+        take = min(want, num_rbs - rb_cursor)
+        if take > 0:
+            grants[ue] = (tuple(range(rb_cursor, rb_cursor + take)), cqi)
+            rb_cursor += take
+    return grants

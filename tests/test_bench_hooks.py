@@ -78,3 +78,37 @@ def test_traced_run_counts_grants_and_cqi(tmp_path):
     assert metrics["mac.useful_grant_ratio"] > 0
     assert metrics["mac.empty_grants"] > 0 and metrics["mac.wasted_rbs"] > 0
     assert sum(metrics[f"channel.cqi_hist.{k}"] for k in range(16)) > 0
+
+
+def test_traced_round_robin_run_counts_useful_grants(tmp_path):
+    # Round robin over 6 RBs: car0 and car1 (both CQI 15) split them 3 and 3,
+    # and a 2000-bit packet needs ceil(2000 / 799) = 3, so every grant
+    # carries its packet: 5 packets each, 10 useful grants, none empty.
+    config_path = write_scenario(
+        tmp_path,
+        build_config(
+            "sim_end_s = 0.1",
+            "trace_file = trace.csv",
+            "dynamic_cell_association = true",
+            "num_rbs = 6",
+            "scheduler = rr",
+            ONE_CELL,
+            "flow[0].direction = dl\n"
+            "flow[0].target = ALL\n"
+            "flow[0].packet_bits = 2000\n"
+            "flow[0].interval_ms = 10\n"
+            "flow[0].start_s = 0\n"
+            "flow[0].stop_s = 0.05",
+        ),
+        make_trace(
+            [(0, "car0", 100, 0), (0.1, "car0", 100, 0),
+             (0, "car1", 150, 0), (0.1, "car1", 150, 0)]
+        ),
+    )
+    proc = _in_bench(TRACED_RUN, str(config_path))
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["mac.grants"] == 10
+    assert metrics["mac.useful_grant_ratio"] == 1.0
+    assert metrics["mac.empty_grants"] == 0 and metrics["mac.wasted_rbs"] == 0
+    assert metrics["mac.decode_failures"] == 0

@@ -242,6 +242,19 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("channel.cqi_thresholds_db", ", ".join(str(4000 + k) for k in range(15))),
     ("channel.bits_per_rb", ", ".join(str(k) for k in range(15))),
     ("channel.bits_per_rb", ", ".join(str(15 - k) for k in range(15))),
+    # finite, but each overflows or divides by zero in the channel, or
+    # lies beyond any physical meaning of the key
+    ("channel.enb_tx_power_dbm", "1e308"),
+    ("channel.ue_tx_power_dbm", "4000"),
+    ("enb[0].tx_power_dbm", "1e308"),
+    ("car.default.tx_power_dbm", "4000"),
+    ("car[0].tx_power_dbm", "-4000"),
+    ("channel.pathloss_a_db", "-1e308"),
+    ("channel.pathloss_b_db", "1e308"),
+    ("channel.rb_bandwidth_hz", "1e-320"),
+    ("channel.noise_figure_db", "-1e308"),
+    ("channel.shadowing_sigma_db", "1e308"),
+    ("channel.min_distance_m", "1e308"),
 ]
 
 
@@ -259,3 +272,62 @@ def test_bad_value_exits_two(tmp_path, capsys, key, bad):
     config = write_scenario(tmp_path, text, TRACE)
     err = _assert_config_error(main(["validate", "--config", str(config)]), capsys)
     assert f": {key} " in err
+
+
+# Two corners of the physical ranges. The strong one has the highest powers,
+# no loss at 1 km and, at the 1 m distance floor, the steepest slope (-300 dB
+# of path loss), over the narrowest band and the lowest noise figure. The
+# weak one has the lowest powers and every link at the 100 km floor (500 dB
+# of path loss), over the widest band and the highest noise figure. Both
+# draw shadowing at the widest sigma.
+CORNERS = {
+    "strong": {
+        "channel.enb_tx_power_dbm": "100",
+        "channel.ue_tx_power_dbm": "100",
+        "enb[0].tx_power_dbm": "100",
+        "car.default.tx_power_dbm": "100",
+        "car[0].tx_power_dbm": "100",
+        "channel.pathloss_a_db": "0",
+        "channel.pathloss_b_db": "100",
+        "channel.min_distance_m": "1",
+        "channel.rb_bandwidth_hz": "1000",
+        "channel.noise_figure_db": "0",
+    },
+    "weak": {
+        "channel.enb_tx_power_dbm": "-50",
+        "channel.ue_tx_power_dbm": "-50",
+        "enb[0].tx_power_dbm": "-50",
+        "car.default.tx_power_dbm": "-50",
+        "car[0].tx_power_dbm": "-50",
+        "channel.pathloss_a_db": "300",
+        "channel.pathloss_b_db": "100",
+        "channel.min_distance_m": "100000",
+        "channel.rb_bandwidth_hz": "20000000",
+        "channel.noise_figure_db": "50",
+    },
+}
+
+
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+def test_corner_of_the_physical_ranges_runs(tmp_path, capsys, corner):
+    keys = {
+        **BASE,
+        **CORNERS[corner],
+        "sim_end_s": "0.2",
+        "enb[1].x_m": "0.5",  # a co-channel interferer next to the first cell
+        "enb[1].y_m": "0",
+        "channel.shadowing": "true",
+        "channel.shadowing_sigma_db": "30",
+        "flow[1].direction": "ul",
+        "flow[1].target": "ALL",
+        "flow[1].packet_bits": "100",
+        "flow[1].interval_ms": "5",
+        "flow[1].start_s": "0",
+        "flow[1].stop_s": "0.2",
+    }
+    trace = make_trace(
+        [(0, "car0", 0.5, 0), (0.5, "car0", 1, 0), (0, "car1", 0, 0.5), (0.5, "car1", 0, 1)]
+    )
+    config = write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()), trace)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""

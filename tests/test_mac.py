@@ -2,7 +2,7 @@ import random
 from math import ceil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
@@ -10,6 +10,7 @@ from vcellsim.errors import ChannelError, MacError
 from vcellsim.mac import Allocation, Grant, Mac
 
 from conftest import make_packet
+from oracles import reference_maxcqi, reference_rr
 
 TABLES = CqiTables()
 
@@ -243,6 +244,67 @@ def test_maxcqi_dominance(cqis):
         for other, other_cqi in backlogged.items():
             if other not in granted:
                 assert backlogged[ue] >= other_cqi
+
+
+# ----------------------------------------------------------------------
+# both schedulers against their pointer-walk and greedy-fill references
+
+# buffered bits by kind: a sub-RB buffer holds fewer bits than one RB
+# carries at CQI 1 (21), so it still demands one RB
+_BUFFER_BITS = {
+    "empty": st.just(0),
+    "sub_rb": st.integers(min_value=1, max_value=20),
+    "some": st.integers(min_value=21, max_value=20_000),
+    "deep": st.just(10**6),
+}
+
+
+@seed(1709)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["rr", "maxcqi"]), st.data())
+def test_schedulers_match_their_references(scheduler, data):
+    n_ues = data.draw(st.integers(min_value=1, max_value=12))
+    num_rbs = data.draw(st.integers(min_value=1, max_value=60))
+    _, _, mac, cell, ues = _env(n_ues, num_rbs=num_rbs)
+    pointer = None
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        ues_with_cqi, bits = [], {}
+        for ue in ues:
+            mac.clear_node(ue)
+            kind = data.draw(st.sampled_from(sorted(_BUFFER_BITS)))
+            bits[ue] = data.draw(_BUFFER_BITS[kind])
+            if bits[ue]:
+                _fill(mac, ue, bits[ue])
+            if data.draw(st.booleans()):  # a UE may be absent, even the pointer's
+                ues_with_cqi.append((ue, data.draw(st.integers(min_value=0, max_value=15))))
+        if scheduler == "rr":
+            alloc = mac.schedule_tti_rr(cell, Direction.DL, ues_with_cqi, TABLES)
+            expected, pointer = reference_rr(ues_with_cqi, bits, num_rbs, pointer, TABLES)
+            assert mac._rr_pointer.get((cell, Direction.DL)) == pointer
+        else:
+            alloc = mac.schedule_tti_maxcqi(cell, Direction.DL, ues_with_cqi, TABLES)
+            expected = reference_maxcqi(ues_with_cqi, bits, num_rbs, TABLES)
+        assert {ue: (g.rb_set, g.cqi_used) for ue, g in alloc.grants.items()} == expected
+
+
+@pytest.mark.parametrize("scheduler", ["schedule_tti_rr", "schedule_tti_maxcqi"])
+def test_schedulers_read_each_buffer_once(scheduler):
+    _, _, mac, cell, ues = _env(5)
+    for ue in ues[:4]:
+        _fill(mac, ue, 5000)  # ues[4] stays empty
+    reads = {ue: 0 for ue in ues}
+    real = mac.buffer_bits
+
+    def counting(owner, direction):
+        reads[owner] += 1
+        return real(owner, direction)
+
+    mac.buffer_bits = counting
+    cqis = [(ues[0], 15), (ues[1], 9), (ues[2], 9), (ues[3], 0), (ues[4], 12)]
+    alloc = getattr(mac, scheduler)(cell, Direction.DL, cqis, TABLES)
+    assert set(alloc.grants) == {ues[0], ues[1], ues[2]}
+    # a CQI-0 UE cannot be scheduled, so its buffer need not be read
+    assert reads == {ues[0]: 1, ues[1]: 1, ues[2]: 1, ues[3]: 0, ues[4]: 1}
 
 
 # ----------------------------------------------------------------------
