@@ -3,20 +3,22 @@
 The propagation model is log-distance path loss, PL = A + B*log10(d / 1 km),
 with the distance clamped below at a minimum coupling distance. Fast fading
 is not modeled; optional log-normal shadowing draws one dB offset per node
-pair, at the pair's first query, from the channel's own RNG seeded with the
-run seed, and holds it for the whole run.
+pair from the channel's own RNG, seeded with the run seed, and holds it for
+the whole run. A pair is drawn at its first query; in a run that is when the
+vehicle attaches, since attach queries its pair with every eNB, so later
+queries never draw and may be skipped or reordered freely.
 
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
 ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
 sum is memoized per (receiver, excluded serving cell, occupancy pattern of
 one of the binder's pattern indexes), and each pair's mW, until a node
-moves. A pattern is summed in item order when the RB walk
-first reaches it and each RB adds its own term, so floats and shadowing
-draw order are those of a per-RB walk. SINR stays linear from that sum
-onward: it is averaged and compared in the linear domain. The mean SINR
-maps to a 4-bit CQI through a threshold table, the CQI selects the MCS,
-and decoding succeeds exactly when the mean SINR is at or above the
+moves. A pattern is summed in item order when the RB walk first reaches it
+and each RB adds its own term, so floats (and the draw order of pairs not
+queried before) are those of a per-RB walk. SINR stays linear from that
+sum onward: it is averaged and compared in the linear domain. The mean
+SINR maps to a 4-bit CQI through a threshold table, the CQI selects the
+MCS, and decoding succeeds exactly when the mean SINR is at or above the
 threshold of the CQI the transmission was sent with. The threshold table
 is configured in dB and converted to linear once, so CQI selection and
 the decode gate read the same number.
@@ -211,25 +213,37 @@ class ChannelModel:
             self._pattern_mw[key] = total
         return total
 
+    def check_allocated(
+        self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
+    ) -> list[int]:
+        """The distinct RBs of `rb_set`, ascending; ChannelError unless each is
+        allocated to this link's transmitter in the binder's `current` grid."""
+        tx_id = serving_cell if direction == Direction.DL else ue
+        grid = self.binder.current[direction]
+        rbs = sorted(set(rb_set))
+        for rb in rbs:
+            if grid.get(rb, {}).get(serving_cell) != tx_id:
+                raise ChannelError(
+                    f"RB {rb} of cell {serving_cell} ({direction.value}) "
+                    f"is not allocated to node {tx_id}"
+                )
+        return rbs
+
     def sinr(
         self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
     ) -> list[float]:
         """Per-RB linear SINR for an allocated transmission, by ascending RB.
 
         Every RB queried must be allocated to this transmission in the
-        binder's `current` grid; the intercell interference on each RB
-        comes from the co-channel transmitters that grid holds for it.
+        binder's `current` grid (`check_allocated`); the intercell
+        interference on each RB comes from the co-channel transmitters that
+        grid holds for it.
         """
-        tx_id, rx, signal_mw = self._signal(ue, serving_cell, direction)
-        grid = self.binder.current[direction]
+        _, rx, signal_mw = self._signal(ue, serving_cell, direction)
+        rbs = self.check_allocated(ue, serving_cell, direction, rb_set)
         index = self.binder.current_index(direction)
         out = []
-        for rb in sorted(set(rb_set)):
-            if grid.get(rb, {}).get(serving_cell) != tx_id:
-                raise ChannelError(
-                    f"RB {rb} of cell {serving_cell} ({direction.value}) "
-                    f"is not allocated to node {tx_id}"
-                )
+        for rb in rbs:
             interference = self._interference_mw(index, index.rb_pattern[rb], rx, serving_cell)
             out.append(signal_mw / (self._noise_mw + interference))
         return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -195,7 +196,14 @@ class Key:
                 self.check(value)
             except ValueError as exc:
                 raise ConfigError(f"{where}{name or self.name} {exc}") from None
-        return value if self.scale is None else round(value * self.scale)
+        if self.scale is None:
+            return value
+        scaled = value * self.scale
+        if not math.isfinite(scaled):
+            raise ConfigError(
+                f"{where}{name or self.name} must be below {sys.float_info.max / self.scale:g}"
+            )
+        return round(scaled)
 
 
 SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US,
@@ -237,7 +245,7 @@ KEYS = (
     Key("channel.rb_bandwidth_hz", _float, ChannelParams.rb_bandwidth_hz,
         "bandwidth of one RB, 1000 to 20000000", check=_within(1_000, 20_000_000)),
     Key("channel.shadowing", _bool, ChannelParams.shadowing_enabled,
-        "log-normal shadowing, one draw per node pair"),
+        "log-normal shadowing, one draw per vehicle-eNB pair, made when the vehicle attaches"),
     Key("channel.shadowing_sigma_db", _float, ChannelParams.shadowing_sigma_db,
         "standard deviation of shadowing, 0 to 30", check=_within(0, 30)),
     Key("channel.cqi_thresholds_db", _list(_float), CqiTables.sinr_thresholds_db,

@@ -2,9 +2,11 @@
 
 Buffers are FIFO and tail-drop with a fixed bit capacity. Packets are
 MAC-atomic: one that does not fit in a grant's remaining capacity stays
-queued for a later TTI, so bit accounting is exact. Each grant gets one
-decode decision per TTI, taken on the linear-mean SINR over its RBs; a
-failed decode drops the packets it carried (no HARQ).
+queued for a later TTI, so bit accounting is exact. Each grant that
+carries a packet gets one decode decision per TTI, taken on the linear-mean
+SINR over its RBs; a failed decode drops the packets it carried (no HARQ).
+A grant that carries nothing is not decode-gated, and its SINR is never
+computed.
 
 Both schedulers read each backlogged UE's RB demand, ceil(buffered bits /
 bits per RB at its CQI), worked out once per TTI. Round robin deals RBs one
@@ -67,7 +69,11 @@ class Allocation:
 @dataclass
 class GrantOutcome:
     """One grant's result: the packets it carried are delivered if it
-    decoded, else their bits are dropped."""
+    decoded, else their bits are dropped.
+
+    A grant that carried nothing is not decode-gated: it reports
+    `decoded=True`, nothing delivered and 0 bits dropped.
+    """
 
     rb_count: int
     decoded: bool
@@ -192,15 +198,17 @@ class Mac:
     def transmit(self, allocation: Allocation, channel: ChannelModel) -> TtiOutcome:
         """Serve each grant through the decode gate at realized interference.
 
-        The allocation must already be recorded in the binder grid so that
-        overlapping cells see each other as interference; `ChannelModel.sinr`
-        raises ChannelError for a granted RB that is not.
+        The packets that fit are taken first, and SINR is computed only for
+        a grant that took any. The allocation must already be recorded in
+        the binder grid so that overlapping cells see each other as
+        interference; `ChannelModel.check_allocated` raises ChannelError for
+        a granted RB that is not, whether or not the grant carried anything.
         """
         outcome = TtiOutcome()
+        cell, direction = allocation.cell, allocation.direction
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
-            per_rb_sinr = channel.sinr(ue, allocation.cell, allocation.direction, grant.rb_set)
-            buf = self.buffer(ue, allocation.direction)
+            buf = self.buffer(ue, direction)
             taken: list[Packet] = []
             remaining = len(grant.rb_set) * bits_per_rb(grant.cqi_used, channel.tables)
             while buf.queue and buf.queue[0].size_bits <= remaining:
@@ -208,7 +216,13 @@ class Mac:
                 buf.occupancy_bits -= pkt.size_bits
                 remaining -= pkt.size_bits
                 taken.append(pkt)
-            if decode(per_rb_sinr, grant.cqi_used, channel.tables):
+            if taken:
+                per_rb_sinr = channel.sinr(ue, cell, direction, grant.rb_set)
+                decoded = decode(per_rb_sinr, grant.cqi_used, channel.tables)
+            else:  # nothing to decode, but the grant must still be in the grid
+                channel.check_allocated(ue, cell, direction, grant.rb_set)
+                decoded = True
+            if decoded:
                 result = GrantOutcome(len(grant.rb_set), True, taken, 0)
             else:
                 dropped = sum(p.size_bits for p in taken)

@@ -5,11 +5,13 @@ receives most strongly (dynamic association) or to a manually configured
 cell regardless of position; `Rrc.initial_association` takes that cell's
 id, or None for dynamic association. Received power is the default association
 metric; mean downlink SINR against the current interference picture can be
-selected instead for experimentation. While attached, a neighbor that exceeds the
-serving cell's received power by more than the hysteresis margin for the
-whole time-to-trigger window causes a handover: the old cell's downlink
-buffer toward the UE is flushed (counted as handover-dropped) and the UE is
-schedulable in the target from the next TTI.
+selected instead for experimentation. Attach scores every cell, a manually
+configured one too, so each (vehicle, eNB) pair's shadowing is drawn at
+attach, in attach order, and no later query draws. While attached, a
+neighbor that exceeds the serving cell's received power by more than the
+hysteresis margin for the whole time-to-trigger window causes a handover:
+the old cell's downlink buffer toward the UE is flushed (counted as
+handover-dropped) and the UE is schedulable in the target from the next TTI.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ class Rrc:
         """Attach the UE to `manual_cell`, or to the best cell if None; return the cell."""
         if not self.binder.cells:
             raise AssociationError("no eNB is registered")
+        scores = self._association_scores(ue)  # draws every pair's shadowing
         cell = manual_cell
         if cell is None:
-            cell = max(self._association_scores(ue), key=lambda pair: pair[1])[0]
+            cell = max(scores, key=lambda pair: pair[1])[0]
         elif cell not in self.binder.cells:
             raise AssociationError(f"manual association target {cell} is not a live eNB")
         self.binder.set_serving_cell(ue, cell)
@@ -80,12 +83,10 @@ class Rrc:
 
     def handover_check(self, ue: int, now_us: int) -> Optional[int]:
         """A3-style evaluation at current positions: the target cell, or None."""
-        if not self.config.enabled:
+        if not self.config.enabled or len(self.binder.cells) < 2:
             return None
         serving = self.binder.node(ue).serving_cell
         powers = dict(self._cell_powers(ue))
-        if len(powers) < 2:
-            return None
         best_cell = None
         best_power = None
         for cell_id, power in powers.items():  # ascending ids, from binder.cells

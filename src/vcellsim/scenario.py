@@ -1,11 +1,12 @@
 """Scenario wiring and the per-TTI pipeline.
 
 The TTI tick is the heartbeat: each slot runs mobility update, handover
-evaluation, CQI measurement against the previous slot's interference,
-scheduling, grid recording (so overlapping cells see each other), decode,
-and finally handover execution at the slot boundary, after which the
-binder closes the slot. Vehicle enter/leave and packet arrivals fire
-between ticks in deterministic order.
+evaluation, CQI measurement against the previous slot's interference (of
+each UE and direction with buffered bits, the only ones a scheduler
+reads), scheduling, grid recording (so overlapping cells see each other),
+decode of the grants that carry packets, and finally handover execution at
+the slot boundary, after which the binder closes the slot. Vehicle
+enter/leave and packet arrivals fire between ticks in deterministic order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
 """
@@ -192,10 +193,12 @@ class Scenario:
             if target is not None:
                 handovers.append((rec, target))
 
-        # shadowing is drawn at a pair's first query, so this order matters
+        # the schedulers read only backlogged UEs, so only those are measured
         candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
         for rec in live_ues:
             for direction in (Direction.DL, Direction.UL):
+                if self.mac.buffer_bits(rec.node_id, direction) == 0:
+                    continue
                 cqi = self.channel.measure(rec.node_id, rec.serving_cell, direction).cqi
                 candidates.setdefault((rec.serving_cell, direction), []).append((rec.node_id, cqi))
 

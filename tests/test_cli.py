@@ -255,6 +255,11 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("channel.noise_figure_db", "-1e308"),
     ("channel.shadowing_sigma_db", "1e308"),
     ("channel.min_distance_m", "1e308"),
+    # finite, but beyond a float once scaled to microseconds
+    ("backhaul.delay_ms", "1e308"),
+    ("handover.time_to_trigger_ms", "1e308"),
+    ("flow[0].interval_ms", "1e308"),
+    ("car[0].accident.start_s", "1e308"),
 ]
 
 

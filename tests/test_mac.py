@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from vcellsim.binder import Binder, Direction, NodeKind
-from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
+from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb, decode
 from vcellsim.errors import ChannelError, MacError
-from vcellsim.mac import Allocation, Grant, Mac
+from vcellsim.mac import Allocation, Grant, GrantOutcome, Mac
 
 from conftest import make_packet
 from oracles import reference_maxcqi, reference_rr
@@ -385,6 +385,9 @@ def test_rr_head_of_line_livelock_delivers_nothing():
         alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15) for ue in ues], TABLES)
         assert [len(alloc.grants[ue].rb_set) for ue in ues] == [10] * 5
         _record(binder, alloc)
+        # not a decode failure: every grant's SINR clears the CQI-15 threshold
+        for ue, grant in alloc.grants.items():
+            assert decode(channel.sinr(ue, cell, Direction.DL, grant.rb_set), 15, TABLES)
         outcome = mac.transmit(alloc, channel)
         binder.end_tti()
         assert all(g.decoded for g in outcome.grant_outcomes.values())
@@ -394,11 +397,34 @@ def test_rr_head_of_line_livelock_delivers_nothing():
 
 
 def test_transmit_unrecorded_grant_rejected():
-    binder, channel, mac, cell, (ue,) = _env(1)
-    mac.enqueue(ue, make_packet(1000))
-    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
-    with pytest.raises(ChannelError, match="not allocated"):
-        mac.transmit(alloc, channel)
+    # 2 RBs at CQI 15 carry 1598 bits: a 1000-bit packet goes into the grant,
+    # an 8000-bit one stays queued, and either grant is checked against the grid
+    for bits in (1000, 8000):
+        binder, channel, mac, cell, (ue,) = _env(1)
+        mac.enqueue(ue, make_packet(bits))
+        alloc = Allocation(cell, Direction.DL, {ue: Grant((0, 1), 15)})
+        with pytest.raises(ChannelError, match="not allocated"):
+            mac.transmit(alloc, channel)
+
+
+def test_grant_that_took_nothing_computes_no_sinr():
+    binder, channel, mac, cell, (full, empty) = _env(2)
+    mac.enqueue(full, make_packet(1000))
+    mac.enqueue(empty, make_packet(8000))
+    alloc = Allocation(cell, Direction.DL, {full: Grant((0, 1), 15), empty: Grant((2, 3), 15)})
+    _record(binder, alloc)
+    sinr_calls = []
+    sinr = channel.sinr
+
+    def counted(ue, *args):
+        sinr_calls.append(ue)
+        return sinr(ue, *args)
+
+    channel.sinr = counted
+    outcome = mac.transmit(alloc, channel)
+    assert sinr_calls == [full]
+    assert outcome.grant_outcomes[empty] == GrantOutcome(2, True, [], 0)
+    assert mac.buffer_bits(empty, Direction.DL) == 8000
 
 
 def test_colliding_cells_at_close_range_drop_both_grants():

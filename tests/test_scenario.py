@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from vcellsim.binder import Direction
 from vcellsim.config import load_config
 from vcellsim.engine import ms_to_us
 from vcellsim.errors import ConfigError
@@ -15,7 +16,6 @@ from vcellsim.metrics import write_outputs
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
-from oracles import per_rb_pair_walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -458,31 +458,31 @@ SINR_CONFIG = build_config(
 
 MANUAL_VEHICLES = """\
 vehicle,enter_s,leave_s,bits_offered,bits_delivered,bits_dropped_radio,bits_dropped_handover,bits_lost_core,mean_latency_ms,max_latency_ms,handovers,first_cell,cell_timeline
-car0,0.000,0.250,640000,4000,84000,0,222000,2.000,2.000,0,enb0,0.000:enb0
-car1,0.000,0.260,640000,0,118000,0,222000,,,0,enb1,0.000:enb1
-car10,0.110,0.460,640000,420000,28000,0,192000,143.500,267.000,0,enb1,0.110:enb1
-car11,0.110,0.470,640000,0,28000,0,192000,,,0,enb2,0.110:enb2
-car2,0.022,0.292,640000,12000,46000,0,222000,4.000,4.000,0,enb2,0.022:enb2
-car3,0.022,0.302,640000,16000,12000,0,192000,5.500,6.000,0,enb0,0.022:enb0
-car4,0.044,0.334,640000,0,32000,0,188000,,,0,enb1,0.044:enb1
-car5,0.044,0.344,640000,0,62000,0,158000,,,0,enb2,0.044:enb2
-car6,0.066,0.376,640000,0,32000,0,158000,,,0,enb0,0.066:enb0
-car7,0.066,0.386,640000,0,32000,0,128000,,,0,enb1,0.066:enb1
-car8,0.088,0.418,640000,20000,8000,0,162000,4.000,4.000,0,enb2,0.088:enb2
-car9,0.088,0.428,640000,0,28000,0,162000,,,0,enb0,0.088:enb0
+car0,0.000,0.250,640000,8000,80000,0,222000,2.500,3.000,0,enb0,0.000:enb0
+car1,0.000,0.260,640000,76000,42000,0,222000,4.167,8.000,0,enb1,0.000:enb1
+car10,0.110,0.460,640000,424000,24000,0,192000,134.067,267.000,0,enb1,0.110:enb1
+car11,0.110,0.470,640000,8000,20000,0,192000,24.500,44.000,0,enb2,0.110:enb2
+car2,0.022,0.292,640000,12000,42000,0,222000,28.000,57.000,0,enb2,0.022:enb2
+car3,0.022,0.302,640000,28000,0,0,192000,68.714,171.000,0,enb0,0.022:enb0
+car4,0.044,0.334,640000,8000,24000,0,188000,7.000,8.000,0,enb1,0.044:enb1
+car5,0.044,0.344,640000,4000,28000,0,158000,2.000,2.000,0,enb2,0.044:enb2
+car6,0.066,0.376,640000,12000,20000,0,158000,2.000,2.000,0,enb0,0.066:enb0
+car7,0.066,0.386,640000,24000,8000,0,128000,5.667,9.000,0,enb1,0.066:enb1
+car8,0.088,0.418,640000,28000,0,0,162000,82.571,192.000,0,enb2,0.088:enb2
+car9,0.088,0.428,640000,4000,24000,0,162000,4.000,4.000,0,enb0,0.088:enb0
 """
 
 MANUAL_CELLS = """\
 cell,dir,rb_allocated,rb_capacity,utilization
-enb0,DL,10376,20000,0.518800
-enb0,UL,610,20000,0.030500
+enb0,DL,11326,20000,0.566300
+enb0,UL,8329,20000,0.416450
 enb1,DL,17052,20000,0.852600
-enb1,UL,214,20000,0.010700
-enb2,DL,2585,20000,0.129250
-enb2,UL,788,20000,0.039400
+enb1,UL,1263,20000,0.063150
+enb2,DL,9638,20000,0.481900
+enb2,UL,8030,20000,0.401500
 """
 
-MANUAL_LOG_SHA256 = "04275ad85bffd66059ab366cb9d3f966b7e65c329e68636b6c78f5f44ad217dd"
+MANUAL_LOG_SHA256 = "83d933f5501cd07526d58cb9dc6df10a74c1d1de208dc7e067ff4a0ed3f1d853"
 
 SINR_VEHICLES = """\
 vehicle,enter_s,leave_s,bits_offered,bits_delivered,bits_dropped_radio,bits_dropped_handover,bits_lost_core,mean_latency_ms,max_latency_ms,handovers,first_cell,cell_timeline
@@ -549,30 +549,86 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_shadowing_draws_follow_the_per_rb_walk(tmp_path):
-    # Under manual association with handover off, `measure` and `sinr` make
-    # every shadowing draw, so the channel's RNG must be drawn in the order of a
-    # per-RB walk that re-evaluates each interferer on each RB it occupies.
-    scn = Scenario(load_config(write_scenario(tmp_path, MANUAL_CONFIG, CHURN_TRACE)))
+@pytest.mark.parametrize(
+    "config_text, by_cell_id",
+    [(MANUAL_CONFIG, True), (SINR_CONFIG, False)],
+    ids=["manual", "sinr"],
+)
+def test_shadowing_is_drawn_at_attach_in_attach_order(tmp_path, config_text, by_cell_id):
+    # Attach scores every cell, a pinned one too, so each vehicle's pairs with
+    # all eNBs are drawn when it enters and no later query draws; the queries a
+    # tick skips cannot move a draw. Received-power scores draw in ascending
+    # cell id; `sinr` scores in the order each `measure` queries the cells.
+    scn = Scenario(load_config(write_scenario(tmp_path, config_text, CHURN_TRACE)))
     channel, binder = scn.channel, scn.binder
-    measure, sinr = channel.measure, channel.sinr
-    walk = []
+    attach = scn.rrc.initial_association
+    attach_order = []
 
-    def walked_measure(ue, cell, direction):
-        grid = binder.last[direction]
-        walk.extend(per_rb_pair_walk(ue, cell, direction, grid, list(grid)))
+    def checked_attach(ue, manual_cell=None):
+        cell = attach(ue, manual_cell)
+        drawn = list(channel._shadowing_db)
+        assert drawn[: len(attach_order)] == attach_order
+        new = drawn[len(attach_order) :]
+        pairs = [(c, ue) for c in binder.cells]  # eNB ids come first
+        assert (new if by_cell_id else sorted(new)) == pairs
+        attach_order.extend(new)
+        return cell
+
+    scn.rrc.initial_association = checked_attach
+    scn.run()
+    assert len(attach_order) == 12 * 3
+    assert list(channel._shadowing_db) == attach_order
+
+
+def _count_measures(scn):
+    """Wrap the scenario's `measure`; returns the list of (ue, direction, buffered bits)."""
+    calls = []
+    measure = scn.channel.measure
+
+    def counted(ue, cell, direction):
+        calls.append((ue, direction, scn.mac.buffer_bits(ue, direction)))
         return measure(ue, cell, direction)
 
-    def walked_sinr(ue, cell, direction, rb_set):
-        grid = binder.current[direction]
-        walk.extend(per_rb_pair_walk(ue, cell, direction, grid, sorted(set(rb_set))))
-        return sinr(ue, cell, direction, rb_set)
+    scn.channel.measure = counted
+    return calls
 
-    channel.measure, channel.sinr = walked_measure, walked_sinr
+
+def test_tick_measures_only_backlogged_buffers(tmp_path):
+    scn = Scenario(load_config(write_scenario(tmp_path, MANUAL_CONFIG, CHURN_TRACE)))
+    calls = _count_measures(scn)
     scn.run()
-    first_queries = list(dict.fromkeys(tuple(sorted(pair)) for pair in walk))
-    assert len(first_queries) >= 30  # of the 36 vehicle-eNB pairs
-    assert list(channel._shadowing_db) == first_queries
+    assert {direction for _, direction, _ in calls} == {Direction.DL, Direction.UL}
+    assert all(bits > 0 for _, _, bits in calls)
+
+
+class _MeasureEveryone:
+    """A scenario's MAC whose buffers all read as nonempty to the tick's
+    measure guard; the MAC's own scheduling still reads the real buffers."""
+
+    def __init__(self, mac):
+        self._mac = mac
+
+    def __getattr__(self, name):
+        return getattr(self._mac, name)
+
+    def buffer_bits(self, owner, direction):
+        return self._mac.buffer_bits(owner, direction) or 1
+
+
+@pytest.mark.parametrize("config_text", [MANUAL_CONFIG, SINR_CONFIG], ids=["manual", "sinr"])
+def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
+    config = load_config(write_scenario(tmp_path, config_text, CHURN_TRACE))
+    outputs, measures = [], []
+    for forced in (False, True):
+        scn = Scenario(config)
+        if forced:
+            scn.mac = _MeasureEveryone(scn.mac)
+        calls = _count_measures(scn)
+        report = scn.run()
+        outputs.append((report.vehicles_csv(), report.cells_csv(), report.event_log))
+        measures.append(len(calls))
+    assert measures[1] > measures[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_write_outputs_creates_all_files_and_overwrites(tmp_path):
