@@ -11,10 +11,9 @@ being scheduled: allocations are recorded into it and decoding reads it.
 and between ticks alike. `end_tti` closes a TTI, and anything older than
 `last` is discarded.
 
-Each grid direction has an occupancy-pattern index. `last` is indexed in
-`end_tti` and after the deregistration purge, `current` on the first read
-after a `record_allocation`. `moves` counts `set_position` calls, the only
-way a position changes.
+A closed grid is never changed in place: `record_allocation` writes only
+`current`, and deregistration replaces each grid direction with a purged
+copy. So a reader may key a cache of `last` on the identity of its dicts.
 """
 
 from __future__ import annotations
@@ -62,17 +61,16 @@ def _empty_grid() -> Grid:
     return {Direction.DL: {}, Direction.UL: {}}
 
 
-class PatternIndex:
-    """One grid direction's distinct occupant tuples, ((cell, transmitter), ...)
-    in first-appearance order, and each RB's pattern id, in grid order.
-    Compared and hashed by identity, so it keys memos of this one index."""
-
-    def __init__(self, per_rb: dict[int, dict[int, int]]) -> None:
-        ids: dict[tuple[tuple[int, int], ...], int] = {}
-        self.rb_pattern = {
-            rb: ids.setdefault(tuple(cells.items()), len(ids)) for rb, cells in per_rb.items()
-        }
-        self.patterns = list(ids)
+def _without(grid: Grid, node_id: int) -> Grid:
+    """A copy of `grid` without `node_id`'s entries and the RBs they leave
+    empty; RB and cell order are kept."""
+    out = _empty_grid()
+    for direction, per_rb in grid.items():
+        for rb, cells in per_rb.items():
+            kept = {c: tx for c, tx in cells.items() if tx != node_id}
+            if kept:
+                out[direction][rb] = kept
+    return out
 
 
 class Binder:
@@ -91,10 +89,8 @@ class Binder:
         self._nodes: dict[int, NodeRecord] = {}
         self._live_ids: dict[str, int] = {}
         self.cells: list[int] = []
-        self.moves = 0
         self.last: Grid = _empty_grid()
         self.current: Grid = _empty_grid()
-        self._grids_changed()
 
     # ------------------------------------------------------------------
     # registry
@@ -123,7 +119,7 @@ class Binder:
         return record
 
     def deregister_node(self, node_id: int) -> None:
-        """Drop a UE and purge its entries from both grids."""
+        """Drop a UE and replace both grids with copies that lack its entries."""
         rec = self._nodes.get(node_id)
         if rec is None:
             raise RegistryError(f"node {node_id} is not live (double deregistration?)")
@@ -131,18 +127,8 @@ class Binder:
             raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
         del self._nodes[node_id]
         del self._live_ids[rec.name]
-        for grid in (self.last, self.current):
-            for per_rb in grid.values():
-                empty_rbs = []
-                for rb, cells in per_rb.items():
-                    stale = [c for c, tx in cells.items() if tx == node_id]
-                    for c in stale:
-                        del cells[c]
-                    if not cells:
-                        empty_rbs.append(rb)
-                for rb in empty_rbs:
-                    del per_rb[rb]
-        self._grids_changed()
+        self.last = _without(self.last, node_id)
+        self.current = _without(self.current, node_id)
 
     def is_live(self, node_id: int) -> bool:
         return node_id in self._nodes
@@ -172,10 +158,6 @@ class Binder:
             raise RegistryError(f"node {cell_id} is not an eNB")
         rec.serving_cell = cell_id
 
-    def set_position(self, node_id: int, position: tuple[float, float]) -> None:
-        self.node(node_id).position = position
-        self.moves += 1
-
     # ------------------------------------------------------------------
     # resource grid
 
@@ -183,19 +165,6 @@ class Binder:
         """Close the TTI being scheduled: it becomes `last`; `current` opens empty."""
         self.last = self.current
         self.current = _empty_grid()
-        self._grids_changed()
-
-    def _grids_changed(self) -> None:
-        """Index `last` now and `current` on its next read."""
-        self.last_index = {d: PatternIndex(per_rb) for d, per_rb in self.last.items()}
-        self._current_index: dict[Direction, PatternIndex] = {}
-
-    def current_index(self, direction: Direction) -> PatternIndex:
-        """The `current` grid's pattern index, built on the first read after a change."""
-        index = self._current_index.get(direction)
-        if index is None:
-            index = self._current_index[direction] = PatternIndex(self.current[direction])
-        return index
 
     def record_allocation(
         self, direction: Direction, cell: int, rb_set: Iterable[int], transmitter: int
@@ -217,4 +186,3 @@ class Binder:
                 )
         for rb in rbs:
             per_rb.setdefault(rb, {})[cell] = transmitter
-        self._current_index.pop(direction, None)

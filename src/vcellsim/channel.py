@@ -11,10 +11,11 @@ queries never draw and may be skipped or reordered freely.
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
 ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
-sum is memoized per (receiver, excluded serving cell, occupancy pattern of
-one of the binder's pattern indexes), and each pair's mW, until a node
-moves. A pattern is summed in item order when the RB walk first reaches it
-and each RB adds its own term, so floats (and the draw order of pairs not
+channel owns its caches. It keeps each pair's mW, and each interference
+sum per (receiver, excluded serving cell, occupancy pattern of `last`),
+until a node moves through `move`; it re-indexes `last` when the binder
+hands it a new grid, as the binder never edits a closed one. Sums run in
+item order, one term per RB, so floats (and the draw order of pairs not
 queried before) are those of a per-RB walk. SINR stays linear from that
 sum onward: it is averaged and compared in the linear domain. The mean
 SINR maps to a 4-bit CQI through a threshold table, the CQI selects the
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .binder import Binder, Direction, NodeRecord, PatternIndex
+from .binder import Binder, Direction, NodeRecord
 from .errors import ChannelError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -134,6 +135,19 @@ def bits_per_rb(cqi: int, tables: CqiTables) -> int:
     return tables.bits_per_rb[cqi - 1]
 
 
+class PatternIndex:
+    """One grid direction's distinct occupant tuples, ((cell, transmitter), ...)
+    in first-appearance order, and each RB's pattern id, in grid order.
+    Compared and hashed by identity, so it keys memos of this one index."""
+
+    def __init__(self, per_rb: dict[int, dict[int, int]]) -> None:
+        ids: dict[tuple[tuple[int, int], ...], int] = {}
+        self.rb_pattern = {
+            rb: ids.setdefault(tuple(cells.items()), len(ids)) for rb, cells in per_rb.items()
+        }
+        self.patterns = list(ids)
+
+
 class ChannelModel:
     """Binds propagation parameters to the binder's registry and ledger."""
 
@@ -146,11 +160,12 @@ class ChannelModel:
         self._noise_mw = db_to_linear(noise_dbm(params))
         self._rng = random.Random(seed)
         self._shadowing_db: dict[tuple[int, int], float] = {}
-        # memos of the positions at `_moves`: mW per (tx, rx) pair, and per
-        # (index, pattern id, receiver, excluded serving cell)
-        self._moves = -1
+        # memos of the positions since the last move: mW per (tx, rx) pair,
+        # and per (index, pattern id, receiver, excluded serving cell)
         self._pair_mw: dict[tuple[int, int], float] = {}
         self._pattern_mw: dict[tuple[PatternIndex, int, int, int], float] = {}
+        # per direction, the `last` grid dict `measure` indexed, and its index
+        self._last_index: dict[Direction, tuple[dict, PatternIndex]] = {}
 
     def shadowing_db(self, node_a: int, node_b: int) -> float:
         """The pair's shadowing loss, drawn at its first query; reciprocal."""
@@ -175,21 +190,18 @@ class ChannelModel:
         """Power the UE receives from one eNB at current positions (dBm)."""
         return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
 
-    def _signal(
-        self, ue: int, serving_cell: int, direction: Direction
-    ) -> tuple[int, NodeRecord, float]:
-        """Transmitter id, receiver record and signal (mW) of the serving link.
+    def move(self, node_id: int, position: tuple[float, float]) -> None:
+        """Set a node's position; every kept power is stale from then on."""
+        self.binder.node(node_id).position = position
+        self._pair_mw.clear()
+        self._pattern_mw.clear()
 
-        First drops the memos if a node moved since they were filled.
-        """
+    def _signal(self, ue: int, serving_cell: int, direction: Direction) -> tuple[NodeRecord, float]:
+        """Receiver record and signal (mW) of the serving link."""
         ue_rec = self.binder.node(ue)
         cell_rec = self.binder.node(serving_cell)
         tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
-        if self._moves != self.binder.moves:
-            self._moves = self.binder.moves
-            self._pair_mw.clear()
-            self._pattern_mw.clear()
-        return tx.node_id, rx, self._power_mw(tx.node_id, rx)
+        return rx, self._power_mw(tx.node_id, rx)
 
     def _power_mw(self, tx_id: int, rx: NodeRecord) -> float:
         key = (tx_id, rx.node_id)
@@ -200,17 +212,14 @@ class ChannelModel:
         return mw
 
     def _interference_mw(
-        self, index: PatternIndex, pid: int, rx: NodeRecord, serving_cell: int
+        self, occupants: Iterable[tuple[int, int]], rx: NodeRecord, serving_cell: int
     ) -> float:
-        """Co-channel interference (mW) at `rx` from one pattern of `index`."""
-        key = (index, pid, rx.node_id, serving_cell)
-        total = self._pattern_mw.get(key)
-        if total is None:
-            total = 0.0
-            for cell, tx_id in index.patterns[pid]:
-                if cell != serving_cell:
-                    total += self._power_mw(tx_id, rx)
-            self._pattern_mw[key] = total
+        """Co-channel interference (mW) at `rx` from the (cell, transmitter)
+        occupants of one RB that are not in `serving_cell`, summed in item order."""
+        total = 0.0
+        for cell, tx_id in occupants:
+            if cell != serving_cell:
+                total += self._power_mw(tx_id, rx)
         return total
 
     def check_allocated(
@@ -239,12 +248,12 @@ class ChannelModel:
         interference on each RB comes from the co-channel transmitters that
         grid holds for it.
         """
-        _, rx, signal_mw = self._signal(ue, serving_cell, direction)
+        rx, signal_mw = self._signal(ue, serving_cell, direction)
         rbs = self.check_allocated(ue, serving_cell, direction, rb_set)
-        index = self.binder.current_index(direction)
+        grid = self.binder.current[direction]
         out = []
         for rb in rbs:
-            interference = self._interference_mw(index, index.rb_pattern[rb], rx, serving_cell)
+            interference = self._interference_mw(grid[rb].items(), rx, serving_cell)
             out.append(signal_mw / (self._noise_mw + interference))
         return out
 
@@ -255,8 +264,12 @@ class ChannelModel:
         whether or not it is allocated, with interference taken from the
         last completed TTI. An RB nobody used sees S/N.
         """
-        _, rx, signal_mw = self._signal(ue, serving_cell, direction)
-        index = self.binder.last_index[direction]
+        rx, signal_mw = self._signal(ue, serving_cell, direction)
+        grid = self.binder.last[direction]
+        cached = self._last_index.get(direction)
+        if cached is None or cached[0] is not grid:
+            cached = self._last_index[direction] = (grid, PatternIndex(grid))
+        index = cached[1]
         if not index.rb_pattern:
             mean = signal_mw / self._noise_mw
         else:
@@ -266,7 +279,12 @@ class ChannelModel:
             for pid in index.rb_pattern.values():
                 term = terms.get(pid)
                 if term is None:
-                    interference = self._interference_mw(index, pid, rx, serving_cell)
+                    key = (index, pid, rx.node_id, serving_cell)
+                    interference = self._pattern_mw.get(key)
+                    if interference is None:
+                        interference = self._pattern_mw[key] = self._interference_mw(
+                            index.patterns[pid], rx, serving_cell
+                        )
                     term = terms[pid] = signal_mw / (self._noise_mw + interference)
                 total += term
             mean = total / self.binder.num_rbs

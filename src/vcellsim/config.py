@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -37,6 +36,7 @@ SCHEDULERS = ("rr", "maxcqi")
 # Defaults of the top-level keys; the others are dataclass field defaults.
 DEFAULT_SIM_END_US = 10 * US_PER_S
 MAX_SIM_END_S = 86_400  # one simulated day: finite is not enough, 1e300 s would never end
+MAX_TIME_MS = MAX_SIM_END_S * 1000  # the same day, for the _ms keys
 MAX_CQI_THRESHOLD_DB = 100.0  # 10**10 in linear, far from float overflow
 DEFAULT_SEED = 1
 DEFAULT_SCHEDULER = "rr"
@@ -107,6 +107,14 @@ def _bool(text: str) -> bool:
     return text == "true"
 
 
+def _enb_name(text: str) -> str:
+    """A name that fits the output columns: cells.csv is comma-separated and
+    vehicles.csv's cell timeline is ``time:cell;time:cell``."""
+    if not text or any(c in text for c in ",;:"):
+        raise ValueError(f"expects a non-empty name without , ; or :, got {text!r}")
+    return text
+
+
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in options:
@@ -143,6 +151,12 @@ def _within(low: float, high: float, above: bool = False) -> Callable[[float], N
 # Physical ranges: no value inside them overflows or divides by zero in the
 # channel, and every value a real LTE deployment uses lies inside them.
 _TX_POWER = _within(-50, 100)  # dBm
+# Every time key is bounded by one simulated day, so none overflows once
+# scaled to microseconds and none postpones an event beyond any run's end.
+_SECONDS = _within(0, MAX_SIM_END_S)
+_POSITIVE_SECONDS = _within(0, MAX_SIM_END_S, above=True)
+_MILLISECONDS = _within(0, MAX_TIME_MS)
+_POSITIVE_MILLISECONDS = _within(0, MAX_TIME_MS, above=True)
 
 
 def _cqi_table(values: tuple) -> None:
@@ -173,8 +187,9 @@ class Key:
 
     `default` is in the unit the program holds. A key with a `scale` (µs per
     config unit, for the ``_s`` and ``_ms`` keys) is held in integer
-    microseconds. A default of None leaves the value unset; `example` is
-    what `dump_defaults` writes for a key without a default.
+    microseconds, and its `check` bounds it by one simulated day. A default
+    of None leaves the value unset; `example` is what `dump_defaults` writes
+    for a key without a default.
     """
 
     name: str
@@ -196,19 +211,11 @@ class Key:
                 self.check(value)
             except ValueError as exc:
                 raise ConfigError(f"{where}{name or self.name} {exc}") from None
-        if self.scale is None:
-            return value
-        scaled = value * self.scale
-        if not math.isfinite(scaled):
-            raise ConfigError(
-                f"{where}{name or self.name} must be below {sys.float_info.max / self.scale:g}"
-            )
-        return round(scaled)
+        return value if self.scale is None else round(value * self.scale)
 
 
 SIM_END = Key("sim_end_s", _float, DEFAULT_SIM_END_US,
-              f"simulated duration, 0 to {MAX_SIM_END_S} (one day)", US_PER_S,
-              _within(0, MAX_SIM_END_S))
+              f"simulated duration, 0 to {MAX_SIM_END_S} (one day)", US_PER_S, _SECONDS)
 
 KEYS = (
     SIM_END,
@@ -228,10 +235,10 @@ KEYS = (
         "margin by which a neighbour must beat the serving cell, at least 0",
         check=_non_negative),
     Key("handover.time_to_trigger_ms", _float, HandoverConfig.time_to_trigger_us,
-        "how long the margin must hold before a handover, at least 0", US_PER_MS,
-        _non_negative),
+        f"how long the margin must hold before a handover, 0 to {MAX_TIME_MS}", US_PER_MS,
+        _MILLISECONDS),
     Key("backhaul.delay_ms", _float, DEFAULT_BACKHAUL_DELAY_US,
-        "one-way core network delay, at least 0", US_PER_MS, _non_negative),
+        f"one-way core network delay, 0 to {MAX_TIME_MS}", US_PER_MS, _MILLISECONDS),
     Key("channel.pathloss_a_db", _float, ChannelParams.pathloss_a_db,
         "path loss at 1 km, 0 to 300", check=_within(0, 300)),
     Key("channel.pathloss_b_db", _float, ChannelParams.pathloss_b_db,
@@ -265,7 +272,8 @@ KEYS = (
 )
 
 ENB_FIELDS = (
-    Key("name", str, None, "unique name; unset means enb0, enb1, ...", example="enb0"),
+    Key("name", _enb_name, None,
+        "unique non-empty name without , ; or :; unset means enb0, enb1, ...", example="enb0"),
     Key("x_m", _float, REQUIRED, "position", example=0.0),
     Key("y_m", _float, REQUIRED, "position", example=0.0),
     Key("tx_power_dbm", _float, None,
@@ -278,17 +286,23 @@ CAR_FIELDS = (
     Key("tx_power_dbm", _float, None, "overrides car.default.tx_power_dbm, -50 to 100",
         check=_TX_POWER),
     Key("accident.count", _int, None, "1 stops the vehicle once on its route, 0 never"),
-    Key("accident.start_s", _float, None, "stop begins this long after departure", US_PER_S),
-    Key("accident.duration_s", _float, None, "how long the vehicle stands still", US_PER_S),
+    Key("accident.start_s", _float, None,
+        f"stop begins this long after departure, 0 to {MAX_SIM_END_S}", US_PER_S, _SECONDS),
+    Key("accident.duration_s", _float, None,
+        f"how long the vehicle stands still, above 0 and at most {MAX_SIM_END_S}", US_PER_S,
+        _POSITIVE_SECONDS),
 )
 
 FLOW_FIELDS = (
     Key("direction", _choice("dl", "ul"), REQUIRED, "dl (server to vehicle) or ul"),
     Key("target", str, REQUIRED, "vehicle name, or ALL for one flow per vehicle"),
     Key("packet_bits", _int, REQUIRED, "packet size"),
-    Key("interval_ms", _float, REQUIRED, "time between packets", US_PER_MS),
-    Key("start_s", _float, REQUIRED, "first packet", US_PER_S),
-    Key("stop_s", _float, REQUIRED, "no packet after this", US_PER_S),
+    Key("interval_ms", _float, REQUIRED,
+        f"time between packets, above 0 and at most {MAX_TIME_MS}", US_PER_MS,
+        _POSITIVE_MILLISECONDS),
+    Key("start_s", _float, REQUIRED, f"first packet, 0 to {MAX_SIM_END_S}", US_PER_S, _SECONDS),
+    Key("stop_s", _float, REQUIRED, f"no packet after this, 0 to {MAX_SIM_END_S}", US_PER_S,
+        _SECONDS),
 )
 
 

@@ -153,26 +153,25 @@ class Scenario:
         packet: Packet = event.payload
         stats = self.vehicles[packet.vehicle].stats
         stats.offered_bits += packet.size_bits
-        node = self.binder.live_id(packet.vehicle)
-        if node is None:
-            stats.lost_core_bits += packet.size_bits
-            return
-        if packet.direction == Direction.DL:
+        if packet.direction == Direction.DL and self.binder.live_id(packet.vehicle) is not None:
             delivery_us = self.engine.now + self.config.backhaul_delay_us
             self.engine.schedule_at(delivery_us, EventKind.BACKHAUL_DELIVERY, packet)
             stats.backhaul_inflight_bits += packet.size_bits
-        elif not self.mac.enqueue(node, packet):
-            stats.dropped_radio_bits += packet.size_bits
+        else:
+            self._to_buffer(packet, stats)
 
     def _on_backhaul_delivery(self, event: SimEvent) -> None:
         packet: Packet = event.payload
         stats = self.vehicles[packet.vehicle].stats
         stats.backhaul_inflight_bits -= packet.size_bits
+        self._to_buffer(packet, stats)
+
+    def _to_buffer(self, packet: Packet, stats: VehicleStats) -> None:
+        """Enqueue at the vehicle's buffer: core-lost if it is gone, radio-dropped if full."""
         node = self.binder.live_id(packet.vehicle)
         if node is None:
             stats.lost_core_bits += packet.size_bits
-            return
-        if not self.mac.enqueue(node, packet):
+        elif not self.mac.enqueue(node, packet):
             stats.dropped_radio_bits += packet.size_bits
 
     def _on_sim_end(self, event: SimEvent) -> None:
@@ -185,7 +184,7 @@ class Scenario:
         live_ues = self.binder.live_nodes(NodeKind.UE)
 
         for rec in live_ues:
-            self.binder.set_position(rec.node_id, position_at(self.vehicles[rec.name].traj, now))
+            self.channel.move(rec.node_id, position_at(self.vehicles[rec.name].traj, now))
 
         handovers = []  # (UE record, target cell)
         for rec in live_ues:

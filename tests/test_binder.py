@@ -128,11 +128,31 @@ def test_deregister_purges_grid_like_a_rebuild():
     assert ocells == cells and oue2 == ue2
     assert binder.last == oracle.last
     assert binder.current == oracle.current
-    for direction in Direction:
-        assert _fields(binder.last_index[direction]) == _fields(oracle.last_index[direction])
-        assert _fields(binder.current_index(direction)) == _fields(
-            oracle.current_index(direction)
+    for direction in Direction:  # and in the same RB and cell order
+        assert list(allocation_items(binder.last[direction])) == list(
+            allocation_items(oracle.last[direction])
         )
+        assert list(allocation_items(binder.current[direction])) == list(
+            allocation_items(oracle.current[direction])
+        )
+
+
+def test_deregister_replaces_a_closed_grid_instead_of_editing_it():
+    # a reader may key a cache on the identity of a closed grid
+    binder, cells = _binder_with_cells(2)
+    ue1 = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
+    ue2 = binder.register_node(NodeKind.UE, "car1", 26.0).node_id
+    binder.record_allocation(Direction.UL, cells[0], range(6), ue1)
+    binder.record_allocation(Direction.UL, cells[1], range(3, 8), ue2)
+    binder.end_tti()
+    held = binder.last[Direction.UL]
+    before = copy.deepcopy(held)
+
+    binder.deregister_node(ue1)
+
+    assert held == before
+    oracle = {rb: {cells[1]: ue2} for rb in range(3, 8)}
+    assert binder.last == {Direction.DL: {}, Direction.UL: oracle}
 
 
 def test_double_deregistration_rejected():
@@ -249,49 +269,6 @@ def test_two_tti_old_grid_discarded():
     binder.end_tti()
     assert binder.last is not old and binder.current is not old
     assert binder.last == binder.current == EMPTY_GRID
-
-
-# ----------------------------------------------------------------------
-# occupancy-pattern index
-
-
-def _fields(index):
-    return index.patterns, index.rb_pattern
-
-
-def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
-    binder, (c0, c1) = _binder_with_cells(2, num_rbs=8)
-    binder.record_allocation(Direction.DL, c0, [5, 0, 1, 2], c0)
-    assert _fields(binder.current_index(Direction.DL)) == (
-        [((c0, c0),)],
-        {0: 0, 1: 0, 2: 0, 5: 0},
-    )
-    # a later allocation re-indexes `current` on the next read
-    binder.record_allocation(Direction.DL, c1, [2, 5, 6], c1)
-    expected = ([((c0, c0),), ((c0, c0), (c1, c1)), ((c1, c1),)], {0: 0, 1: 0, 2: 1, 5: 1, 6: 2})
-    assert _fields(binder.current_index(Direction.DL)) == expected
-    assert _fields(binder.current_index(Direction.UL)) == ([], {})
-    binder.end_tti()
-    assert _fields(binder.last_index[Direction.DL]) == expected
-    assert _fields(binder.current_index(Direction.DL)) == ([], {})
-
-
-def test_only_set_position_moves_the_counter():
-    # the channel keeps received powers until `moves` changes; grids have
-    # their own pattern indexes and new nodes new ids
-    binder, (c0, _) = _binder_with_cells(2)
-    steps = [
-        lambda: binder.register_node(NodeKind.UE, "car0", 26.0),
-        lambda: binder.record_allocation(Direction.UL, c0, [0], 3),
-        lambda: binder.end_tti(),
-        lambda: binder.set_serving_cell(3, c0),
-        lambda: binder.deregister_node(3),
-    ]
-    for step in steps:
-        step()
-        assert binder.moves == 0
-    binder.set_position(c0, (10.0, 0.0))
-    assert binder.moves == 1
 
 
 # ----------------------------------------------------------------------

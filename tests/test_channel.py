@@ -13,6 +13,7 @@ from vcellsim.channel import (
     ChannelModel,
     ChannelParams,
     CqiTables,
+    PatternIndex,
     bits_per_rb,
     cqi_from_sinr,
     db_to_linear,
@@ -165,6 +166,20 @@ def _assert_memo_matches_brute_force(binder, channel, grants):
         assert got == pytest.approx(expected, rel=1e-9)
 
 
+def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
+    binder = Binder(num_rbs=8)
+    c0, c1 = (binder.register_node(NodeKind.ENB, f"enb{i}", 46.0).node_id for i in range(2))
+    binder.record_allocation(Direction.DL, c0, [5, 0, 1, 2], c0)
+    index = PatternIndex(binder.current[Direction.DL])
+    assert (index.patterns, index.rb_pattern) == ([((c0, c0),)], {0: 0, 1: 0, 2: 0, 5: 0})
+    binder.record_allocation(Direction.DL, c1, [2, 5, 6], c1)
+    index = PatternIndex(binder.current[Direction.DL])
+    assert index.patterns == [((c0, c0),), ((c0, c0), (c1, c1)), ((c1, c1),)]
+    assert index.rb_pattern == {0: 0, 1: 0, 2: 1, 5: 1, 6: 2}
+    empty = PatternIndex(binder.current[Direction.UL])
+    assert (empty.patterns, empty.rb_pattern) == ([], {})
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_memoized_interference_follows_every_binder_change(seed):
     # each check fills the memos, so a change that left them stale would show
@@ -192,12 +207,12 @@ def test_memoized_interference_follows_every_binder_change(seed):
     check(grants)
 
     gone = ues.pop(0)[0]
-    binder.deregister_node(gone)  # purges its UL RBs from both grids
+    binder.deregister_node(gone)  # replaces both grids with copies without its UL RBs
     grants = [g for g in grants if g[0] != gone]
     check(grants)
 
     mover, _ = ues[0]
-    binder.set_position(mover, (2100.0, 50.0))  # a UE move
+    channel.move(mover, (2100.0, 50.0))  # a UE move
     check(grants)
 
     binder.set_serving_cell(mover, cells[2])  # measure now excludes another cell
@@ -266,7 +281,7 @@ def test_ul_measure_sums_each_interferer_once_per_tti():
             channel.measure(ue, a, Direction.UL)
         assert [evaluations[(other, a)] for other in others] == [tti] * len(others)
         for ue in own + others:  # the next tick moves every UE
-            binder.set_position(ue, binder.node(ue).position)
+            channel.move(ue, binder.node(ue).position)
 
 
 def test_pair_powers_live_until_a_node_moves():
@@ -316,7 +331,7 @@ def test_pair_powers_live_until_a_node_moves():
     assert not set(evaluations) & set(measured)
 
     evaluations.clear()
-    binder.set_position(ues[0][0], binder.node(ues[0][0]).position)
+    channel.move(ues[0][0], binder.node(ues[0][0]).position)
     measure_all()
     assert evaluations == measured
 

@@ -260,6 +260,24 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("handover.time_to_trigger_ms", "1e308"),
     ("flow[0].interval_ms", "1e308"),
     ("car[0].accident.start_s", "1e308"),
+    # finite and fits in microseconds, but beyond one simulated day
+    ("backhaul.delay_ms", "1e300"),
+    ("handover.time_to_trigger_ms", "1e300"),
+    ("flow[0].interval_ms", "1e300"),
+    ("flow[0].start_s", "1e300"),
+    ("flow[0].stop_s", "1e300"),
+    ("car[0].accident.start_s", "1e300"),
+    ("car[0].accident.duration_s", "1e300"),
+    ("flow[0].stop_s", "86401"),
+    ("backhaul.delay_ms", "86400001"),
+    ("flow[0].start_s", "-1"),
+    ("flow[0].interval_ms", "0"),
+    ("car[0].accident.duration_s", "0"),
+    # names that would break the cells.csv columns or the cell timeline
+    ("enb[0].name", ""),
+    ("enb[0].name", "a,b"),
+    ("enb[0].name", "a;b"),
+    ("enb[0].name", "a:b"),
 ]
 
 

@@ -11,12 +11,13 @@ from vcellsim.config import (
     ENB_FIELDS,
     FLOW_FIELDS,
     KEYS,
+    MAX_SIM_END_S,
     REQUIRED,
     dump_defaults,
     format_value,
     load_config,
 )
-from vcellsim.engine import ms_to_us, s_to_us
+from vcellsim.engine import US_PER_S, ms_to_us, s_to_us
 from vcellsim.errors import ConfigError
 from vcellsim.mobility import AccidentSpec
 
@@ -337,3 +338,16 @@ def test_readme_documents_every_key():
     text = README.read_text(encoding="utf-8")
     missing = [row for row in rows if row not in text]
     assert not missing, "README.md lacks these key rows:\n" + "\n".join(missing)
+
+
+def test_every_time_key_is_bounded_by_one_simulated_day():
+    # a scaled value is rounded to microseconds unchecked, so each time key
+    # needs its own range
+    fields = [k for table in (KEYS, ENB_FIELDS, CAR_FIELDS, FLOW_FIELDS) for k in table]
+    time_keys = [k for k in fields if k.scale is not None]
+    assert {k.name for k in time_keys} >= {"sim_end_s", "backhaul.delay_ms", "stop_s"}
+    for key in time_keys:
+        day = MAX_SIM_END_S * US_PER_S // key.scale
+        assert key.convert(str(day), "") == MAX_SIM_END_S * US_PER_S
+        with pytest.raises(ConfigError, match=re.escape(key.name)):
+            key.convert(str(day + 1), "")

@@ -117,7 +117,7 @@ def _walk(rrc, binder, ue, positions_by_ms):
     mac = Mac(binder)
     decisions = []
     for ms, x in positions_by_ms:
-        binder.set_position(ue, (x, 0.0))
+        rrc.channel.move(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
@@ -242,7 +242,7 @@ def test_equal_neighbours_hand_over_to_the_lower_id():
     binder, rrc, ue, (c0, c1, c2) = _three_cell_env(
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0)
     )
-    binder.set_position(ue, (1500.0, 1500.0))  # on the bisector of enb1 and enb2
+    rrc.channel.move(ue, (1500.0, 1500.0))  # on the bisector of enb1 and enb2
     p1 = rrc.channel.rx_power_from_cell(ue, c1)
     assert p1 == rrc.channel.rx_power_from_cell(ue, c2) > rrc.channel.rx_power_from_cell(ue, c0)
     assert c1 < c2
@@ -259,7 +259,7 @@ def test_new_best_neighbour_restarts_the_trigger_clock():
     # within the window, so the clock restarts at ms 4 and fires 5 ms later
     decisions = []
     for ms in range(1, 20):
-        binder.set_position(ue, (1600.0, 0.0) if ms < 4 else (0.0, 1600.0))
+        rrc.channel.move(ue, (1600.0, 0.0) if ms < 4 else (0.0, 1600.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
@@ -295,7 +295,7 @@ def test_double_handover_a_b_a_keeps_history_consistent():
         (40 + i, 1560.0 - 40.0 * i) for i in range(40)
     ]
     for ms, x in path:
-        binder.set_position(ue, (x, 0.0))
+        rrc.channel.move(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             rrc.execute_handover(ue, target, mac)

@@ -32,3 +32,12 @@ def test_module_imports_only_stdlib(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_binder_knows_nothing_of_the_radio():
+    # the registry and RB ledger import only the package's errors
+    tree = ast.parse((PACKAGE / "binder.py").read_text(encoding="utf-8"))
+    relative = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"errors"}
