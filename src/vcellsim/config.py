@@ -108,10 +108,10 @@ def _bool(text: str) -> bool:
 
 
 def _enb_name(text: str) -> str:
-    """A name that fits the output columns: cells.csv is comma-separated and
-    vehicles.csv's cell timeline is ``time:cell;time:cell``."""
-    if not text or any(c in text for c in ",;:"):
-        raise ValueError(f"expects a non-empty name without , ; or :, got {text!r}")
+    """A name that fits cells.csv's columns, the ``time:cell;time:cell`` timeline
+    and the space-split ``HANDOVER <vehicle> <source>-><target>`` log line."""
+    if not text or "->" in text or any(c in ",;:" or c.isspace() for c in text):
+        raise ValueError(f"expects a non-empty name without , ; : -> or whitespace, got {text!r}")
     return text
 
 
@@ -273,7 +273,8 @@ KEYS = (
 
 ENB_FIELDS = (
     Key("name", _enb_name, None,
-        "unique non-empty name without , ; or :; unset means enb0, enb1, ...", example="enb0"),
+        "unique non-empty name without , ; : -> or whitespace; unset means enb0, enb1, ...",
+        example="enb0"),
     Key("x_m", _float, REQUIRED, "position", example=0.0),
     Key("y_m", _float, REQUIRED, "position", example=0.0),
     Key("tx_power_dbm", _float, None,

@@ -12,10 +12,19 @@ neighbor that exceeds the serving cell's received power by more than the
 hysteresis margin for the whole time-to-trigger window causes a handover:
 the old cell's downlink buffer toward the UE is flushed (counted as
 handover-dropped) and the UE is schedulable in the target from the next TTI.
+
+Path loss changes at most R = B / (d_min ln 10) dB per metre (the channel's
+`max_loss_slope_db_per_m`), and eNBs never move, so best - serving moves at
+most 2R|p - p0|. A check whose condition
+lapsed with margin m = hysteresis - (best - serving) at p0 lets the UE move
+(m - 1e-6) / 2R metres (1e-6 dB covers float error), in which checks return
+None at once: the condition must lapse there, and the lapse at p0 popped
+any pending state. A holding condition, a handover and `forget` clear it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,13 +65,13 @@ class Rrc:
         self.config = config
         self.association_metric = association_metric
         self._states: dict[int, HandoverState] = {}
-
-    def _cell_powers(self, ue: int) -> list[tuple[int, float]]:
-        return [(c, self.channel.rx_power_from_cell(ue, c)) for c in self.binder.cells]
+        # per UE whose condition lapsed: (position, metres it may move from there)
+        self._budgets: dict[int, tuple[tuple[float, float], float]] = {}
+        self._gap_db_per_m = 2.0 * channel.max_loss_slope_db_per_m  # 2R of the docstring
 
     def _association_scores(self, ue: int) -> list[tuple[int, float]]:
         if self.association_metric == "rx_power":
-            return self._cell_powers(ue)
+            return list(zip(self.binder.cells, self.channel.cell_powers(ue)))
         return [
             (c, self.channel.measure(ue, c, Direction.DL).mean_sinr)
             for c in self.binder.cells
@@ -85,8 +94,12 @@ class Rrc:
         """A3-style evaluation at current positions: the target cell, or None."""
         if not self.config.enabled or len(self.binder.cells) < 2:
             return None
-        serving = self.binder.node(ue).serving_cell
-        powers = dict(self._cell_powers(ue))
+        node = self.binder.node(ue)
+        budget = self._budgets.get(ue)
+        if budget is not None and math.dist(node.position, budget[0]) < budget[1]:
+            return None  # the condition still lapses
+        serving = node.serving_cell
+        powers = dict(zip(self.binder.cells, self.channel.cell_powers(ue)))
         best_cell = None
         best_power = None
         for cell_id, power in powers.items():  # ascending ids, from binder.cells
@@ -94,9 +107,12 @@ class Rrc:
                 continue
             if best_power is None or power > best_power:
                 best_cell, best_power = cell_id, power
-        if best_power - powers[serving] <= self.config.hysteresis_db:
+        margin = self.config.hysteresis_db - (best_power - powers[serving])
+        if margin >= 0.0:
             self._states.pop(ue, None)  # condition lapsed
+            self._budgets[ue] = (node.position, (margin - 1e-6) / self._gap_db_per_m)
             return None
+        self._budgets.pop(ue, None)
         state = self._states.get(ue)
         if state is None or state.candidate != best_cell:
             state = HandoverState(candidate=best_cell, condition_since_us=now_us)
@@ -114,7 +130,9 @@ class Rrc:
         """
         dropped = mac.clear_dl_buffer(ue)
         self.binder.set_serving_cell(ue, target)
+        self._budgets.pop(ue, None)
         return dropped
 
     def forget(self, ue: int) -> None:
         self._states.pop(ue, None)
+        self._budgets.pop(ue, None)

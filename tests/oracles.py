@@ -6,6 +6,7 @@ from bisect import bisect_right
 
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
+from vcellsim.rrc import HandoverState
 
 
 def allocation_items(grid):
@@ -221,3 +222,70 @@ def reference_maxcqi(ues_with_cqi, buffer_bits, num_rbs, tables):
             grants[ue] = (tuple(range(rb_cursor, rb_cursor + take)), cqi)
             rb_cursor += take
     return grants
+
+
+# ----------------------------------------------------------------------
+# reference mode: a scenario with its skips patched out
+
+
+class MeasureEveryone:
+    """A scenario's MAC whose buffers all read as nonempty to the tick's
+    measure guard, so every UE is measured in both directions; the MAC's own
+    scheduling still reads the real buffers."""
+
+    def __init__(self, mac):
+        self._mac = mac
+
+    def __getattr__(self, name):
+        return getattr(self._mac, name)
+
+    def buffer_bits(self, owner, direction):
+        return self._mac.buffer_bits(owner, direction) or 1
+
+
+def reference_cell_powers(rrc, ue: int) -> list[tuple[int, float]]:
+    """(cell, DL dBm) for every eNB, from the path-loss formula at current
+    positions; nothing is kept between calls."""
+    channel, binder = rrc.channel, rrc.binder
+    rx = binder.node(ue)
+    out = []
+    for cell in binder.cells:
+        tx = binder.node(cell)
+        d = math.hypot(tx.position[0] - rx.position[0], tx.position[1] - rx.position[1])
+        loss = reference_path_loss_db(d, channel.params)
+        out.append((cell, tx.tx_power_dbm - loss - channel.shadowing_db(cell, ue)))
+    return out
+
+
+def reference_handover_check(rrc, ue: int, now_us: int):
+    """A full A3 evaluation: the best neighbour must beat the serving cell by
+    more than the hysteresis for the whole time-to-trigger; no budget. The
+    pending candidate lives in `rrc._states`, which handover and leave clear."""
+    if not rrc.config.enabled or len(rrc.binder.cells) < 2:
+        return None
+    serving = rrc.binder.node(ue).serving_cell
+    powers = dict(reference_cell_powers(rrc, ue))
+    neighbours = [(power, -cell) for cell, power in powers.items() if cell != serving]
+    best_power, neg_cell = max(neighbours)  # ties to the lowest id
+    best_cell = -neg_cell
+    if best_power - powers[serving] <= rrc.config.hysteresis_db:
+        rrc._states.pop(ue, None)
+        return None
+    state = rrc._states.get(ue)
+    if state is None or state.candidate != best_cell:
+        state = rrc._states[ue] = HandoverState(best_cell, now_us)
+    if now_us - state.condition_since_us >= rrc.config.time_to_trigger_us:
+        del rrc._states[ue]
+        return best_cell
+    return None
+
+
+def reference_mode(scn):
+    """Patch the skips out of a built `Scenario`, in place: attach and every
+    TTI's A3 check compute every eNB's power afresh, with no gain row and no
+    movement budget, and every live UE is measured in both directions.
+    `measure` keeps its own sums, so equal bytes never rest on float order."""
+    scn.mac = MeasureEveryone(scn.mac)
+    scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
+    scn.rrc.handover_check = lambda ue, now_us: reference_handover_check(scn.rrc, ue, now_us)
+    return scn

@@ -58,6 +58,25 @@ def test_path_loss_one_decade_step():
     assert path_loss_db(10_000.0, PARAMS) == pytest.approx(128.1 + 37.6, abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.0, 1000.0),
+    st.floats(0.1, 100.0),
+    st.floats(0.0, 5000.0),
+    st.floats(0.0, 50.0),
+)
+def test_path_loss_never_rises_faster_than_the_channel_slope(min_distance, b_db, d, step):
+    # the handover budget rests on this bound; at d_min it is tight
+    params = ChannelParams(pathloss_b_db=b_db, min_distance_m=min_distance)
+    slope = ChannelModel(Binder(), params, TABLES).max_loss_slope_db_per_m
+    rise = path_loss_db(d + step, params) - path_loss_db(d, params)
+    assert 0.0 <= rise <= slope * step + 1e-9
+    tiny = min_distance * 1e-6
+    assert path_loss_db(min_distance + tiny, params) - path_loss_db(min_distance, params) == (
+        pytest.approx(slope * tiny, rel=1e-4)
+    )
+
+
 def test_received_power_at_one_km():
     got = received_power_dbm(46.0, (0.0, 0.0), (1000.0, 0.0), PARAMS)
     assert got == pytest.approx(46.0 - 128.1, abs=1e-9)
@@ -502,3 +521,50 @@ def test_shadowing_enabled_in_the_params_alone_shadows():
     unshadowed = received_power_dbm(46.0, (0.0, 0.0), (1000.0, 0.0), PARAMS)
     channel = ChannelModel(binder, SHADOWED, TABLES)
     assert channel.rx_power_from_cell(ue, cell) != unshadowed
+
+
+# ----------------------------------------------------------------------
+# gain rows
+
+
+def _cells_and_ues(rng, params, n_cells=4, n_ues=5):
+    binder = Binder(num_rbs=6)
+    for i in range(n_cells):
+        pos = (rng.uniform(0, 3000), rng.uniform(0, 3000))
+        binder.register_node(NodeKind.ENB, f"enb{i}", rng.uniform(38, 48), pos)
+    ues = [
+        binder.register_node(NodeKind.UE, f"car{j}", 23.0, (rng.uniform(0, 3000), 0.0)).node_id
+        for j in range(n_ues)
+    ]
+    return binder, ChannelModel(binder, params, TABLES, seed=rng.randrange(100)), ues
+
+
+@pytest.mark.parametrize("params", [PARAMS, SHADOWED], ids=["plain", "shadowed"])
+def test_gain_row_entries_equal_the_per_pair_power_bit_for_bit(params):
+    rng = random.Random(11)
+    binder, channel, ues = _cells_and_ues(rng, params)
+    for ue in ues:
+        rx = binder.node(ue)
+        for step in range(3):
+            row = channel.cell_powers(ue)
+            assert len(row) == len(binder.cells)
+            for cell, power in zip(binder.cells, row):
+                tx = binder.node(cell)
+                expected = received_power_dbm(
+                    tx.tx_power_dbm, tx.position, rx.position, params, channel.shadowing_db(cell, ue)
+                )
+                assert power == expected  # bit for bit, no tolerance
+                assert channel.rx_power_from_cell(ue, cell) == expected
+            channel.move(ue, (rng.uniform(0, 3000), rng.uniform(0, 3000)))
+
+
+def test_gain_rows_are_dropped_by_move_and_forget():
+    binder, channel, (ue, other) = _cells_and_ues(random.Random(5), PARAMS, n_ues=2)
+    row = channel.cell_powers(ue)
+    channel.cell_powers(other)
+    assert channel.cell_powers(ue) is row  # kept while nothing moves
+    channel.move(ue, binder.node(ue).position)
+    assert ue not in channel._rows and other in channel._rows
+    assert channel.cell_powers(ue) is not row
+    channel.forget(ue)
+    assert set(channel._rows) == {other}

@@ -273,11 +273,16 @@ BAD_VALUES = [(key, bad) for key in FLOAT_KEYS for bad in ("nan", "inf", "-inf")
     ("flow[0].start_s", "-1"),
     ("flow[0].interval_ms", "0"),
     ("car[0].accident.duration_s", "0"),
-    # names that would break the cells.csv columns or the cell timeline
+    # names that would break the cells.csv columns, the cell timeline or the
+    # fields of an events.log line
     ("enb[0].name", ""),
     ("enb[0].name", "a,b"),
     ("enb[0].name", "a;b"),
     ("enb[0].name", "a:b"),
+    ("enb[0].name", "a b"),
+    ("enb[0].name", "a\tb"),
+    ("enb[0].name", "a->b"),
+    ("enb[0].name", "a b->c"),
 ]
 
 

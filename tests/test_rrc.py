@@ -15,6 +15,7 @@ from vcellsim.mac import Mac
 from vcellsim.rrc import HandoverConfig, Rrc
 
 from conftest import make_packet
+from oracles import reference_handover_check
 
 PARAMS = ChannelParams()
 
@@ -301,3 +302,113 @@ def test_double_handover_a_b_a_keeps_history_consistent():
             rrc.execute_handover(ue, target, mac)
             serving_history.append(binder.node(ue).serving_cell)
     assert serving_history == [c0, c1, c0]
+
+
+# ----------------------------------------------------------------------
+# movement budget
+
+
+def _count_row_reads(rrc):
+    """Wrap the channel's gain-row reader; returns the list of UEs read."""
+    reads = []
+    cell_powers = rrc.channel.cell_powers
+
+    def counted(ue):
+        reads.append(ue)
+        return cell_powers(ue)
+
+    rrc.channel.cell_powers = counted
+    return reads
+
+
+def _pending(rrc):
+    return {ue: (s.candidate, s.condition_since_us) for ue, s in rrc._states.items()}
+
+
+def test_skipped_checks_decide_and_leave_state_as_a_full_evaluation():
+    # Two twins walk the same shadowed path across two borders and back with
+    # a time-to-trigger, so candidates start, lapse and fire; one twin
+    # evaluates in full every TTI, the other may skip. A coupling distance
+    # near half the spacing makes best - serving move at close to 2R per metre.
+    ho = HandoverConfig(enabled=True, hysteresis_db=1.0, time_to_trigger_us=ms_to_us(8))
+    params = ChannelParams(min_distance_m=135.0, shadowing_enabled=True, shadowing_sigma_db=3.0)
+    twins = []
+    for _ in range(2):
+        binder = Binder(num_rbs=10)
+        for i in range(3):
+            binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (300.0 * i, 10.0 * i))
+        rrc = Rrc(binder, ChannelModel(binder, params, CqiTables(), seed=4), ho)
+        ue = _attached_ue(binder, rrc, x=50.0)
+        twins.append((binder, rrc, ue, Mac(binder)))
+    reference = twins[1][1]
+    reference.handover_check = lambda ue, now: reference_handover_check(reference, ue, now)
+    reads = _count_row_reads(twins[0][1])
+
+    def x_at(ms):  # out to 550 m and back at 0.5 m per ms
+        return 50.0 + 0.5 * min(ms, 2000 - ms)
+
+    decisions = ([], [])
+    for ms in range(1, 2000):
+        for (binder, rrc, ue, mac), out in zip(twins, decisions):
+            rrc.channel.move(ue, (x_at(ms), 0.0))
+            target = rrc.handover_check(ue, ms_to_us(ms))
+            if target is not None:
+                out.append((ms, target))
+                rrc.execute_handover(ue, target, mac)
+        assert _pending(twins[0][1]) == _pending(reference)
+    assert decisions[0] == decisions[1]
+    assert len(decisions[0]) >= 2
+    assert len(reads) < 1999 // 2  # most checks were skipped
+
+
+def _lapsed(rrc, binder, ue, x):
+    rrc.channel.move(ue, (x, 0.0))
+    assert rrc.handover_check(ue, 0) is None
+    return rrc._budgets.get(ue)
+
+
+def test_budget_is_cleared_by_a_holding_condition_handover_and_forget():
+    binder, _, rrc, c0, c1 = _two_cell_env(
+        HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=ms_to_us(5))
+    )
+    ue = _attached_ue(binder, rrc, x=100.0)
+    assert _lapsed(rrc, binder, ue, 100.0) is not None
+    rrc.channel.move(ue, (1600.0, 0.0))  # far beyond the budget: enb1 is stronger
+    assert rrc.handover_check(ue, ms_to_us(1)) is None  # pending, time-to-trigger
+    assert ue not in rrc._budgets and ue in rrc._states
+
+    assert _lapsed(rrc, binder, ue, 100.0) is not None
+    rrc.execute_handover(ue, c1, Mac(binder))
+    assert ue not in rrc._budgets
+
+    assert _lapsed(rrc, binder, ue, 1900.0) is not None
+    rrc.forget(ue)
+    assert ue not in rrc._budgets
+
+
+def test_budget_skips_only_within_its_margin():
+    binder, _, rrc, c0, c1 = _two_cell_env(
+        HandoverConfig(enabled=True, hysteresis_db=3.0, time_to_trigger_us=0)
+    )
+    ue = _attached_ue(binder, rrc, x=100.0)
+    row = rrc.channel.cell_powers(ue)
+    (x0, _), reach_m = _lapsed(rrc, binder, ue, 100.0)
+    margin_db = 3.0 - (row[1] - row[0])
+    assert reach_m == (margin_db - 1e-6) / (2 * rrc.channel.max_loss_slope_db_per_m)
+    reads = _count_row_reads(rrc)
+    _lapsed(rrc, binder, ue, x0 + 0.99 * reach_m)
+    assert reads == []
+    _lapsed(rrc, binder, ue, x0 + 1.01 * reach_m)
+    assert reads == [ue]
+
+
+def test_zero_hysteresis_tie_never_skips():
+    binder, _, rrc, c0, c1 = _two_cell_env(
+        HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0)
+    )
+    ue = _attached_ue(binder, rrc, x=1000.0)  # the bisector: a tie, served by enb0
+    reads = _count_row_reads(rrc)
+    for ms in range(5):
+        position, reach_m = _lapsed(rrc, binder, ue, 1000.0)
+        assert position == (1000.0, 0.0) and reach_m < 0.0
+    assert reads == [ue] * 5

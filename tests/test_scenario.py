@@ -8,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from vcellsim.binder import Direction
+from vcellsim.binder import Direction, NodeKind
 from vcellsim.config import load_config
-from vcellsim.engine import ms_to_us
+from vcellsim.engine import EventKind, ms_to_us
 from vcellsim.errors import ConfigError
 from vcellsim.metrics import write_outputs
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
+from oracles import MeasureEveryone
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -580,6 +581,23 @@ def test_shadowing_is_drawn_at_attach_in_attach_order(tmp_path, config_text, by_
     assert list(channel._shadowing_db) == attach_order
 
 
+def test_gain_rows_and_budgets_are_kept_for_live_vehicles_only(tmp_path):
+    scn = Scenario(load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)))
+    kept = set()
+    leave = scn._on_leave
+
+    def checked_leave(event):
+        node = scn.binder.live_id(event.payload)
+        kept.update(scn.channel._rows, scn.rrc._budgets)
+        leave(event)
+        assert node not in scn.channel._rows and node not in scn.rrc._budgets
+
+    scn.engine.on(EventKind.VEHICLE_LEAVE, checked_leave)
+    scn.run()
+    live = {rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)}
+    assert kept and set(scn.channel._rows) | set(scn.rrc._budgets) <= live
+
+
 def _count_measures(scn):
     """Wrap the scenario's `measure`; returns the list of (ue, direction, buffered bits)."""
     calls = []
@@ -601,20 +619,6 @@ def test_tick_measures_only_backlogged_buffers(tmp_path):
     assert all(bits > 0 for _, _, bits in calls)
 
 
-class _MeasureEveryone:
-    """A scenario's MAC whose buffers all read as nonempty to the tick's
-    measure guard; the MAC's own scheduling still reads the real buffers."""
-
-    def __init__(self, mac):
-        self._mac = mac
-
-    def __getattr__(self, name):
-        return getattr(self._mac, name)
-
-    def buffer_bits(self, owner, direction):
-        return self._mac.buffer_bits(owner, direction) or 1
-
-
 @pytest.mark.parametrize("config_text", [MANUAL_CONFIG, SINR_CONFIG], ids=["manual", "sinr"])
 def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
     config = load_config(write_scenario(tmp_path, config_text, CHURN_TRACE))
@@ -622,7 +626,7 @@ def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
     for forced in (False, True):
         scn = Scenario(config)
         if forced:
-            scn.mac = _MeasureEveryone(scn.mac)
+            scn.mac = MeasureEveryone(scn.mac)
         calls = _count_measures(scn)
         report = scn.run()
         outputs.append((report.vehicles_csv(), report.cells_csv(), report.event_log))
