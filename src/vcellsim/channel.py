@@ -11,21 +11,21 @@ queries never draw and may be skipped or reordered freely.
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
 ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
-channel owns its caches. It keeps each pair's mW, and each interference sum
-per (receiver, excluded serving cell, occupancy pattern of `last`), until a
-node moves through `move`; it re-indexes `last` when the binder hands it a
-new grid, as the binder never edits a closed one. Association and handover
-read a gain row per UE instead: its DL dBm from each eNB in `binder.cells`
-order, built by `received_power_dbm` on the first read after the UE moves,
-and dropped by `move` and `forget` (the UE left); only UEs move. Sums run in
+channel owns its caches. It keeps each pair's mW, and each interference
+sum per (receiver, excluded serving cell, occupancy pattern of `last`),
+until a node moves through `move`; it re-indexes `last` when the binder
+hands it a new grid, as the binder never edits a closed one. These memos
+serve `measure` and `sinr`. Association and handover read `cell_powers`, a
+UE's DL dBm from each eNB in `binder.cells` order; it keeps nothing, as a
+run moves every UE each TTI before its handover check. Sums run in
 item order, one term per RB, so floats (and the draw order of pairs not
-queried before) are those of a per-RB walk. SINR stays linear from that sum
-onward: it is averaged and compared in the linear domain. The mean SINR maps
-to a 4-bit CQI through a threshold table, the CQI selects the MCS, and
-decoding succeeds exactly when the mean SINR is at or above the threshold of
-the CQI the transmission was sent with. The threshold table is configured in
-dB and converted to linear once, so CQI selection and the decode gate read
-the same number.
+queried before) are those of a per-RB walk. SINR stays linear from that
+sum onward: it is averaged and compared in the linear domain. The mean
+SINR maps to a 4-bit CQI through a threshold table, the CQI selects the
+MCS, and decoding succeeds exactly when the mean SINR is at or above the
+threshold of the CQI the transmission was sent with. The threshold table
+is configured in dB and converted to linear once, so CQI selection and
+the decode gate read the same number.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ class ChannelModel:
         # and per (index, pattern id, receiver, excluded serving cell)
         self._pair_mw: dict[tuple[int, int], float] = {}
         self._pattern_mw: dict[tuple[PatternIndex, int, int, int], float] = {}
-        self._rows: dict[int, list[float]] = {}  # per UE, DL dBm per eNB
         # per direction, the `last` grid dict `measure` indexed, and its index
         self._last_index: dict[Direction, tuple[dict, PatternIndex]] = {}
 
@@ -193,27 +192,19 @@ class ChannelModel:
         )
 
     def cell_powers(self, ue_id: int) -> list[float]:
-        """The UE's gain row: DL dBm from each eNB, in `binder.cells` order."""
-        row = self._rows.get(ue_id)
-        if row is None:
-            rx, cells = self.binder.node(ue_id), map(self.binder.node, self.binder.cells)
-            row = self._rows[ue_id] = [self.received_power_nodes(tx, rx) for tx in cells]
-        return row
+        """DL dBm the UE receives from each eNB, in `binder.cells` order."""
+        rx = self.binder.node(ue_id)
+        return [self.received_power_nodes(self.binder.node(c), rx) for c in self.binder.cells]
 
     def rx_power_from_cell(self, ue_id: int, cell_id: int) -> float:
         """Power the UE receives from one eNB at current positions (dBm)."""
-        return self.cell_powers(ue_id)[self.binder.cells.index(cell_id)]
+        return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
 
     def move(self, node_id: int, position: tuple[float, float]) -> None:
-        """Set a UE's position; every kept power is stale from then on."""
+        """Set a node's position; every kept power is stale from then on."""
         self.binder.node(node_id).position = position
-        self._rows.pop(node_id, None)
         self._pair_mw.clear()
         self._pattern_mw.clear()
-
-    def forget(self, ue_id: int) -> None:
-        """Drop what is kept for a UE that left."""
-        self._rows.pop(ue_id, None)
 
     def _signal(self, ue: int, serving_cell: int, direction: Direction) -> tuple[NodeRecord, float]:
         """Receiver record and signal (mW) of the serving link."""

@@ -282,8 +282,8 @@ def reference_handover_check(rrc, ue: int, now_us: int):
 
 def reference_mode(scn):
     """Patch the skips out of a built `Scenario`, in place: attach and every
-    TTI's A3 check compute every eNB's power afresh, with no gain row and no
-    movement budget, and every live UE is measured in both directions.
+    TTI's A3 check compute every eNB's power from the path-loss formula, with
+    no movement budget, and every live UE is measured in both directions.
     `measure` keeps its own sums, so equal bytes never rest on float order."""
     scn.mac = MeasureEveryone(scn.mac)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]

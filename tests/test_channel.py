@@ -524,7 +524,7 @@ def test_shadowing_enabled_in_the_params_alone_shadows():
 
 
 # ----------------------------------------------------------------------
-# gain rows
+# cell_powers
 
 
 def _cells_and_ues(rng, params, n_cells=4, n_ues=5):
@@ -540,12 +540,12 @@ def _cells_and_ues(rng, params, n_cells=4, n_ues=5):
 
 
 @pytest.mark.parametrize("params", [PARAMS, SHADOWED], ids=["plain", "shadowed"])
-def test_gain_row_entries_equal_the_per_pair_power_bit_for_bit(params):
+def test_cell_powers_equal_the_per_pair_power_bit_for_bit(params):
     rng = random.Random(11)
     binder, channel, ues = _cells_and_ues(rng, params)
     for ue in ues:
         rx = binder.node(ue)
-        for step in range(3):
+        for _ in range(3):
             row = channel.cell_powers(ue)
             assert len(row) == len(binder.cells)
             for cell, power in zip(binder.cells, row):
@@ -556,15 +556,3 @@ def test_gain_row_entries_equal_the_per_pair_power_bit_for_bit(params):
                 assert power == expected  # bit for bit, no tolerance
                 assert channel.rx_power_from_cell(ue, cell) == expected
             channel.move(ue, (rng.uniform(0, 3000), rng.uniform(0, 3000)))
-
-
-def test_gain_rows_are_dropped_by_move_and_forget():
-    binder, channel, (ue, other) = _cells_and_ues(random.Random(5), PARAMS, n_ues=2)
-    row = channel.cell_powers(ue)
-    channel.cell_powers(other)
-    assert channel.cell_powers(ue) is row  # kept while nothing moves
-    channel.move(ue, binder.node(ue).position)
-    assert ue not in channel._rows and other in channel._rows
-    assert channel.cell_powers(ue) is not row
-    channel.forget(ue)
-    assert set(channel._rows) == {other}

@@ -1,10 +1,10 @@
 """The optimized run against a reference run with every skip patched out.
 
-`oracles.reference_mode` takes out the gain rows and the movement budget of
-the A3 check, and the guard that measures only backlogged UEs. The skips
-are exact by argument, so both runs must write the same vehicles.csv,
-cells.csv and events.log, whatever the scenario. The scenarios are drawn
-small: 2-5 cells, 3-20 vehicles that enter, leave and crash, 0.5-3 s.
+`oracles.reference_mode` takes out the movement budget of the A3 check and
+the guard that measures only backlogged UEs. The skips are exact by
+argument, so both runs must write the same vehicles.csv, cells.csv and
+events.log, whatever the scenario. The scenarios are drawn small: 2-5
+cells, 3-20 vehicles that enter, leave and crash, 0.5-3 s.
 Half of them set the coupling distance near half the eNB spacing, where
 best - serving moves at close to the 2R dB per metre the budget allows, so
 a looser bound shows as a late handover.

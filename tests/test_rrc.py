@@ -308,8 +308,8 @@ def test_double_handover_a_b_a_keeps_history_consistent():
 # movement budget
 
 
-def _count_row_reads(rrc):
-    """Wrap the channel's gain-row reader; returns the list of UEs read."""
+def _count_power_reads(rrc):
+    """Wrap the channel's `cell_powers`; returns the list of UEs read."""
     reads = []
     cell_powers = rrc.channel.cell_powers
 
@@ -342,7 +342,7 @@ def test_skipped_checks_decide_and_leave_state_as_a_full_evaluation():
         twins.append((binder, rrc, ue, Mac(binder)))
     reference = twins[1][1]
     reference.handover_check = lambda ue, now: reference_handover_check(reference, ue, now)
-    reads = _count_row_reads(twins[0][1])
+    reads = _count_power_reads(twins[0][1])
 
     def x_at(ms):  # out to 550 m and back at 0.5 m per ms
         return 50.0 + 0.5 * min(ms, 2000 - ms)
@@ -395,7 +395,7 @@ def test_budget_skips_only_within_its_margin():
     (x0, _), reach_m = _lapsed(rrc, binder, ue, 100.0)
     margin_db = 3.0 - (row[1] - row[0])
     assert reach_m == (margin_db - 1e-6) / (2 * rrc.channel.max_loss_slope_db_per_m)
-    reads = _count_row_reads(rrc)
+    reads = _count_power_reads(rrc)
     _lapsed(rrc, binder, ue, x0 + 0.99 * reach_m)
     assert reads == []
     _lapsed(rrc, binder, ue, x0 + 1.01 * reach_m)
@@ -407,7 +407,7 @@ def test_zero_hysteresis_tie_never_skips():
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0)
     )
     ue = _attached_ue(binder, rrc, x=1000.0)  # the bisector: a tie, served by enb0
-    reads = _count_row_reads(rrc)
+    reads = _count_power_reads(rrc)
     for ms in range(5):
         position, reach_m = _lapsed(rrc, binder, ue, 1000.0)
         assert position == (1000.0, 0.0) and reach_m < 0.0

@@ -581,21 +581,21 @@ def test_shadowing_is_drawn_at_attach_in_attach_order(tmp_path, config_text, by_
     assert list(channel._shadowing_db) == attach_order
 
 
-def test_gain_rows_and_budgets_are_kept_for_live_vehicles_only(tmp_path):
+def test_budgets_are_kept_for_live_vehicles_only(tmp_path):
     scn = Scenario(load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)))
     kept = set()
     leave = scn._on_leave
 
     def checked_leave(event):
         node = scn.binder.live_id(event.payload)
-        kept.update(scn.channel._rows, scn.rrc._budgets)
+        kept.update(scn.rrc._budgets)
         leave(event)
-        assert node not in scn.channel._rows and node not in scn.rrc._budgets
+        assert node not in scn.rrc._budgets
 
     scn.engine.on(EventKind.VEHICLE_LEAVE, checked_leave)
     scn.run()
     live = {rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)}
-    assert kept and set(scn.channel._rows) | set(scn.rrc._budgets) <= live
+    assert kept and set(scn.rrc._budgets) <= live
 
 
 def _count_measures(scn):
