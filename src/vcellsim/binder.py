@@ -42,6 +42,9 @@ class Direction(Enum):
     DL = "DL"
     UL = "UL"
 
+    # singletons equal only to themselves; hashed in C, not by `Enum.__hash__`
+    __hash__ = object.__hash__
+
 
 @dataclass
 class NodeRecord:
@@ -86,7 +89,7 @@ class Binder:
         check_num_rbs(num_rbs)
         self.num_rbs = num_rbs
         self._next_node_id = 1
-        self._nodes: dict[int, NodeRecord] = {}
+        self.nodes: dict[int, NodeRecord] = {}  # live records; `node` checks the id
         self._live_ids: dict[str, int] = {}
         self.cells: list[int] = []
         self.last: Grid = _empty_grid()
@@ -112,7 +115,7 @@ class Binder:
             position=position,
         )
         self._next_node_id += 1
-        self._nodes[record.node_id] = record
+        self.nodes[record.node_id] = record
         self._live_ids[name] = record.node_id
         if kind is NodeKind.ENB:
             self.cells.append(record.node_id)
@@ -120,18 +123,18 @@ class Binder:
 
     def deregister_node(self, node_id: int) -> None:
         """Drop a UE and replace both grids with copies that lack its entries."""
-        rec = self._nodes.get(node_id)
+        rec = self.nodes.get(node_id)
         if rec is None:
             raise RegistryError(f"node {node_id} is not live (double deregistration?)")
         if rec.kind is NodeKind.ENB:
             raise RegistryError(f"node {node_id} is an eNB; eNBs stay for the whole run")
-        del self._nodes[node_id]
+        del self.nodes[node_id]
         del self._live_ids[rec.name]
         self.last = _without(self.last, node_id)
         self.current = _without(self.current, node_id)
 
     def is_live(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return node_id in self.nodes
 
     def live_id(self, name: str) -> Optional[int]:
         """The id of the live node called `name`, or None."""
@@ -139,13 +142,13 @@ class Binder:
 
     def node(self, node_id: int) -> NodeRecord:
         try:
-            return self._nodes[node_id]
+            return self.nodes[node_id]
         except KeyError:
             raise RegistryError(f"node {node_id} is not live") from None
 
     def live_nodes(self, kind: Optional[NodeKind] = None) -> list[NodeRecord]:
-        # ids only grow and _nodes keeps insertion order, so this is ascending
-        recs = list(self._nodes.values())
+        # ids only grow and `nodes` keeps insertion order, so this is ascending
+        recs = list(self.nodes.values())
         if kind is None:
             return recs
         return [r for r in recs if r.kind == kind]

@@ -10,22 +10,29 @@ queries never draw and may be skipped or reordered freely.
 
 Per-RB SINR is signal over (thermal noise + sum of co-channel received
 powers), where co-channel transmitters come from the binder's allocation
-ledger: other cells' eNBs in downlink, other cells' UEs in uplink. The
-channel owns its caches. It keeps each pair's mW, and each interference
-sum per (receiver, excluded serving cell, occupancy pattern of `last`),
-until a node moves through `move`; it re-indexes `last` when the binder
-hands it a new grid, as the binder never edits a closed one. These memos
-serve `measure` and `sinr`. Association and handover read `cell_powers`, a
-UE's DL dBm from each eNB in `binder.cells` order; it keeps nothing, as a
-run moves every UE each TTI before its handover check. Sums run in
-item order, one term per RB, so floats (and the draw order of pairs not
-queried before) are those of a per-RB walk. SINR stays linear from that
-sum onward: it is averaged and compared in the linear domain. The mean
-SINR maps to a 4-bit CQI through a threshold table, the CQI selects the
-MCS, and decoding succeeds exactly when the mean SINR is at or above the
-threshold of the CQI the transmission was sent with. The threshold table
-is configured in dB and converted to linear once, so CQI selection and
-the decode gate read the same number.
+ledger: other cells' eNBs in downlink, other cells' UEs in uplink. Every
+pair's power comes from `received_power_dbm`, the one path-loss formula.
+`measure` averages SINR over the whole `last` grid: RBs with the same
+occupants see the same interference I, so the mean is signal x ((free RBs)
+/ N + sum over distinct patterns of RB count / (N + I)) / RBs, a fixed
+number of operations per pattern. Its float order is not a per-RB walk's:
+a CQI can differ from the walk's only where the mean lies within an ulp of
+a threshold, and the bench digests at seeds 1-3 were checked unchanged.
+Pairs are still first queried, and so drawn, in per-RB walk order.
+
+The channel owns its caches. It keeps each pair's mW, and the bracket
+above per (pattern index, receiver, serving cell), so one eNB's uplink sum
+serves all of its UEs, until a node moves through `move`; it re-indexes
+`last` when the binder hands it a new grid, as the binder never edits a
+closed one. Association and handover read `cell_powers`, a UE's DL dBm
+from each eNB in `binder.cells` order; it keeps nothing, as a run moves
+every UE each TTI before its handover check. SINR stays linear: it is
+averaged and compared in the linear domain. The mean SINR maps to a 4-bit
+CQI through a threshold table, the CQI selects the MCS, and decoding
+succeeds exactly when the mean SINR over a grant's RBs is at or above the
+threshold of the CQI it was sent with. The threshold table is configured
+in dB and converted to linear once, so CQI selection and the decode gate
+read the same number.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .binder import Binder, Direction, NodeRecord
+from .binder import Binder, Direction
 from .errors import ChannelError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -93,9 +101,9 @@ class ChannelReport:
 
 
 def path_loss_db(distance_m: float, params: ChannelParams) -> float:
-    """Log-distance path loss with the minimum coupling distance clamp."""
-    d = max(distance_m, params.min_distance_m)
-    return params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0)
+    """Log-distance path loss with the minimum coupling distance clamp: the
+    loss a 0 dBm transmitter sees, bit for bit."""
+    return -received_power_dbm(0.0, (0.0, 0.0), (distance_m, 0.0), params)
 
 
 def noise_dbm(params: ChannelParams) -> float:
@@ -114,8 +122,13 @@ def received_power_dbm(
     params: ChannelParams,
     shadowing_db: float = 0.0,
 ) -> float:
-    dist = math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1])
-    return tx_power_dbm - path_loss_db(dist, params) - shadowing_db
+    """The one path-loss formula: transmit power less PL and shadowing."""
+    d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), params.min_distance_m)
+    return (
+        tx_power_dbm
+        - (params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0))
+        - shadowing_db
+    )
 
 
 def cqi_from_sinr(mean_sinr: float, tables: CqiTables) -> int:
@@ -139,16 +152,14 @@ def bits_per_rb(cqi: int, tables: CqiTables) -> int:
 
 
 class PatternIndex:
-    """One grid direction's distinct occupant tuples, ((cell, transmitter), ...)
-    in first-appearance order, and each RB's pattern id, in grid order.
-    Compared and hashed by identity, so it keys memos of this one index."""
+    """One grid direction's distinct occupant tuples, ((cell, transmitter), ...),
+    each with the number of RBs it fills, in first-appearance order, and the
+    number of occupied RBs. Compared and hashed by identity, so it keys memos
+    of this one index."""
 
     def __init__(self, per_rb: dict[int, dict[int, int]]) -> None:
-        ids: dict[tuple[tuple[int, int], ...], int] = {}
-        self.rb_pattern = {
-            rb: ids.setdefault(tuple(cells.items()), len(ids)) for rb, cells in per_rb.items()
-        }
-        self.patterns = list(ids)
+        self.patterns = list(Counter(tuple(cells.items()) for cells in per_rb.values()).items())
+        self.occupied = len(per_rb)
 
 
 class ChannelModel:
@@ -166,9 +177,9 @@ class ChannelModel:
         self._rng = random.Random(seed)
         self._shadowing_db: dict[tuple[int, int], float] = {}
         # memos of the positions since the last move: mW per (tx, rx) pair,
-        # and per (index, pattern id, receiver, excluded serving cell)
+        # and `measure`'s bracket per (index, receiver, serving cell)
         self._pair_mw: dict[tuple[int, int], float] = {}
-        self._pattern_mw: dict[tuple[PatternIndex, int, int, int], float] = {}
+        self._brackets: dict[tuple[PatternIndex, int, int], float] = {}
         # per direction, the `last` grid dict `measure` indexed, and its index
         self._last_index: dict[Direction, tuple[dict, PatternIndex]] = {}
 
@@ -182,54 +193,48 @@ class ChannelModel:
             loss = self._shadowing_db[key] = self._rng.gauss(0.0, self.params.shadowing_sigma_db)
         return loss
 
-    def received_power_nodes(self, tx: NodeRecord, rx: NodeRecord) -> float:
+    def forget(self, ue_id: int) -> None:
+        """Drop a leaving UE's draws; ids are never reused, so none is read again."""
+        for cell in self.binder.cells:
+            self._shadowing_db.pop((cell, ue_id) if cell <= ue_id else (ue_id, cell), None)
+
+    def _dbm(self, tx_id: int, rx_id: int) -> float:
+        """dBm received at `rx_id` from `tx_id` at current positions."""
+        tx, rx = self.binder.nodes[tx_id], self.binder.nodes[rx_id]
         return received_power_dbm(
-            tx.tx_power_dbm,
-            tx.position,
-            rx.position,
-            self.params,
-            self.shadowing_db(tx.node_id, rx.node_id),
+            tx.tx_power_dbm, tx.position, rx.position, self.params, self.shadowing_db(tx_id, rx_id)
         )
 
     def cell_powers(self, ue_id: int) -> list[float]:
         """DL dBm the UE receives from each eNB, in `binder.cells` order."""
-        rx = self.binder.node(ue_id)
-        return [self.received_power_nodes(self.binder.node(c), rx) for c in self.binder.cells]
+        return [self._dbm(cell, ue_id) for cell in self.binder.cells]
 
     def rx_power_from_cell(self, ue_id: int, cell_id: int) -> float:
         """Power the UE receives from one eNB at current positions (dBm)."""
-        return self.received_power_nodes(self.binder.node(cell_id), self.binder.node(ue_id))
+        return self._dbm(cell_id, ue_id)
 
     def move(self, node_id: int, position: tuple[float, float]) -> None:
         """Set a node's position; every kept power is stale from then on."""
         self.binder.node(node_id).position = position
         self._pair_mw.clear()
-        self._pattern_mw.clear()
+        self._brackets.clear()
 
-    def _signal(self, ue: int, serving_cell: int, direction: Direction) -> tuple[NodeRecord, float]:
-        """Receiver record and signal (mW) of the serving link."""
-        ue_rec = self.binder.node(ue)
-        cell_rec = self.binder.node(serving_cell)
-        tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
-        return rx, self._power_mw(tx.node_id, rx)
-
-    def _power_mw(self, tx_id: int, rx: NodeRecord) -> float:
-        key = (tx_id, rx.node_id)
+    def _power_mw(self, tx_id: int, rx_id: int) -> float:
+        key = (tx_id, rx_id)
         mw = self._pair_mw.get(key)
         if mw is None:
-            tx = self.binder.node(tx_id)
-            mw = self._pair_mw[key] = db_to_linear(self.received_power_nodes(tx, rx))
+            mw = self._pair_mw[key] = 10.0 ** (self._dbm(tx_id, rx_id) / 10.0)
         return mw
 
     def _interference_mw(
-        self, occupants: Iterable[tuple[int, int]], rx: NodeRecord, serving_cell: int
+        self, occupants: Iterable[tuple[int, int]], rx_id: int, serving_cell: int
     ) -> float:
-        """Co-channel interference (mW) at `rx` from the (cell, transmitter)
+        """Co-channel interference (mW) at `rx_id` from the (cell, transmitter)
         occupants of one RB that are not in `serving_cell`, summed in item order."""
         total = 0.0
         for cell, tx_id in occupants:
             if cell != serving_cell:
-                total += self._power_mw(tx_id, rx)
+                total += self._power_mw(tx_id, rx_id)
         return total
 
     def check_allocated(
@@ -237,7 +242,7 @@ class ChannelModel:
     ) -> list[int]:
         """The distinct RBs of `rb_set`, ascending; ChannelError unless each is
         allocated to this link's transmitter in the binder's `current` grid."""
-        tx_id = serving_cell if direction == Direction.DL else ue
+        tx_id = serving_cell if direction is Direction.DL else ue
         grid = self.binder.current[direction]
         rbs = sorted(set(rb_set))
         for rb in rbs:
@@ -258,14 +263,14 @@ class ChannelModel:
         interference on each RB comes from the co-channel transmitters that
         grid holds for it.
         """
-        rx, signal_mw = self._signal(ue, serving_cell, direction)
+        tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
+        signal_mw = self._power_mw(tx, rx)
         rbs = self.check_allocated(ue, serving_cell, direction, rb_set)
         grid = self.binder.current[direction]
-        out = []
-        for rb in rbs:
-            interference = self._interference_mw(grid[rb].items(), rx, serving_cell)
-            out.append(signal_mw / (self._noise_mw + interference))
-        return out
+        return [
+            signal_mw / (self._noise_mw + self._interference_mw(grid[rb].items(), rx, serving_cell))
+            for rb in rbs
+        ]
 
     def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
         """Full-grid channel report against the binder's `last` grid.
@@ -274,28 +279,20 @@ class ChannelModel:
         whether or not it is allocated, with interference taken from the
         last completed TTI. An RB nobody used sees S/N.
         """
-        rx, signal_mw = self._signal(ue, serving_cell, direction)
+        tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
+        signal_mw = self._power_mw(tx, rx)
         grid = self.binder.last[direction]
         cached = self._last_index.get(direction)
         if cached is None or cached[0] is not grid:
             cached = self._last_index[direction] = (grid, PatternIndex(grid))
         index = cached[1]
-        if not index.rb_pattern:
-            mean = signal_mw / self._noise_mw
-        else:
-            total = (self.binder.num_rbs - len(index.rb_pattern)) * signal_mw / self._noise_mw
-            # RBs of one pattern add the same term, still one add per RB in grid order
-            terms: dict[int, float] = {}
-            for pid in index.rb_pattern.values():
-                term = terms.get(pid)
-                if term is None:
-                    key = (index, pid, rx.node_id, serving_cell)
-                    interference = self._pattern_mw.get(key)
-                    if interference is None:
-                        interference = self._pattern_mw[key] = self._interference_mw(
-                            index.patterns[pid], rx, serving_cell
-                        )
-                    term = terms[pid] = signal_mw / (self._noise_mw + interference)
-                total += term
-            mean = total / self.binder.num_rbs
+        key = (index, rx, serving_cell)
+        bracket = self._brackets.get(key)
+        if bracket is None:
+            noise = self._noise_mw
+            bracket = (self.binder.num_rbs - index.occupied) / noise
+            for occupants, count in index.patterns:
+                bracket += count / (noise + self._interference_mw(occupants, rx, serving_cell))
+            self._brackets[key] = bracket
+        mean = signal_mw * bracket / self.binder.num_rbs
         return ChannelReport(mean_sinr=mean, cqi=cqi_from_sinr(mean, self.tables))

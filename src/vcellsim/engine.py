@@ -40,6 +40,8 @@ class EventKind(Enum):
     BACKHAUL_DELIVERY = "BACKHAUL_DELIVERY"
     SIM_END = "SIM_END"
 
+    __hash__ = object.__hash__  # in C, as `Direction.__hash__` (binder.py)
+
 
 @dataclass
 class SimEvent:

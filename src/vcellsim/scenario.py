@@ -146,6 +146,7 @@ class Scenario:
         residual = self.mac.clear_node(node)
         self.vehicles[name].stats.residual_bits += residual
         self.rrc.forget(node)
+        self.channel.forget(node)
         self.binder.deregister_node(node)
         self._logline(f"LEAVE {name} residual_bits={residual}")
 

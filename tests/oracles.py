@@ -231,7 +231,9 @@ def reference_maxcqi(ues_with_cqi, buffer_bits, num_rbs, tables):
 class MeasureEveryone:
     """A scenario's MAC whose buffers all read as nonempty to the tick's
     measure guard, so every UE is measured in both directions; the MAC's own
-    scheduling still reads the real buffers."""
+    scheduling still reads the real buffers. Every grant's SINR is taken,
+    and discarded, also for the grants that carry nothing, whose SINR the
+    MAC skips."""
 
     def __init__(self, mac):
         self._mac = mac
@@ -241,6 +243,11 @@ class MeasureEveryone:
 
     def buffer_bits(self, owner, direction):
         return self._mac.buffer_bits(owner, direction) or 1
+
+    def transmit(self, allocation, channel):
+        for ue, grant in allocation.grants.items():
+            channel.sinr(ue, allocation.cell, allocation.direction, grant.rb_set)
+        return self._mac.transmit(allocation, channel)
 
 
 def reference_cell_powers(rrc, ue: int) -> list[tuple[int, float]]:
@@ -283,7 +290,8 @@ def reference_handover_check(rrc, ue: int, now_us: int):
 def reference_mode(scn):
     """Patch the skips out of a built `Scenario`, in place: attach and every
     TTI's A3 check compute every eNB's power from the path-loss formula, with
-    no movement budget, and every live UE is measured in both directions.
+    no movement budget, every live UE is measured in both directions, and
+    every grant's SINR is taken.
     `measure` keeps its own sums, so equal bytes never rest on float order."""
     scn.mac = MeasureEveryone(scn.mac)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]

@@ -155,15 +155,18 @@ def test_sinr_matches_brute_force_on_random_grids():
 
 
 def test_measure_full_grid_matches_per_rb_brute_force():
+    # `measure` sums per distinct pattern, the oracle per RB: equal to float order
     rng = random.Random(77)
-    binder, channel, grants = random_allocated_scenario(rng, num_rbs=8)
-    binder.end_tti()  # measure reads the last completed TTI
-    serving_of = {ue: cell for ue, cell, _, _ in grants}
-    for ue, cell in serving_of.items():
-        report = channel.measure(ue, cell, Direction.DL)
-        expected = brute_force_mean_sinr(binder, channel.params, ue, cell, Direction.DL)
-        assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
-        assert report.cqi == cqi_from_sinr(report.mean_sinr, TABLES)
+    for _ in range(40):
+        binder, channel, grants = random_allocated_scenario(rng, num_rbs=8)
+        binder.end_tti()  # measure reads the last completed TTI
+        serving_of = {ue: cell for ue, cell, _, _ in grants}
+        for ue, cell in serving_of.items():
+            for direction in (Direction.DL, Direction.UL):
+                report = channel.measure(ue, cell, direction)
+                expected = brute_force_mean_sinr(binder, channel.params, ue, cell, direction)
+                assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
+                assert report.cqi == cqi_from_sinr(report.mean_sinr, TABLES)
 
 
 def _assert_memo_matches_brute_force(binder, channel, grants):
@@ -190,13 +193,17 @@ def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
     c0, c1 = (binder.register_node(NodeKind.ENB, f"enb{i}", 46.0).node_id for i in range(2))
     binder.record_allocation(Direction.DL, c0, [5, 0, 1, 2], c0)
     index = PatternIndex(binder.current[Direction.DL])
-    assert (index.patterns, index.rb_pattern) == ([((c0, c0),)], {0: 0, 1: 0, 2: 0, 5: 0})
+    assert (index.patterns, index.occupied) == ([(((c0, c0),), 4)], 4)
     binder.record_allocation(Direction.DL, c1, [2, 5, 6], c1)
     index = PatternIndex(binder.current[Direction.DL])
-    assert index.patterns == [((c0, c0),), ((c0, c0), (c1, c1)), ((c1, c1),)]
-    assert index.rb_pattern == {0: 0, 1: 0, 2: 1, 5: 1, 6: 2}
+    assert index.patterns == [
+        (((c0, c0),), 2),  # RBs 0, 1
+        (((c0, c0), (c1, c1)), 2),  # RBs 2, 5
+        (((c1, c1),), 1),  # RB 6
+    ]
+    assert index.occupied == 5
     empty = PatternIndex(binder.current[Direction.UL])
-    assert (empty.patterns, empty.rb_pattern) == ([], {})
+    assert (empty.patterns, empty.occupied) == ([], 0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -273,7 +280,9 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
     assert list(channel._shadowing_db) == list(dict.fromkeys(tuple(sorted(p)) for p in walk))
 
 
-def test_ul_measure_sums_each_interferer_once_per_tti():
+def _two_cells_of_ul_grants():
+    """Cell a with 4 UEs and cell b with 3, each UE on 2 UL RBs of the `last`
+    grid: RBs 0-5 hold one UE of each cell, RBs 6-7 one of a's; 4 patterns."""
     binder = Binder(num_rbs=10)
     a = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
     b = binder.register_node(NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
@@ -286,20 +295,50 @@ def test_ul_measure_sums_each_interferer_once_per_tti():
         for k, ue in enumerate(members):
             binder.record_allocation(Direction.UL, cell, [2 * k, 2 * k + 1], ue)
     binder.end_tti()
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    return binder, a, own, others
+
+
+def _count_pair_powers(channel):
+    """Wrap the channel's pair kernel; returns a Counter of (tx, rx) evaluations."""
     evaluations = collections.Counter()
-    original = channel.received_power_nodes
+    original = channel._dbm
 
-    def counting(tx, rx):
-        evaluations[(tx.node_id, rx.node_id)] += 1
-        return original(tx, rx)
+    def counting(tx_id, rx_id):
+        evaluations[(tx_id, rx_id)] += 1
+        return original(tx_id, rx_id)
 
-    channel.received_power_nodes = counting
+    channel._dbm = counting
+    return evaluations
+
+
+def test_ul_measure_sums_each_interferer_once_per_tti():
+    binder, a, own, others = _two_cells_of_ul_grants()
+    channel = ChannelModel(binder, PARAMS, TABLES)
+    evaluations = _count_pair_powers(channel)
     for tti in (1, 2):
         for ue in own:
             channel.measure(ue, a, Direction.UL)
         assert [evaluations[(other, a)] for other in others] == [tti] * len(others)
         for ue in own + others:  # the next tick moves every UE
+            channel.move(ue, binder.node(ue).position)
+
+
+def test_ul_bracket_is_summed_once_per_tti_for_all_ues_of_a_cell():
+    binder, a, own, others = _two_cells_of_ul_grants()
+    channel = ChannelModel(binder, PARAMS, TABLES)
+    sums = collections.Counter()
+    original = channel._interference_mw
+
+    def counting(occupants, rx_id, serving_cell):
+        sums[(rx_id, serving_cell)] += 1
+        return original(occupants, rx_id, serving_cell)
+
+    channel._interference_mw = counting
+    for tti in (1, 2):
+        for ue in own:
+            channel.measure(ue, a, Direction.UL)
+            assert sums == {(a, a): 4 * tti}  # one sum per pattern, not per RB or UE
+        for ue in own + others:
             channel.move(ue, binder.node(ue).position)
 
 
@@ -325,19 +364,13 @@ def test_pair_powers_live_until_a_node_moves():
     record()
     binder.end_tti()
     channel = ChannelModel(binder, PARAMS, TABLES)
-    evaluations = collections.Counter()
-    original = channel.received_power_nodes
-
-    def counting(tx, rx):
-        evaluations[(tx.node_id, rx.node_id)] += 1
-        return original(tx, rx)
+    evaluations = _count_pair_powers(channel)
 
     def measure_all():
         for ue, cell in ues:
             for direction in (Direction.DL, Direction.UL):
                 channel.measure(ue, cell, direction)
 
-    channel.received_power_nodes = counting
     measure_all()
     measured = collections.Counter(evaluations)
     assert len(measured) == 16  # every UE-eNB pair, both ways

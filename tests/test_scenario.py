@@ -578,7 +578,17 @@ def test_shadowing_is_drawn_at_attach_in_attach_order(tmp_path, config_text, by_
     scn.rrc.initial_association = checked_attach
     scn.run()
     assert len(attach_order) == 12 * 3
-    assert list(channel._shadowing_db) == attach_order
+    # a leave drops the vehicle's pairs; the live vehicles' stay in attach order
+    live = {rec.node_id for rec in binder.live_nodes(NodeKind.UE)}
+    assert list(channel._shadowing_db) == [pair for pair in attach_order if pair[1] in live]
+
+
+def test_shadowing_memory_tracks_live_vehicles(tmp_path):
+    scn = Scenario(load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)))
+    scn.run()
+    live = scn.binder.live_nodes(NodeKind.UE)
+    assert 0 < len(live) < 12  # the trace's churn leaves some vehicles, not all
+    assert len(scn.channel._shadowing_db) == len(live) * len(scn.binder.cells)
 
 
 def test_budgets_are_kept_for_live_vehicles_only(tmp_path):
