@@ -24,15 +24,17 @@ The channel owns its caches. It keeps each pair's mW, and the bracket
 above per (pattern index, receiver, serving cell), so one eNB's uplink sum
 serves all of its UEs, until a node moves through `move`; it re-indexes
 `last` when the binder hands it a new grid, as the binder never edits a
-closed one. Association and handover read `cell_powers`, a UE's DL dBm
-from each eNB in `binder.cells` order; it keeps nothing, as a run moves
-every UE each TTI before its handover check. SINR stays linear: it is
-averaged and compared in the linear domain. The mean SINR maps to a 4-bit
-CQI through a threshold table, the CQI selects the MCS, and decoding
-succeeds exactly when the mean SINR over a grant's RBs is at or above the
-threshold of the CQI it was sent with. The threshold table is configured
-in dB and converted to linear once, so CQI selection and the decode gate
-read the same number.
+closed one. A run moves only the UEs a TTI reads, so a position is
+current wherever it is read, and an idle UE's stale one is read by no one.
+Association and handover read `cell_powers`, a UE's DL dBm from each eNB
+in `binder.cells` order; it keeps nothing, as a run checks a UE only when
+its movement budget may be spent, right after moving it. SINR stays
+linear: it is averaged and compared in the linear domain. The mean SINR
+maps to a 4-bit CQI through a threshold table, the CQI selects the MCS,
+and decoding succeeds exactly when the mean SINR over a grant's RBs is at
+or above the threshold of the CQI it was sent with. The threshold table is
+configured in dB and converted to linear once, so CQI selection and the
+decode gate read the same number.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ queued for a later TTI, so bit accounting is exact. Each grant that
 carries a packet gets one decode decision per TTI, taken on the linear-mean
 SINR over its RBs; a failed decode drops the packets it carried (no HARQ).
 A grant that carries nothing is not decode-gated, and its SINR is never
-computed.
+computed. `backlogged` holds, per direction, the nodes whose buffer holds
+bits: `enqueue` adds a node, and emptying its buffer by `transmit`,
+`clear_node` or `clear_dl_buffer` removes it.
 
 Both schedulers read each backlogged UE's RB demand, ceil(buffered bits /
 bits per RB at its CQI), worked out once per TTI. Round robin deals RBs one
@@ -94,6 +96,7 @@ class Mac:
         self.capacity_bits = capacity_bits
         self._buffers: dict[tuple[int, Direction], TxBuffer] = {}
         self._rr_pointer: dict[tuple[int, Direction], int] = {}
+        self.backlogged: dict[Direction, set[int]] = {Direction.DL: set(), Direction.UL: set()}
 
     # ------------------------------------------------------------------
     # buffers
@@ -114,7 +117,10 @@ class Mac:
             raise MacError(
                 f"packet {packet.packet_id} has non-positive size {packet.size_bits}"
             )
-        return self.buffer(owner, packet.direction).push(packet)
+        if not self.buffer(owner, packet.direction).push(packet):
+            return False
+        self.backlogged[packet.direction].add(owner)
+        return True
 
     def buffer_bits(self, owner: int, direction: Direction) -> int:
         buf = self._buffers.get((owner, direction))
@@ -122,6 +128,7 @@ class Mac:
 
     def _free(self, owner: int, direction: Direction) -> int:
         buf = self._buffers.pop((owner, direction), None)
+        self.backlogged[direction].discard(owner)
         return buf.occupancy_bits if buf else 0
 
     def clear_node(self, owner: int) -> int:
@@ -216,6 +223,8 @@ class Mac:
                 buf.occupancy_bits -= pkt.size_bits
                 remaining -= pkt.size_bits
                 taken.append(pkt)
+            if not buf.queue:
+                self.backlogged[direction].discard(ue)
             if taken:
                 per_rb_sinr = channel.sinr(ue, cell, direction, grant.rb_set)
                 decoded = decode(per_rb_sinr, grant.cqi_used, channel.tables)

@@ -14,6 +14,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 from .engine import EventKind, SimEvent, s_to_us
@@ -71,6 +72,19 @@ class Trajectory:
     @property
     def leave_us(self) -> int:
         return self.times[-1]
+
+    @cached_property
+    def top_speed(self) -> float:
+        """The largest segment speed, in metres per microsecond; 0 for one sample.
+        Computed on first read, as most runs never ask."""
+        times, xs, ys = self.times, self.xs, self.ys
+        return max(
+            (
+                math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) / (times[i] - times[i - 1])
+                for i in range(1, len(times))
+            ),
+            default=0.0,
+        )
 
 
 def _decode(raw: bytes, lineno: int) -> str:

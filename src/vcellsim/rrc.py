@@ -20,6 +20,8 @@ lapsed with margin m = hysteresis - (best - serving) at p0 lets the UE move
 (m - 1e-6) / 2R metres (1e-6 dB covers float error), in which checks return
 None at once: the condition must lapse there, and the lapse at p0 popped
 any pending state. A holding condition, a handover and `forget` clear it.
+`slack_m` tells the caller how much of that budget is left, so a run need
+not check, or even move, the UE until it may have used it up.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class Rrc:
         self._budgets: dict[int, tuple[tuple[float, float], float]] = {}
         self._gap_db_per_m = 2.0 * channel.max_loss_slope_db_per_m  # 2R of the docstring
 
+    @property
+    def can_hand_over(self) -> bool:
+        return self.config.enabled and len(self.binder.cells) >= 2
+
     def _association_scores(self, ue: int) -> list[tuple[int, float]]:
         if self.association_metric == "rx_power":
             return list(zip(self.binder.cells, self.channel.cell_powers(ue)))
@@ -92,7 +98,7 @@ class Rrc:
 
     def handover_check(self, ue: int, now_us: int) -> Optional[int]:
         """A3-style evaluation at current positions: the target cell, or None."""
-        if not self.config.enabled or len(self.binder.cells) < 2:
+        if not self.can_hand_over:
             return None
         node = self.binder.node(ue)
         budget = self._budgets.get(ue)
@@ -121,6 +127,14 @@ class Rrc:
             self._states.pop(ue, None)
             return best_cell
         return None
+
+    def slack_m(self, ue: int) -> float:
+        """Metres the UE may move from where it is before a check can find its
+        A3 condition holding; 0 if it must be checked every TTI."""
+        budget = self._budgets.get(ue)
+        if budget is None:
+            return 0.0
+        return budget[1] - math.dist(self.binder.node(ue).position, budget[0])
 
     def execute_handover(self, ue: int, target: int, mac: Mac) -> int:
         """Switch the serving cell; returns the DL bits flushed at the source.

@@ -9,12 +9,25 @@ the slot boundary, after which the binder closes the slot. Vehicle
 enter/leave and packet arrivals fire between ticks in deterministic order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
+
+A tick touches only the UEs it reads, in ascending id: those due an A3
+check, the backlogged ones, and last slot's uplink transmitters, whose
+positions uplink CQI reads as interference. Only these are moved; an idle
+UE's recorded position goes stale, and nothing reads it. A UE is due at
+its first tick after attach, then each TTI while the RRC keeps no
+movement budget for it. A check that leaves b metres of budget makes it
+due at the first TTI t with v_max (t - now) >= b, where v_max is the
+vehicle's top speed, so every check skipped in between would have lapsed.
+No due time lies past the vehicle's departure, and with handover off no
+UE is ever due.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import ceil
 from typing import Optional
 
 from .binder import Binder, Direction, NodeKind
@@ -56,6 +69,7 @@ class Scenario:
             self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm, (enb.x, enb.y))
 
         self._load_vehicles()
+        self._checks: list[tuple[int, int]] = []  # heap of (due us, UE), one per UE
 
         self.log: list[str] = []
         self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
@@ -135,6 +149,8 @@ class Scenario:
         pos = position_at(vehicle.traj, self.engine.now)
         rec = self.binder.register_node(NodeKind.UE, name, vehicle.tx_power_dbm, pos)
         cell = self.rrc.initial_association(rec.node_id, vehicle.manual_cell)
+        if self.rrc.can_hand_over:
+            heappush(self._checks, (self.engine.now, rec.node_id))
         cell_name = self.binder.node(cell).name
         vehicle.stats.timeline.append((self.engine.now, cell_name))
         self._logline(f"ENTER {name}")
@@ -178,29 +194,57 @@ class Scenario:
     def _on_sim_end(self, event: SimEvent) -> None:
         self._logline("SIM_END")
 
+    def _due_checks(self, now: int) -> list[int]:
+        """Pop the live UEs whose A3 check is due by `now`, in ascending id."""
+        checks, due = self._checks, []
+        while checks and checks[0][0] <= now:
+            ue = heappop(checks)[1]
+            if self.binder.is_live(ue):
+                due.append(ue)
+        due.sort()
+        return due
+
+    def _queue_check(self, ue: int, now: int) -> None:
+        """Queue the UE's next A3 check, just checked at `now`."""
+        traj = self.vehicles[self.binder.node(ue).name].traj
+        due = now + TTI_US
+        slack = self.rrc.slack_m(ue)
+        if slack > 0.0:
+            # TTIs until it may have moved `slack` metres, or until it leaves
+            ticks = (traj.leave_us - now) / TTI_US
+            metres_per_tti = traj.top_speed * TTI_US
+            if slack < metres_per_tti * ticks:
+                ticks = slack / metres_per_tti
+            due = now + ceil(ticks) * TTI_US
+        heappush(self._checks, (min(due, traj.leave_us), ue))
+
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
-        # enter and leave are separate events, so the live set is fixed here;
-        # it comes in ascending id order
-        live_ues = self.binder.live_nodes(NodeKind.UE)
-
-        for rec in live_ues:
-            self.channel.move(rec.node_id, position_at(self.vehicles[rec.name].traj, now))
+        nodes = self.binder.nodes
+        # enter and leave are separate events, so the live set is fixed for the tick
+        checks = self._due_checks(now)
+        backlog = self.mac.backlogged
+        senders = {tx for cells in self.binder.last[Direction.UL].values() for tx in cells.values()}
+        touched = sorted(senders.union(checks, backlog[Direction.DL], backlog[Direction.UL]))
+        for ue in touched:
+            self.channel.move(ue, position_at(self.vehicles[nodes[ue].name].traj, now))
 
         handovers = []  # (UE record, target cell)
-        for rec in live_ues:
-            target = self.rrc.handover_check(rec.node_id, now)
+        for ue in checks:
+            target = self.rrc.handover_check(ue, now)
             if target is not None:
-                handovers.append((rec, target))
+                handovers.append((nodes[ue], target))
+            self._queue_check(ue, now)
 
         # the schedulers read only backlogged UEs, so only those are measured
         candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
-        for rec in live_ues:
+        for ue in touched:
             for direction in (Direction.DL, Direction.UL):
-                if self.mac.buffer_bits(rec.node_id, direction) == 0:
+                if ue not in backlog[direction]:
                     continue
-                cqi = self.channel.measure(rec.node_id, rec.serving_cell, direction).cqi
-                candidates.setdefault((rec.serving_cell, direction), []).append((rec.node_id, cqi))
+                cell = nodes[ue].serving_cell
+                cqi = self.channel.measure(ue, cell, direction).cqi
+                candidates.setdefault((cell, direction), []).append((ue, cqi))
 
         schedule = (
             self.mac.schedule_tti_rr
@@ -210,7 +254,9 @@ class Scenario:
         allocations = []
         for cell in self.binder.cells:
             for direction in (Direction.DL, Direction.UL):
-                ues = candidates.get((cell, direction), [])
+                ues = candidates.get((cell, direction))
+                if ues is None:
+                    continue
                 alloc = schedule(cell, direction, ues, self.channel.tables)
                 if not alloc.grants:
                     continue

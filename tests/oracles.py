@@ -229,11 +229,11 @@ def reference_maxcqi(ues_with_cqi, buffer_bits, num_rbs, tables):
 
 
 class MeasureEveryone:
-    """A scenario's MAC whose buffers all read as nonempty to the tick's
-    measure guard, so every UE is measured in both directions; the MAC's own
-    scheduling still reads the real buffers. Every grant's SINR is taken,
-    and discarded, also for the grants that carry nothing, whose SINR the
-    MAC skips."""
+    """A scenario's MAC that shows the tick every live UE as backlogged in
+    both directions, so every UE is moved and measured in both; the MAC's
+    own scheduling still reads the real buffers. Every grant's SINR is
+    taken, and discarded, also for the grants that carry nothing, whose
+    SINR the MAC skips."""
 
     def __init__(self, mac):
         self._mac = mac
@@ -241,8 +241,10 @@ class MeasureEveryone:
     def __getattr__(self, name):
         return getattr(self._mac, name)
 
-    def buffer_bits(self, owner, direction):
-        return self._mac.buffer_bits(owner, direction) or 1
+    @property
+    def backlogged(self):
+        live = {rec.node_id for rec in self._mac.binder.live_nodes(NodeKind.UE)}
+        return {Direction.DL: live, Direction.UL: live}
 
     def transmit(self, allocation, channel):
         for ue, grant in allocation.grants.items():
@@ -288,12 +290,14 @@ def reference_handover_check(rrc, ue: int, now_us: int):
 
 
 def reference_mode(scn):
-    """Patch the skips out of a built `Scenario`, in place: attach and every
-    TTI's A3 check compute every eNB's power from the path-loss formula, with
-    no movement budget, every live UE is measured in both directions, and
-    every grant's SINR is taken.
+    """Patch the skips out of a built `Scenario`, in place: every TTI moves
+    every live UE, A3-checks it and measures it in both directions; attach
+    and every A3 check compute every eNB's power from the path-loss formula,
+    with no movement budget; and every grant's SINR is taken.
     `measure` keeps its own sums, so equal bytes never rest on float order."""
     scn.mac = MeasureEveryone(scn.mac)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
     scn.rrc.handover_check = lambda ue, now_us: reference_handover_check(scn.rrc, ue, now_us)
+    scn._due_checks = lambda now: [rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)]
+    scn._queue_check = lambda ue, now: None
     return scn

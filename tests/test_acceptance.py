@@ -25,6 +25,7 @@ from vcellsim.config import load_config
 from vcellsim.engine import ms_to_us, s_to_us
 from vcellsim.mac import Mac
 from vcellsim.metrics import write_outputs
+from vcellsim.mobility import position_at
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import build_config, make_packet, make_trace, write_scenario
@@ -113,12 +114,14 @@ def test_accident_freeze_and_shift(tmp_path):
             "car[0].accident.duration_s = 30",
         )
         scn = Scenario(load_config(write_scenario(tmp_path, cfg, trace)))
+        # a tick moves only the UEs it reads, so the route is read where the
+        # scenario keeps it, with the accident applied at load
+        traj = scn.vehicles["car0"].traj
         positions = {}
         for ms in range(0, 58_000):
             scn.engine.run_until(ms_to_us(ms))
-            node = scn.binder.live_id("car0")
-            if node is not None:
-                positions[ms] = scn.binder.node(node).position
+            if scn.binder.live_id("car0") is not None:
+                positions[ms] = position_at(traj, ms_to_us(ms))
 
         # oracle: piecewise time-shift of the raw sample table
         table = [(s_to_us(t), x, y) for t, x, y in raw]

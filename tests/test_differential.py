@@ -1,13 +1,19 @@
 """The optimized run against a reference run with every skip patched out.
 
-`oracles.reference_mode` takes out the movement budget of the A3 check and
-the guard that measures only backlogged UEs. The skips are exact by
-argument, so both runs must write the same vehicles.csv, cells.csv and
-events.log, whatever the scenario. The scenarios are drawn small: 2-5
-cells, 3-20 vehicles that enter, leave and crash, 0.5-3 s.
-Half of them set the coupling distance near half the eNB spacing, where
-best - serving moves at close to the 2R dB per metre the budget allows, so
-a looser bound shows as a late handover.
+`oracles.reference_mode` takes out the movement budget of the A3 check,
+the due times that let a tick leave a UE unchecked and unmoved, and the
+guard that measures only backlogged UEs. The skips are exact by argument,
+so both runs must write the same vehicles.csv, cells.csv and events.log,
+whatever the scenario, and every CQI report the optimized run takes must
+read the mean SINR the reference reads at the same TTI, which holds only
+if every position read is current. The scenarios are drawn small: 2-5
+cells, 3-20 vehicles that enter, leave and crash, 0.5-3 s, handover
+mostly on. A route has 1-4 segments, each stopped, driven at up to 60 m/s
+or a jump of up to half the eNB spacing in 1-5 ms, so a vehicle's top
+speed need not be its first. Half of the scenarios set the coupling
+distance near half the eNB spacing, where best - serving moves at close
+to the 2R dB per metre the budget allows, so a looser bound shows as a
+late handover.
 """
 
 import tempfile
@@ -16,6 +22,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vcellsim.config import load_config
+from vcellsim.engine import EventKind
 from vcellsim.rrc import ASSOCIATION_METRICS
 from vcellsim.scenario import Scenario
 
@@ -27,9 +34,33 @@ def _seconds(ms: int) -> str:
     return f"{ms / 1000:.3f}"
 
 
+def _route(draw, enter_ms: int, leave_ms: int, x0: float, spacing: float) -> list[tuple[int, float]]:
+    """(ms, x) samples from `enter_ms` to `leave_ms` in 1-4 segments."""
+    samples = [(enter_ms, x0)]
+    segments = draw(st.integers(1, 4))
+    while samples[-1][0] < leave_ms:
+        t, x = samples[-1]
+        kind = draw(st.sampled_from(("drive", "stop", "jump")))
+        left = leave_ms - t
+        if len(samples) == segments or left < 2:
+            dt = left
+        elif kind == "jump":
+            dt = draw(st.integers(1, min(5, left - 1)))
+        else:
+            dt = draw(st.integers(1, left - 1))
+        if kind == "stop":
+            dx = 0.0
+        elif kind == "jump":
+            dx = draw(st.integers(-int(spacing) // 2, int(spacing) // 2))
+        else:
+            dx = draw(st.integers(-60, 60)) * dt / 1000  # m/s along x
+        samples.append((t + dt, x + dx))
+    return samples
+
+
 @st.composite
 def scenarios(draw):
-    """(config text, trace text) of one small scenario with handover on."""
+    """(config text, trace text) of one small scenario."""
     n_cells = draw(st.integers(2, 5))
     spacing = draw(st.sampled_from((300.0, 600.0, 1000.0)))
     sim_ms = draw(st.integers(500, 3000))
@@ -40,7 +71,7 @@ def scenarios(draw):
         f"seed = {draw(st.integers(0, 1000))}",
         f"num_rbs = {draw(st.sampled_from((6, 15)))}",
         f"scheduler = {draw(st.sampled_from(('rr', 'maxcqi')))}",
-        "enable_handover = true",
+        f"enable_handover = {str(draw(st.integers(0, 3)) > 0).lower()}",
         f"handover.hysteresis_db = {draw(st.sampled_from((0.0, 0.5, 1.0, 3.0)))}",
         f"handover.time_to_trigger_ms = {draw(st.sampled_from((0, 1, 20, 100)))}",
         f"association_metric = {draw(st.sampled_from(ASSOCIATION_METRICS))}",
@@ -69,10 +100,10 @@ def scenarios(draw):
             x0 = (draw(st.integers(0, n_cells - 2)) + 0.5) * spacing + draw(st.integers(-60, 60))
         else:
             x0 = draw(st.integers(-100, int((n_cells - 1) * spacing) + 100))
-        speed = draw(st.integers(0, 60)) * draw(st.sampled_from((1, -1)))  # m/s along x
         y = draw(st.integers(-60, 60))
-        x1 = x0 + speed * (leave_ms - enter_ms) / 1000
-        rows += [(_seconds(enter_ms), name, x0, y), (_seconds(leave_ms), name, x1, y)]
+        rows += [
+            (_seconds(t), name, x, y) for t, x in _route(draw, enter_ms, leave_ms, x0, spacing)
+        ]
         if draw(st.integers(0, 3)) == 0:
             lines += [
                 f"car[{v}].accident.count = 1",
@@ -80,25 +111,44 @@ def scenarios(draw):
                 f"car[{v}].accident.duration_s = {_seconds(draw(st.integers(50, 1000)))}",
             ]
 
-    for f in range(draw(st.integers(0, 2))):
+    for f in range(draw(st.integers(0, 3))):
         target = draw(st.sampled_from(["ALL"] + [f"car{v}" for v in range(n_vehicles)]))
         lines += [
             f"flow[{f}].direction = {draw(st.sampled_from(('dl', 'ul')))}",
             f"flow[{f}].target = {target}",
             f"flow[{f}].packet_bits = {draw(st.sampled_from((800, 4000, 30000)))}",
             f"flow[{f}].interval_ms = {draw(st.sampled_from((5, 20, 50)))}",
-            f"flow[{f}].start_s = 0",
+            f"flow[{f}].start_s = {_seconds(draw(st.integers(0, 49)))}",  # buffers empty out of step
             f"flow[{f}].stop_s = {_seconds(sim_ms)}",
         ]
     return build_config(*lines), make_trace(rows)
 
 
 def _outputs(config, reference: bool):
+    """The run's output bytes, and the mean SINR of each CQI report its ticks
+    take, by (TTI start, UE, cell, direction)."""
     scn = Scenario(config)
     if reference:
         reference_mode(scn)
+    ticks, measure = [], scn.channel.measure
+    reports = {}
+
+    def recorded(ue, cell, direction):
+        report = measure(ue, cell, direction)
+        if ticks and ticks[-1] == scn.engine.now:
+            reports[(scn.engine.now, ue, cell, direction)] = report.mean_sinr
+        return report
+
+    tick = scn._on_tick
+
+    def on_tick(event):
+        ticks.append(scn.engine.now)
+        tick(event)
+
+    scn.channel.measure = recorded
+    scn.engine.on(EventKind.TTI_TICK, on_tick)
     report = scn.run()
-    return report.vehicles_csv(), report.cells_csv(), report.event_log
+    return (report.vehicles_csv(), report.cells_csv(), report.event_log), reports
 
 
 def test_optimized_run_writes_the_reference_bytes():
@@ -116,8 +166,10 @@ def test_optimized_run_writes_the_reference_bytes():
         config_text, trace_text = case
         with tempfile.TemporaryDirectory() as tmp:
             config = load_config(write_scenario(Path(tmp), config_text, trace_text))
-            optimized = _outputs(config, reference=False)
-            assert optimized == _outputs(config, reference=True)
+            optimized, reports = _outputs(config, reference=False)
+            expected, reference_reports = _outputs(config, reference=True)
+            assert optimized == expected
+            assert reports == {key: reference_reports[key] for key in reports}
         handovers.append(sum(" HANDOVER " in line for line in optimized[2]))
 
     check()

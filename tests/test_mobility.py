@@ -284,6 +284,28 @@ def test_misaligned_columns_rejected():
 # apply_accident
 
 
+def test_top_speed_is_the_fastest_segment_of_the_route():
+    # stopped, then 3-4-5 m in 1 s, then 10 m/s; one sample has no segment
+    t = _traj("car0", [(0, 0, 0), (10, 0, 0), (11, 3, 4), (21, 103, 4)])
+    assert t.top_speed == 10.0 / 1e6  # metres per microsecond
+    assert _traj("car1", [(5, 1, 1)]).top_speed == 0.0
+    # the accident's freeze and shift leave the route's speeds as they were
+    assert apply_accident(t, AccidentSpec(s_to_us(15), s_to_us(30))).top_speed == t.top_speed
+
+
+@given(st.lists(st.tuples(st.integers(1, 5000), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), min_size=2, max_size=8))
+def test_no_route_moves_faster_than_its_top_speed(steps):
+    table, t = [], 0
+    for dt_ms, x, y in steps:
+        t += dt_ms * 1000
+        table.append((t, x, y))
+    traj = _columns("car", table)
+    probes = sorted({traj.enter_us + (traj.leave_us - traj.enter_us) * k // 16 for k in range(17)})
+    for a, b in zip(probes, probes[1:]):
+        moved = math.dist(position_at(traj, a), position_at(traj, b))
+        assert moved <= traj.top_speed * (b - a) * (1 + 1e-9) + 1e-9
+
+
 def test_accident_freezes_position_for_the_window():
     # departure at 0, stop after 20 s, lasting 30 s
     t = _traj("car0", [(0, 0, 0), (100, 1000, 0)])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,15 +9,17 @@ from pathlib import Path
 
 import pytest
 
+from vcellsim import scenario as scenario_module
 from vcellsim.binder import Direction, NodeKind
 from vcellsim.config import load_config
 from vcellsim.engine import EventKind, ms_to_us
 from vcellsim.errors import ConfigError
 from vcellsim.metrics import write_outputs
+from vcellsim.mobility import position_at
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
-from oracles import MeasureEveryone
+from oracles import MeasureEveryone, reference_mode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -643,6 +646,156 @@ def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
         measures.append(len(calls))
     assert measures[1] > measures[0]
     assert outputs[1] == outputs[0]
+
+
+def test_last_uplink_sender_is_moved_after_emptying_its_buffer(tmp_path):
+    # car0 sends one UL packet in cell enb0 at TTI 0, which empties its buffer,
+    # then jumps 800 m toward enb1 by TTI 1. car1, always UL-backlogged in
+    # enb1, reads car0 on their shared RBs as interference in TTI 1, so car0
+    # must be moved then although it is neither backlogged nor due a check.
+    trace = make_trace(
+        [
+            (0.0, "car0", 100.0, 0.0),
+            (0.001, "car0", 900.0, 0.0),
+            (0.1, "car0", 900.0, 0.0),
+            (0.0, "car1", 1100.0, 0.0),
+            (0.1, "car1", 1100.0, 0.0),
+        ]
+    )
+    config = load_config(
+        write_scenario(
+            tmp_path,
+            build_config(
+                "sim_end_s = 0.003",
+                "trace_file = trace.csv",
+                "num_rbs = 6",
+                TWO_CELLS.replace("2000.0", "1000.0"),
+                "car[0].master_id = 0",
+                "car[1].master_id = 1",
+                "flow[0].direction = ul",
+                "flow[0].target = car0",
+                "flow[0].packet_bits = 400",
+                "flow[0].interval_ms = 1000",
+                "flow[0].start_s = 0",
+                "flow[0].stop_s = 0.003",
+                "flow[1].direction = ul",
+                "flow[1].target = car1",
+                "flow[1].packet_bits = 30000",
+                "flow[1].interval_ms = 1",
+                "flow[1].start_s = 0",
+                "flow[1].stop_s = 0.003",
+            ),
+            trace,
+        )
+    )
+    reports = []
+    for reference in (False, True):
+        scn = Scenario(config)
+        if reference:
+            reference_mode(scn)
+        sinr = {}
+        measure = scn.channel.measure
+
+        def recorded(ue, cell, direction, scn=scn, sinr=sinr, measure=measure):
+            report = measure(ue, cell, direction)
+            if direction is Direction.UL and scn.engine.now == ms_to_us(1):
+                sinr[scn.binder.node(ue).name] = report.mean_sinr
+                if not reference:
+                    car0 = scn.binder.live_id("car0")
+                    assert car0 not in scn.mac.backlogged[Direction.UL]
+                    assert car0 in scn.binder.last[Direction.UL][0].values()
+            return report
+
+        scn.channel.measure = recorded
+        scn.run()
+        reports.append(sinr)
+    assert "car1" in reports[0]
+    assert reports[0] == {name: reports[1][name] for name in reports[0]}
+
+
+def _crowd(vehicles: int, sim_s: float, seed: int = 5):
+    """(config text, trace text): `vehicles` slots over 4 cells 1 km apart,
+    each a vehicle at 0-3 m/s that leaves within twice the run and a
+    successor that enters 10-50 ms later; no traffic, handover on."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(vehicles):
+        x0, y = -500.0 + 4000.0 * (i + rng.random()) / vehicles, rng.uniform(-300.0, 300.0)
+        leave = round(0.01 + 2 * sim_s * (i + rng.random()) / vehicles, 3)
+        lives = [(f"v{i}a", 0.0, leave)]
+        if leave < sim_s:
+            lives.append((f"v{i}b", round(leave + 0.01 + 0.04 * rng.random(), 3), 2 * sim_s + 1))
+        for name, t0, t1 in lives:
+            speed = rng.uniform(-3.0, 3.0)
+            rows += [(t0, name, x0, y), (t1, name, round(x0 + speed * (t1 - t0), 3), y)]
+    config = build_config(
+        f"sim_end_s = {sim_s}",
+        "trace_file = trace.csv",
+        "dynamic_cell_association = true",
+        "enable_handover = true",
+        *(f"enb[{i}].x_m = {1000.0 * i}\nenb[{i}].y_m = 0.0" for i in range(4)),
+    )
+    return config, make_trace(rows)
+
+
+def test_idle_vehicles_are_neither_moved_nor_checked_each_tti(tmp_path, monkeypatch):
+    # Counts, not timings: a tick moves and checks an idle UE only when its
+    # A3 check falls due, which the movement budget puts far apart at 0-3
+    # m/s. Moving and checking every live UE every TTI would make about
+    # 60 x 200 = 12,000 calls of each here.
+    config_text, trace_text = _crowd(vehicles=60, sim_s=0.2)
+    scn = Scenario(load_config(write_scenario(tmp_path, config_text, trace_text)))
+    positions = []
+    monkeypatch.setattr(
+        scenario_module, "position_at", lambda traj, t: positions.append(t) or position_at(traj, t)
+    )
+    checks = []
+    check = scn.rrc.handover_check
+    scn.rrc.handover_check = lambda ue, now: checks.append(now) or check(ue, now)
+    enters = []
+    enter = scn._on_enter
+    scn.engine.on(EventKind.VEHICLE_ENTER, lambda event: enters.append(event) or enter(event))
+    scn.run()
+    assert len(enters) > 60  # some vehicles churned in the window
+    # every vehicle is checked in its first TTI; few are checked again
+    assert len(checks) <= 2 * len(enters)
+    # one position at attach, one per check
+    assert len(positions) <= len(enters) + len(checks)
+
+
+def test_due_queue_holds_one_entry_per_live_vehicle(tmp_path):
+    # every due time is capped at the vehicle's departure, so once a tick has
+    # popped what is due, no entry of a vehicle that left is kept
+    scn = Scenario(load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)))
+    tick = scn._on_tick
+    sizes = []
+
+    def checked_tick(event):
+        tick(event)
+        queued = [ue for _, ue in scn._checks]
+        live = {rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)}
+        assert sorted(queued) == sorted(live)
+        sizes.append(len(queued))
+
+    scn.engine.on(EventKind.TTI_TICK, checked_tick)
+    scn.run()
+    assert max(sizes) > 0
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        build_config(CHURN_BASE, "dynamic_cell_association = true"),
+        SINR_CONFIG.replace(THREE_CELLS_1KM, ONE_CELL),
+    ],
+    ids=["handover-off", "one-cell"],
+)
+def test_no_ue_is_ever_due_without_a_neighbour_to_hand_over_to(tmp_path, config_text):
+    scn = Scenario(load_config(write_scenario(tmp_path, config_text, CHURN_TRACE)))
+    checks = []
+    scn.rrc.handover_check = lambda ue, now: checks.append(ue)
+    scn.run()
+    assert checks == [] and scn._checks == []
 
 
 def test_write_outputs_creates_all_files_and_overwrites(tmp_path):
