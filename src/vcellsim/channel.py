@@ -20,21 +20,19 @@ a CQI can differ from the walk's only where the mean lies within an ulp of
 a threshold, and the bench digests at seeds 1-3 were checked unchanged.
 Pairs are still first queried, and so drawn, in per-RB walk order.
 
-The channel owns its caches. It keeps each pair's mW, and the bracket
-above per (pattern index, receiver, serving cell), so one eNB's uplink sum
-serves all of its UEs, until a node moves through `move`; it re-indexes
-`last` when the binder hands it a new grid, as the binder never edits a
-closed one. A run moves only the UEs a TTI reads, so a position is
-current wherever it is read, and an idle UE's stale one is read by no one.
-Association and handover read `cell_powers`, a UE's DL dBm from each eNB
-in `binder.cells` order; it keeps nothing, as a run checks a UE only when
-its movement budget may be spent, right after moving it. SINR stays
-linear: it is averaged and compared in the linear domain. The mean SINR
-maps to a 4-bit CQI through a threshold table, the CQI selects the MCS,
-and decoding succeeds exactly when the mean SINR over a grant's RBs is at
-or above the threshold of the CQI it was sent with. The threshold table is
-configured in dB and converted to linear once, so CQI selection and the
-decode gate read the same number.
+The channel keeps one memo: the bracket above per (pattern index,
+receiver, serving cell), so one eNB's uplink sum serves all of its UEs,
+until a node moves through `move`. It re-indexes `last` when the binder
+hands it a new grid, as the binder never edits a closed one. A run moves
+only the UEs a TTI reads, so a position is current wherever it is read,
+and an idle UE's stale one is read by no one. Association and handover
+read `cell_powers`, a UE's DL dBm from each eNB in `binder.cells` order.
+SINR stays linear: it is averaged and compared in the linear domain. The
+mean SINR maps to a 4-bit CQI through a threshold table, the CQI selects
+the MCS, and decoding succeeds exactly when the mean SINR over a grant's
+RBs is at or above the threshold of the CQI it was sent with. The
+threshold table is configured in dB and converted to linear once, so CQI
+selection and the decode gate read the same number.
 """
 
 from __future__ import annotations
@@ -178,9 +176,7 @@ class ChannelModel:
         self.max_loss_slope_db_per_m = params.pathloss_b_db / params.min_distance_m / math.log(10)
         self._rng = random.Random(seed)
         self._shadowing_db: dict[tuple[int, int], float] = {}
-        # memos of the positions since the last move: mW per (tx, rx) pair,
-        # and `measure`'s bracket per (index, receiver, serving cell)
-        self._pair_mw: dict[tuple[int, int], float] = {}
+        # `measure`'s bracket per (index, receiver, serving cell) since the last move
         self._brackets: dict[tuple[PatternIndex, int, int], float] = {}
         # per direction, the `last` grid dict `measure` indexed, and its index
         self._last_index: dict[Direction, tuple[dict, PatternIndex]] = {}
@@ -216,17 +212,9 @@ class ChannelModel:
         return self._dbm(cell_id, ue_id)
 
     def move(self, node_id: int, position: tuple[float, float]) -> None:
-        """Set a node's position; every kept power is stale from then on."""
+        """Set a node's position; every kept bracket is stale from then on."""
         self.binder.node(node_id).position = position
-        self._pair_mw.clear()
         self._brackets.clear()
-
-    def _power_mw(self, tx_id: int, rx_id: int) -> float:
-        key = (tx_id, rx_id)
-        mw = self._pair_mw.get(key)
-        if mw is None:
-            mw = self._pair_mw[key] = 10.0 ** (self._dbm(tx_id, rx_id) / 10.0)
-        return mw
 
     def _interference_mw(
         self, occupants: Iterable[tuple[int, int]], rx_id: int, serving_cell: int
@@ -236,7 +224,7 @@ class ChannelModel:
         total = 0.0
         for cell, tx_id in occupants:
             if cell != serving_cell:
-                total += self._power_mw(tx_id, rx_id)
+                total += db_to_linear(self._dbm(tx_id, rx_id))
         return total
 
     def check_allocated(
@@ -266,7 +254,7 @@ class ChannelModel:
         grid holds for it.
         """
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
-        signal_mw = self._power_mw(tx, rx)
+        signal_mw = db_to_linear(self._dbm(tx, rx))
         rbs = self.check_allocated(ue, serving_cell, direction, rb_set)
         grid = self.binder.current[direction]
         return [
@@ -282,7 +270,7 @@ class ChannelModel:
         last completed TTI. An RB nobody used sees S/N.
         """
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
-        signal_mw = self._power_mw(tx, rx)
+        signal_mw = db_to_linear(self._dbm(tx, rx))
         grid = self.binder.last[direction]
         cached = self._last_index.get(direction)
         if cached is None or cached[0] is not grid:

@@ -15,18 +15,17 @@ handover-dropped) and the UE is schedulable in the target from the next TTI.
 
 Path loss changes at most R = B / (d_min ln 10) dB per metre (the channel's
 `max_loss_slope_db_per_m`), and eNBs never move, so best - serving moves at
-most 2R|p - p0|. A check whose condition
-lapsed with margin m = hysteresis - (best - serving) at p0 lets the UE move
-(m - 1e-6) / 2R metres (1e-6 dB covers float error), in which checks return
-None at once: the condition must lapse there, and the lapse at p0 popped
-any pending state. A holding condition, a handover and `forget` clear it.
-`slack_m` tells the caller how much of that budget is left, so a run need
-not check, or even move, the UE until it may have used it up.
+most 2R|p - p0|. A check at p0 whose condition lapsed with margin
+m = hysteresis - (best - serving) leaves the UE a movement budget of
+(m - 1e-6) / 2R metres (1e-6 dB covers float error): within that distance
+of p0 the condition must lapse, and the lapse at p0 popped any pending
+state, so a check there would change nothing. `slack_m` reads the budget,
+so a run need not check, or even move, the UE until it may have moved that
+far. A holding condition, a handover and `forget` reset it to 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,8 +66,8 @@ class Rrc:
         self.config = config
         self.association_metric = association_metric
         self._states: dict[int, HandoverState] = {}
-        # per UE whose condition lapsed: (position, metres it may move from there)
-        self._budgets: dict[int, tuple[tuple[float, float], float]] = {}
+        # per UE whose condition lapsed at its last check: its budget in metres
+        self._slack_m: dict[int, float] = {}
         self._gap_db_per_m = 2.0 * channel.max_loss_slope_db_per_m  # 2R of the docstring
 
     @property
@@ -100,11 +99,7 @@ class Rrc:
         """A3-style evaluation at current positions: the target cell, or None."""
         if not self.can_hand_over:
             return None
-        node = self.binder.node(ue)
-        budget = self._budgets.get(ue)
-        if budget is not None and math.dist(node.position, budget[0]) < budget[1]:
-            return None  # the condition still lapses
-        serving = node.serving_cell
+        serving = self.binder.node(ue).serving_cell
         powers = dict(zip(self.binder.cells, self.channel.cell_powers(ue)))
         best_cell = None
         best_power = None
@@ -116,9 +111,9 @@ class Rrc:
         margin = self.config.hysteresis_db - (best_power - powers[serving])
         if margin >= 0.0:
             self._states.pop(ue, None)  # condition lapsed
-            self._budgets[ue] = (node.position, (margin - 1e-6) / self._gap_db_per_m)
+            self._slack_m[ue] = (margin - 1e-6) / self._gap_db_per_m
             return None
-        self._budgets.pop(ue, None)
+        self._slack_m.pop(ue, None)
         state = self._states.get(ue)
         if state is None or state.candidate != best_cell:
             state = HandoverState(candidate=best_cell, condition_since_us=now_us)
@@ -129,12 +124,9 @@ class Rrc:
         return None
 
     def slack_m(self, ue: int) -> float:
-        """Metres the UE may move from where it is before a check can find its
-        A3 condition holding; 0 if it must be checked every TTI."""
-        budget = self._budgets.get(ue)
-        if budget is None:
-            return 0.0
-        return budget[1] - math.dist(self.binder.node(ue).position, budget[0])
+        """Metres the UE may move from where it was last checked before a check
+        can find its A3 condition holding; 0 or less if it must be checked every TTI."""
+        return self._slack_m.get(ue, 0.0)
 
     def execute_handover(self, ue: int, target: int, mac: Mac) -> int:
         """Switch the serving cell; returns the DL bits flushed at the source.
@@ -144,9 +136,9 @@ class Rrc:
         """
         dropped = mac.clear_dl_buffer(ue)
         self.binder.set_serving_cell(ue, target)
-        self._budgets.pop(ue, None)
+        self._slack_m.pop(ue, None)
         return dropped
 
     def forget(self, ue: int) -> None:
         self._states.pop(ue, None)
-        self._budgets.pop(ue, None)
+        self._slack_m.pop(ue, None)

@@ -14,10 +14,10 @@ A tick touches only the UEs it reads, in ascending id: those due an A3
 check, the backlogged ones, and last slot's uplink transmitters, whose
 positions uplink CQI reads as interference. Only these are moved; an idle
 UE's recorded position goes stale, and nothing reads it. A UE is due at
-its first tick after attach, then each TTI while the RRC keeps no
-movement budget for it. A check that leaves b metres of budget makes it
-due at the first TTI t with v_max (t - now) >= b, where v_max is the
-vehicle's top speed, so every check skipped in between would have lapsed.
+its first tick after attach. A check that leaves a movement budget of
+b > 0 metres (`Rrc.slack_m`) makes it due at the first TTI t with
+v_max (t - now) >= b, where v_max is the vehicle's top speed; any other
+check, at the next TTI.
 No due time lies past the vehicle's departure, and with handover off no
 UE is ever due.
 """

@@ -342,52 +342,6 @@ def test_ul_bracket_is_summed_once_per_tti_for_all_ues_of_a_cell():
             channel.move(ue, binder.node(ue).position)
 
 
-def test_pair_powers_live_until_a_node_moves():
-    binder = Binder(num_rbs=10)
-    a = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    b = binder.register_node(NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
-    ues = []
-    for j, cell in enumerate([a, a, b, b]):
-        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, (300.0 * j, 20.0)).node_id
-        binder.set_serving_cell(ue, cell)
-        ues.append((ue, cell))
-    grants = [
-        (ue, cell, direction, [2 * (k % 2), 2 * (k % 2) + 1])  # both cells use RBs 0-3
-        for k, (ue, cell) in enumerate(ues)
-        for direction in (Direction.DL, Direction.UL)
-    ]
-
-    def record():
-        for ue, cell, direction, rbs in grants:
-            binder.record_allocation(direction, cell, rbs, cell if direction == Direction.DL else ue)
-
-    record()
-    binder.end_tti()
-    channel = ChannelModel(binder, PARAMS, TABLES)
-    evaluations = _count_pair_powers(channel)
-
-    def measure_all():
-        for ue, cell in ues:
-            for direction in (Direction.DL, Direction.UL):
-                channel.measure(ue, cell, direction)
-
-    measure_all()
-    measured = collections.Counter(evaluations)
-    assert len(measured) == 16  # every UE-eNB pair, both ways
-    assert set(measured.values()) == {1}
-
-    evaluations.clear()
-    record()  # the same grants in the same tick move no power
-    for ue, cell, direction, rbs in grants:
-        channel.sinr(ue, cell, direction, rbs)
-    assert not set(evaluations) & set(measured)
-
-    evaluations.clear()
-    channel.move(ues[0][0], binder.node(ues[0][0]).position)
-    measure_all()
-    assert evaluations == measured
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_added_interferer_never_raises_sinr(seed):

@@ -1,25 +1,25 @@
 """The optimized run against a reference run with every skip patched out.
 
-`oracles.reference_mode` takes out the movement budget of the A3 check,
-the due times that let a tick leave a UE unchecked and unmoved, and the
-guard that measures only backlogged UEs. The skips are exact by argument,
-so both runs must write the same vehicles.csv, cells.csv and events.log,
-whatever the scenario, and every CQI report the optimized run takes must
-read the mean SINR the reference reads at the same TTI, which holds only
-if every position read is current. The scenarios are drawn small: 2-5
-cells, 3-20 vehicles that enter, leave and crash, 0.5-3 s, handover
-mostly on. A route has 1-4 segments, each stopped, driven at up to 60 m/s
-or a jump of up to half the eNB spacing in 1-5 ms, so a vehicle's top
-speed need not be its first. Half of the scenarios set the coupling
-distance near half the eNB spacing, where best - serving moves at close
-to the 2R dB per metre the budget allows, so a looser bound shows as a
-late handover.
+`oracles.reference_mode` takes out the due times that the A3 check's
+movement budget sets, which let a tick leave a UE unchecked and unmoved,
+and the guard that measures only backlogged UEs. The skips are exact by
+argument, so both runs must write the same vehicles.csv, cells.csv and
+events.log, whatever the scenario, and every CQI report the optimized
+run takes must read the mean SINR the reference reads at the same TTI,
+which holds only if every position read is current. The scenarios are
+drawn small: 2-5 cells, 3-20 vehicles that enter, leave and crash,
+0.5-3 s, handover mostly on. A route has 1-4 segments, each stopped, driven at
+up to 60 m/s or a jump of up to half the eNB spacing in 1-5 ms, so a
+vehicle's top speed need not be its first. Half of the scenarios set the
+coupling distance near half the eNB spacing, where best - serving moves
+at close to the 2R dB per metre the budget allows, so a looser bound
+shows as a late handover.
 """
 
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from vcellsim.config import load_config
 from vcellsim.engine import EventKind
@@ -159,6 +159,7 @@ def test_optimized_run_writes_the_reference_bytes():
         derandomize=True,
         database=None,
         deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),  # no shrinking: fail fast
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(scenarios())

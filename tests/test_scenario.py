@@ -601,14 +601,14 @@ def test_budgets_are_kept_for_live_vehicles_only(tmp_path):
 
     def checked_leave(event):
         node = scn.binder.live_id(event.payload)
-        kept.update(scn.rrc._budgets)
+        kept.update(scn.rrc._slack_m)
         leave(event)
-        assert node not in scn.rrc._budgets
+        assert node not in scn.rrc._slack_m
 
     scn.engine.on(EventKind.VEHICLE_LEAVE, checked_leave)
     scn.run()
     live = {rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)}
-    assert kept and set(scn.rrc._budgets) <= live
+    assert kept and set(scn.rrc._slack_m) <= live
 
 
 def _count_measures(scn):
