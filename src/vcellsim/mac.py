@@ -6,9 +6,10 @@ queued for a later TTI, so bit accounting is exact. Each grant that
 carries a packet gets one decode decision per TTI, taken on the linear-mean
 SINR over its RBs; a failed decode drops the packets it carried (no HARQ).
 A grant that carries nothing is not decode-gated, and its SINR is never
-computed. `backlogged` holds, per direction, the nodes whose buffer holds
-bits: `enqueue` adds a node, and emptying its buffer by `transmit`,
-`clear_node` or `clear_dl_buffer` removes it.
+computed. `backlogged` is the buffer map: per direction, each node whose
+buffer holds bits, and that buffer. `enqueue` adds a node, and `transmit`
+that empties its buffer, or `clear`, removes it, so no buffer is kept
+empty.
 
 Both schedulers read each backlogged UE's RB demand, ceil(buffered bits /
 bits per RB at its CQI), worked out once per TTI. Round robin deals RBs one
@@ -39,17 +40,9 @@ BUFFER_CAPACITY_BITS = 8 * 2**20  # 1 MiB per buffer, tail-drop beyond
 class TxBuffer:
     """FIFO queue of packets for one endpoint and direction."""
 
-    def __init__(self, capacity_bits: int) -> None:
-        self.capacity_bits = capacity_bits
+    def __init__(self) -> None:
         self.queue: deque[Packet] = deque()
         self.occupancy_bits = 0
-
-    def push(self, packet: Packet) -> bool:
-        if self.occupancy_bits + packet.size_bits > self.capacity_bits:
-            return False
-        self.queue.append(packet)
-        self.occupancy_bits += packet.size_bits
-        return True
 
 
 @dataclass(frozen=True)
@@ -94,20 +87,11 @@ class Mac:
     ) -> None:
         self.binder = binder
         self.capacity_bits = capacity_bits
-        self._buffers: dict[tuple[int, Direction], TxBuffer] = {}
         self._rr_pointer: dict[tuple[int, Direction], int] = {}
-        self.backlogged: dict[Direction, set[int]] = {Direction.DL: set(), Direction.UL: set()}
+        self.backlogged: dict[Direction, dict[int, TxBuffer]] = {Direction.DL: {}, Direction.UL: {}}
 
     # ------------------------------------------------------------------
     # buffers
-
-    def buffer(self, owner: int, direction: Direction) -> TxBuffer:
-        key = (owner, direction)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = TxBuffer(self.capacity_bits)
-            self._buffers[key] = buf
-        return buf
 
     def enqueue(self, owner: int, packet: Packet) -> bool:
         """Queue a packet in its direction; False means it was tail-dropped."""
@@ -117,27 +101,27 @@ class Mac:
             raise MacError(
                 f"packet {packet.packet_id} has non-positive size {packet.size_bits}"
             )
-        if not self.buffer(owner, packet.direction).push(packet):
+        buffers = self.backlogged[packet.direction]
+        buf = buffers.get(owner) or TxBuffer()
+        if buf.occupancy_bits + packet.size_bits > self.capacity_bits:
             return False
-        self.backlogged[packet.direction].add(owner)
+        buf.queue.append(packet)
+        buf.occupancy_bits += packet.size_bits
+        buffers[owner] = buf
         return True
 
     def buffer_bits(self, owner: int, direction: Direction) -> int:
-        buf = self._buffers.get((owner, direction))
+        buf = self.backlogged[direction].get(owner)
         return buf.occupancy_bits if buf else 0
 
-    def _free(self, owner: int, direction: Direction) -> int:
-        buf = self._buffers.pop((owner, direction), None)
-        self.backlogged[direction].discard(owner)
+    def clear(self, owner: int, direction: Direction) -> int:
+        """Free a node's buffer in one direction; returns the bits it held."""
+        buf = self.backlogged[direction].pop(owner, None)
         return buf.occupancy_bits if buf else 0
 
     def clear_node(self, owner: int) -> int:
         """Free both of a node's buffers; returns the bits they held."""
-        return self._free(owner, Direction.DL) + self._free(owner, Direction.UL)
-
-    def clear_dl_buffer(self, owner: int) -> int:
-        """Handover teardown: free the buffer toward the UE, returning its bits."""
-        return self._free(owner, Direction.DL)
+        return self.clear(owner, Direction.DL) + self.clear(owner, Direction.UL)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -168,6 +152,7 @@ class Mac:
         ]
         start = sum(entry[0] <= pointer for entry in entries)
         short = deque(entries[start:] + entries[:start])  # UEs short of demand
+        ue = None
         for rb in range(self.binder.num_rbs):
             if not short:
                 break
@@ -176,6 +161,7 @@ class Mac:
             rbs.append(rb)
             if len(rbs) < demand:
                 short.append(entry)
+        if ue is not None:  # the UE that took the last RB
             self._rr_pointer[key] = ue
         grants = {ue: Grant(tuple(rbs), cqi) for ue, cqi, _, rbs in entries if rbs}
         return Allocation(cell, direction, grants)
@@ -213,9 +199,10 @@ class Mac:
         """
         outcome = TtiOutcome()
         cell, direction = allocation.cell, allocation.direction
+        buffers = self.backlogged[direction]
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
-            buf = self.buffer(ue, direction)
+            buf = buffers.get(ue) or TxBuffer()  # a hand-built grant may have none
             taken: list[Packet] = []
             remaining = len(grant.rb_set) * bits_per_rb(grant.cqi_used, channel.tables)
             while buf.queue and buf.queue[0].size_bits <= remaining:
@@ -224,7 +211,7 @@ class Mac:
                 remaining -= pkt.size_bits
                 taken.append(pkt)
             if not buf.queue:
-                self.backlogged[direction].discard(ue)
+                buffers.pop(ue, None)
             if taken:
                 per_rb_sinr = channel.sinr(ue, cell, direction, grant.rb_set)
                 decoded = decode(per_rb_sinr, grant.cqi_used, channel.tables)

@@ -9,9 +9,11 @@ selected instead for experimentation. Attach scores every cell, a manually
 configured one too, so each (vehicle, eNB) pair's shadowing is drawn at
 attach, in attach order, and no later query draws. While attached, a
 neighbor that exceeds the serving cell's received power by more than the
-hysteresis margin for the whole time-to-trigger window causes a handover:
-the old cell's downlink buffer toward the UE is flushed (counted as
-handover-dropped) and the UE is schedulable in the target from the next TTI.
+hysteresis margin for the whole time-to-trigger window makes
+`handover_check` return that neighbour. RRC only decides: the tick carries
+the handover out, flushing the MAC's downlink buffer toward the UE (counted
+as handover-dropped) and switching the serving cell, so the UE is
+schedulable in the target from the next TTI.
 
 Path loss changes at most R = B / (d_min ln 10) dB per metre (the channel's
 `max_loss_slope_db_per_m`), and eNBs never move, so best - serving moves at
@@ -21,7 +23,8 @@ m = hysteresis - (best - serving) leaves the UE a movement budget of
 of p0 the condition must lapse, and the lapse at p0 popped any pending
 state, so a check there would change nothing. `slack_m` reads the budget,
 so a run need not check, or even move, the UE until it may have moved that
-far. A holding condition, a handover and `forget` reset it to 0.
+far. A holding condition, which every handover decision needs, and `forget`
+reset it to 0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import Optional
 from .binder import Binder, Direction
 from .channel import ChannelModel
 from .errors import AssociationError
-from .mac import Mac
 
 
 ASSOCIATION_METRICS = ("rx_power", "sinr")  # the first is the default
@@ -127,17 +129,6 @@ class Rrc:
         """Metres the UE may move from where it was last checked before a check
         can find its A3 condition holding; 0 or less if it must be checked every TTI."""
         return self._slack_m.get(ue, 0.0)
-
-    def execute_handover(self, ue: int, target: int, mac: Mac) -> int:
-        """Switch the serving cell; returns the DL bits flushed at the source.
-
-        Runs in the TTI that made the decision; a UE cannot leave within a
-        TTI and cells never leave, so both ends are still live here.
-        """
-        dropped = mac.clear_dl_buffer(ue)
-        self.binder.set_serving_cell(ue, target)
-        self._slack_m.pop(ue, None)
-        return dropped
 
     def forget(self, ue: int) -> None:
         self._states.pop(ue, None)

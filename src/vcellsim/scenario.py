@@ -4,8 +4,9 @@ The TTI tick is the heartbeat: each slot runs mobility update, handover
 evaluation, CQI measurement against the previous slot's interference (of
 each UE and direction with buffered bits, the only ones a scheduler
 reads), scheduling, grid recording (so overlapping cells see each other),
-decode of the grants that carry packets, and finally handover execution at
-the slot boundary, after which the binder closes the slot. Vehicle
+decode of the grants that carry packets, and finally, at the slot boundary,
+the handovers RRC decided: the tick flushes each UE's downlink buffer and
+switches its serving cell, after which the binder closes the slot. Vehicle
 enter/leave and packet arrivals fire between ticks in deterministic order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
@@ -284,7 +285,9 @@ class Scenario:
         for rec, target in handovers:
             source_name = self.binder.node(rec.serving_cell).name  # before the switch
             stats = self.vehicles[rec.name].stats
-            stats.dropped_handover_bits += self.rrc.execute_handover(rec.node_id, target, self.mac)
+            # a UE cannot leave within a TTI and cells never leave: both ends are live
+            stats.dropped_handover_bits += self.mac.clear(rec.node_id, Direction.DL)
+            self.binder.set_serving_cell(rec.node_id, target)
             target_name = self.binder.node(target).name
             stats.timeline.append((now, target_name))
             self._logline(f"HANDOVER {rec.name} {source_name}->{target_name}")

@@ -75,7 +75,10 @@ def test_overflow_tail_drops_and_preserves_head():
     assert small.enqueue(ue, head) is True
     assert small.enqueue(ue, make_packet(1000)) is False
     assert small.buffer_bits(ue, Direction.DL) == 2000
-    assert list(small.buffer(ue, Direction.DL).queue) == [head]
+    assert list(small.backlogged[Direction.DL][ue].queue) == [head]
+    # a drop for a node with no buffer leaves it out of the buffer map
+    assert small.enqueue(ue, make_packet(3000, Direction.UL)) is False
+    assert ue not in small.backlogged[Direction.UL]
 
 
 def test_clear_node_empties_both_directions():
@@ -85,17 +88,17 @@ def test_clear_node_empties_both_directions():
     assert mac.clear_node(ue) == 800
     assert mac.buffer_bits(ue, Direction.DL) == 0
     assert mac.buffer_bits(ue, Direction.UL) == 0
-    assert not [key for key in mac._buffers if key[0] == ue]  # freed, not kept empty
+    assert all(ue not in buffers for buffers in mac.backlogged.values())  # freed, not kept empty
 
 
 def test_clear_dl_buffer_frees_only_the_dl_buffer():
     _, _, mac, _, (ue,) = _env()
     _fill(mac, ue, 500, Direction.DL)
     _fill(mac, ue, 300, Direction.UL)
-    assert mac.clear_dl_buffer(ue) == 500
-    assert list(mac._buffers) == [(ue, Direction.UL)]
+    assert mac.clear(ue, Direction.DL) == 500
+    assert not mac.backlogged[Direction.DL] and list(mac.backlogged[Direction.UL]) == [ue]
     assert mac.buffer_bits(ue, Direction.UL) == 300
-    assert mac.clear_dl_buffer(ue) == 0
+    assert mac.clear(ue, Direction.DL) == 0
 
 
 # ----------------------------------------------------------------------
@@ -408,10 +411,11 @@ def test_transmit_unrecorded_grant_rejected():
 
 
 def test_grant_that_took_nothing_computes_no_sinr():
-    binder, channel, mac, cell, (full, empty) = _env(2)
+    binder, channel, mac, cell, (full, empty, none) = _env(3)
     mac.enqueue(full, make_packet(1000))
     mac.enqueue(empty, make_packet(8000))
-    alloc = Allocation(cell, Direction.DL, {full: Grant((0, 1), 15), empty: Grant((2, 3), 15)})
+    grants = {full: Grant((0, 1), 15), empty: Grant((2, 3), 15), none: Grant((4,), 15)}
+    alloc = Allocation(cell, Direction.DL, grants)
     _record(binder, alloc)
     sinr_calls = []
     sinr = channel.sinr
@@ -425,6 +429,9 @@ def test_grant_that_took_nothing_computes_no_sinr():
     assert sinr_calls == [full]
     assert outcome.grant_outcomes[empty] == GrantOutcome(2, True, [], 0)
     assert mac.buffer_bits(empty, Direction.DL) == 8000
+    # a grant for a node with no buffer leaves it out of the buffer map
+    assert outcome.grant_outcomes[none] == GrantOutcome(1, True, [], 0)
+    assert list(mac.backlogged[Direction.DL]) == [empty]
 
 
 def test_colliding_cells_at_close_range_drop_both_grants():
@@ -463,26 +470,31 @@ def test_buffer_conservation_over_random_traffic(seed):
     rng = random.Random(seed)
     binder, channel, mac, cell, ues = _env(3)
     small = Mac(binder, capacity_bits=50_000)
-    fates = {ue: {"enqueued": 0, "delivered": 0, "dropped": 0, "cleared": 0} for ue in ues}
+    keys = [(ue, d) for ue in ues for d in Direction]
+    fates = {key: {"enqueued": 0, "delivered": 0, "dropped": 0, "cleared": 0} for key in keys}
     for step in range(30):
-        for ue in ues:
-            if rng.random() < 0.7:
-                pkt = make_packet(rng.randint(100, 20_000))
+        for ue, d in keys:
+            if rng.random() < 0.5:
+                pkt = make_packet(rng.randint(100, 20_000), d)
                 if small.enqueue(ue, pkt):
-                    fates[ue]["enqueued"] += pkt.size_bits
-        alloc = small.schedule_tti_rr(
-            cell, Direction.DL, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
-        )
-        _record(binder, alloc)
-        for ue, result in small.transmit(alloc, channel).grant_outcomes.items():
-            fates[ue]["delivered"] += sum(p.size_bits for p in result.delivered)
-            fates[ue]["dropped"] += result.dropped_bits
-        if rng.random() < 0.2:
-            ue = rng.choice(ues)
-            fates[ue]["cleared"] += small.clear_dl_buffer(ue)
+                    fates[ue, d]["enqueued"] += pkt.size_bits
+        for d in Direction:
+            alloc = small.schedule_tti_rr(
+                cell, d, [(ue, rng.randint(1, 15)) for ue in ues], TABLES
+            )
+            _record(binder, alloc)
+            for ue, result in small.transmit(alloc, channel).grant_outcomes.items():
+                fates[ue, d]["delivered"] += sum(p.size_bits for p in result.delivered)
+                fates[ue, d]["dropped"] += result.dropped_bits
+        if rng.random() < 0.3:
+            ue, d = rng.choice(keys)
+            fates[ue, d]["cleared"] += small.clear(ue, d)
+        # the buffer map holds only buffers with bits in them
+        for buffers in small.backlogged.values():
+            for buf in buffers.values():
+                assert buf.queue and buf.occupancy_bits == sum(p.size_bits for p in buf.queue)
         binder.end_tti()
-    for ue in ues:
-        f = fates[ue]
+    for (ue, d), f in fates.items():
         assert f["enqueued"] == (
-            f["delivered"] + f["dropped"] + f["cleared"] + small.buffer_bits(ue, Direction.DL)
+            f["delivered"] + f["dropped"] + f["cleared"] + small.buffer_bits(ue, d)
         )

@@ -12,10 +12,8 @@ from vcellsim.channel import (
 )
 from vcellsim.engine import ms_to_us
 from vcellsim.errors import AssociationError
-from vcellsim.mac import Mac
 from vcellsim.rrc import HandoverConfig, Rrc
 
-from conftest import make_packet
 from oracles import reference_handover_check
 
 PARAMS = ChannelParams()
@@ -114,16 +112,15 @@ def test_unknown_association_metric_rejected():
 
 
 def _walk(rrc, binder, ue, positions_by_ms):
-    """Step the UE one position per TTI, executing any handover like the
-    TTI pipeline does; returns (source, target, ms) triples."""
-    mac = Mac(binder)
+    """Step the UE one position per TTI, switching its serving cell on each
+    decision as the TTI pipeline does; returns (source, target, ms) triples."""
     decisions = []
     for ms, x in positions_by_ms:
         rrc.channel.move(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
-            rrc.execute_handover(ue, target, mac)
+            binder.set_serving_cell(ue, target)
     return decisions
 
 
@@ -256,7 +253,6 @@ def test_new_best_neighbour_restarts_the_trigger_clock():
     binder, rrc, ue, (c0, c1, c2) = _three_cell_env(
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=ms_to_us(ttt_ms))
     )
-    mac = Mac(binder)
     # near enb1 at ms 1..3, then near enb2 for good: enb2 overtakes enb1
     # within the window, so the clock restarts at ms 4 and fires 5 ms later
     decisions = []
@@ -265,23 +261,8 @@ def test_new_best_neighbour_restarts_the_trigger_clock():
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
-            rrc.execute_handover(ue, target, mac)
+            binder.set_serving_cell(ue, target)
     assert decisions == [(c0, c2, 4 + ttt_ms)]
-
-
-# ----------------------------------------------------------------------
-# execute_handover
-
-
-def test_execute_switches_cell_and_flushes_dl_buffer():
-    binder, channel, rrc, c0, c1 = _two_cell_env()
-    mac = Mac(binder)
-    ue = _attached_ue(binder, rrc, x=0.0)
-    mac.enqueue(ue, make_packet(5000))
-    dropped = rrc.execute_handover(ue, c1, mac)
-    assert dropped == 5000
-    assert binder.node(ue).serving_cell == c1
-    assert mac.buffer_bits(ue, Direction.DL) == 0
 
 
 def test_double_handover_a_b_a_keeps_history_consistent():
@@ -289,7 +270,6 @@ def test_double_handover_a_b_a_keeps_history_consistent():
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0),
         spacing=2000.0,
     )
-    mac = Mac(binder)
     ue = _attached_ue(binder, rrc, x=0.0)
     serving_history = [binder.node(ue).serving_cell]
     # out past the midpoint, then back
@@ -300,7 +280,7 @@ def test_double_handover_a_b_a_keeps_history_consistent():
         rrc.channel.move(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
-            rrc.execute_handover(ue, target, mac)
+            binder.set_serving_cell(ue, target)
             serving_history.append(binder.node(ue).serving_cell)
     assert serving_history == [c0, c1, c0]
 
@@ -328,7 +308,7 @@ def test_budget_is_the_margin_over_twice_the_slope_at_the_check():
         assert slack == (margin_db - 1e-6) / (2 * rrc.channel.max_loss_slope_db_per_m)
 
 
-def test_budget_is_cleared_by_a_holding_condition_handover_and_forget():
+def test_budget_is_cleared_by_a_holding_condition_and_forget():
     binder, _, rrc, c0, c1 = _two_cell_env(
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=ms_to_us(5))
     )
@@ -337,12 +317,11 @@ def test_budget_is_cleared_by_a_holding_condition_handover_and_forget():
     rrc.channel.move(ue, (1600.0, 0.0))  # far beyond the budget: enb1 is stronger
     assert rrc.handover_check(ue, ms_to_us(1)) is None  # pending, time-to-trigger
     assert rrc.slack_m(ue) == 0.0 and ue in rrc._states
-
-    assert _lapsed(rrc, ue, 100.0) > 0.0
-    rrc.execute_handover(ue, c1, Mac(binder))
+    # a decision comes only from a holding condition, so it leaves no budget
+    assert rrc.handover_check(ue, ms_to_us(6)) == c1
     assert rrc.slack_m(ue) == 0.0
 
-    assert _lapsed(rrc, ue, 1900.0) > 0.0
+    assert _lapsed(rrc, ue, 100.0) > 0.0
     rrc.forget(ue)
     assert rrc.slack_m(ue) == 0.0 and ue not in rrc._slack_m
 

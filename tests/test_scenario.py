@@ -288,6 +288,51 @@ def test_every_offered_bit_has_exactly_one_fate(tmp_path):
         )
 
 
+def test_handover_flushes_the_dl_buffer_and_keeps_the_ul_one(tmp_path):
+    # car0 crosses the enb0/enb1 bisector at 50 ms. Its 30,000-bit packets
+    # never fit 2 RBs, so all its DL bits and one UL packet are still queued
+    # at the handover; the small UL packets before it go out.
+    report, _ = _run(
+        tmp_path,
+        build_config(
+            "sim_end_s = 0.1",
+            "trace_file = trace.csv",
+            "dynamic_cell_association = true",
+            "enable_handover = true",
+            "handover.hysteresis_db = 0",
+            "handover.time_to_trigger_ms = 0",
+            "num_rbs = 2",
+            TWO_CELLS,
+            "flow[0].direction = dl",
+            "flow[0].target = car0",
+            "flow[0].packet_bits = 30000",
+            "flow[0].interval_ms = 10",
+            "flow[0].start_s = 0",
+            "flow[0].stop_s = 0.03",
+            "flow[1].direction = ul",
+            "flow[1].target = car0",
+            "flow[1].packet_bits = 400",
+            "flow[1].interval_ms = 5",
+            "flow[1].start_s = 0",
+            "flow[1].stop_s = 0.04",
+            "flow[2].direction = ul",
+            "flow[2].target = car0",
+            "flow[2].packet_bits = 30000",
+            "flow[2].interval_ms = 100",
+            "flow[2].start_s = 0.045",
+            "flow[2].stop_s = 0.1",
+        ),
+        make_trace([(0.0, "car0", 900.0, 0.0), (0.1, "car0", 1100.0, 0.0)]),
+    )
+    stats = report.vehicles["car0"]
+    assert [cell for _, cell in stats.timeline] == ["enb0", "enb1"]
+    assert stats.offered_bits == 3 * 30_000 + 8 * 400 + 30_000
+    assert stats.dropped_handover_bits == 3 * 30_000  # exactly the DL bits
+    assert stats.delivered_bits == 8 * 400
+    assert stats.residual_bits == 30_000  # the UL packet survived the handover
+    assert stats.dropped_radio_bits == stats.lost_core_bits == 0
+
+
 # ----------------------------------------------------------------------
 # determinism
 
