@@ -251,16 +251,18 @@ class ChannelModel:
         Every RB queried must be allocated to this transmission in the
         binder's `current` grid (`check_allocated`); the intercell
         interference on each RB comes from the co-channel transmitters that
-        grid holds for it.
+        grid holds for it, summed once per distinct occupant tuple.
         """
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
         signal_mw = db_to_linear(self._dbm(tx, rx))
-        rbs = self.check_allocated(ue, serving_cell, direction, rb_set)
         grid = self.binder.current[direction]
-        return [
-            signal_mw / (self._noise_mw + self._interference_mw(grid[rb].items(), rx, serving_cell))
-            for rb in rbs
-        ]
+        noise, sinrs, out = self._noise_mw, {}, []
+        for rb in self.check_allocated(ue, serving_cell, direction, rb_set):
+            key = tuple(grid[rb].items())  # the RB's occupants
+            if key not in sinrs:  # at its first RB, so pairs are queried in per-RB walk order
+                sinrs[key] = signal_mw / (noise + self._interference_mw(key, rx, serving_cell))
+            out.append(sinrs[key])
+        return out
 
     def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
         """Full-grid channel report against the binder's `last` grid.

@@ -2,8 +2,8 @@
 
 Simulation time is kept as integer microseconds so that TTI arithmetic is
 exact; one LTE transmission slot (TTI) lasts 1 ms. Events fire strictly in
-(fire_time, insertion sequence) order, so two runs fed the same schedule
-produce the same processed-event trace bit for bit.
+(fire_time, sequence) order, a rescheduled event keeping its number, so two
+runs fed the same schedule produce the same processed-event trace bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class EventKind(Enum):
 
 @dataclass
 class SimEvent:
-    """A scheduled occurrence; `sequence` is assigned by the engine."""
+    """A scheduled occurrence; `sequence` is assigned by the engine unless set."""
 
     fire_time: int  # microseconds
     kind: EventKind
@@ -67,7 +67,8 @@ class Engine:
 
     Handlers are registered per event kind; kinds without a handler are
     counted but otherwise ignored, which keeps the engine testable on its
-    own. Same-timestamp events fire in insertion (FIFO) order.
+    own. Same-timestamp events fire in sequence order, for fresh events FIFO.
+    A caller that presets `sequence` must not tie a pending event's (time, seq).
     """
 
     def __init__(self) -> None:
@@ -85,8 +86,8 @@ class Engine:
                 f"event {event.kind.value} scheduled at {event.fire_time} us, "
                 f"but clock is already {self.now} us"
             )
-        event.sequence = self._seq
-        self._seq += 1
+        if event.sequence is None:
+            event.sequence, self._seq = self._seq, self._seq + 1
         heapq.heappush(self._heap, (event.fire_time, event.sequence, event))
 
     def schedule_at(self, fire_time: int, kind: EventKind, payload: Any = None) -> None:

@@ -6,8 +6,8 @@ each UE and direction with buffered bits, the only ones a scheduler
 reads), scheduling, grid recording (so overlapping cells see each other),
 decode of the grants that carry packets, and finally, at the slot boundary,
 the handovers RRC decided: the tick flushes each UE's downlink buffer and
-switches its serving cell, after which the binder closes the slot. Vehicle
-enter/leave and packet arrivals fire between ticks in deterministic order.
+switches its serving cell, after which the binder closes the slot. A flow's
+one pending arrival keeps its sequence number, so arrivals fire in set-up order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
 
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import ceil
-from typing import Optional
+from typing import Iterator, Optional
 
 from .binder import Binder, Direction, NodeKind
 from .channel import ChannelModel
@@ -125,14 +125,15 @@ class Scenario:
         for event in lifecycle_events(v.traj for v in self.vehicles.values()):
             if event.fire_time <= config.sim_end_us:
                 self.engine.schedule(event)
-        flows = expand_flows(list(config.flows), list(self.vehicles))
-        for flow in flows:
+        self._arrivals: dict[str, Iterator[int]] = {}  # a flow's times after the pending one
+        for flow in expand_flows(list(config.flows), list(self.vehicles)):
             if flow.target not in self.vehicles:
-                raise ConfigError(
-                    f"flow {flow.name} targets unknown vehicle {flow.target!r}"
-                )
-            for event in generate_flow_events(flow, config.sim_end_us):
-                self.engine.schedule(event)
+                raise ConfigError(f"flow {flow.name} targets unknown vehicle {flow.target!r}")
+            times = generate_flow_events(flow, config.sim_end_us)
+            self._arrivals[flow.name] = iter(times[1:])
+            for t in times[:1]:  # the first arrival; each arrival schedules the next
+                packet = Packet(flow.name, 0, flow.target, flow.direction, flow.packet_bits, t)
+                self.engine.schedule(SimEvent(t, EventKind.PACKET_ARRIVAL, packet))
         self.engine.schedule_at(config.sim_end_us, EventKind.SIM_END)
         # the first tick goes in last so same-time ENTER/arrival events precede it
         if config.sim_end_us > 0:
@@ -169,6 +170,12 @@ class Scenario:
 
     def _on_packet_arrival(self, event: SimEvent) -> None:
         packet: Packet = event.payload
+        t = next(self._arrivals[packet.flow], None)
+        if t is not None:  # the same event, so the flow keeps its sequence number
+            event.fire_time, event.payload = t, Packet(
+                packet.flow, packet.seq + 1, packet.vehicle, packet.direction, packet.size_bits, t
+            )
+            self.engine.schedule(event)
         stats = self.vehicles[packet.vehicle].stats
         stats.offered_bits += packet.size_bits
         if packet.direction == Direction.DL and self.binder.live_id(packet.vehicle) is not None:

@@ -4,7 +4,7 @@ Downlink packets originate at a remote server and cross the core network,
 a fixed one-way delay (`ScenarioConfig.backhaul_delay_us`), before landing
 in the serving eNB's buffer. Uplink packets originate at the vehicle and
 count as delivered at the eNB (the same core delay is added to their
-reported latency).
+reported latency). A run keeps one pending arrival per flow (`Scenario`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .binder import Direction
-from .engine import EventKind, SimEvent
 
 ALL_VEHICLES = "ALL"
 
@@ -64,18 +63,9 @@ def expand_flows(specs: list[FlowSpec], vehicle_names: list[str]) -> list[FlowSp
     return out
 
 
-def generate_flow_events(spec: FlowSpec, until_us: int) -> list[SimEvent]:
-    """PACKET_ARRIVAL events at start, start+interval, ... strictly before stop
-    and no later than `until_us`, the last time a run fires events."""
+def generate_flow_events(spec: FlowSpec, until_us: int) -> range:
+    """Arrival times start, start+interval, ... strictly before stop and at most
+    `until_us`, the last time a run fires events; a packet's `seq` is its index."""
     if spec.target == ALL_VEHICLES:
         raise ValueError("expand_flows must run before event generation")
-    events = []
-    t = spec.start_us
-    seq = 0
-    while t < spec.stop_us and t <= until_us:
-        packet = Packet(spec.name, seq, spec.target, spec.direction, spec.packet_bits, t)
-        events.append(SimEvent(t, EventKind.PACKET_ARRIVAL, packet))
-        seq += 1
-        t += spec.interval_us
-    return events
-
+    return range(spec.start_us, min(spec.stop_us, until_us + 1), spec.interval_us)

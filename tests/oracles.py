@@ -6,7 +6,10 @@ from bisect import bisect_right
 
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
+from vcellsim.engine import Engine, EventKind, SimEvent
+from vcellsim.mobility import lifecycle_events
 from vcellsim.rrc import HandoverState
+from vcellsim.traffic import Packet, expand_flows
 
 
 def allocation_items(grid):
@@ -300,4 +303,43 @@ def reference_mode(scn):
     scn.rrc.handover_check = lambda ue, now_us: reference_handover_check(scn.rrc, ue, now_us)
     scn._due_checks = lambda now: [rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)]
     scn._queue_check = lambda ue, now: None
+    return scn
+
+
+def eager_flow_events(spec, until_us: int) -> list:
+    """Every PACKET_ARRIVAL event of one expanded flow, built up front: at
+    start, start+interval, ... strictly before stop and no later than
+    `until_us`, packet `seq` counting from 0."""
+    events = []
+    t = spec.start_us
+    seq = 0
+    while t < spec.stop_us and t <= until_us:
+        packet = Packet(spec.name, seq, spec.target, spec.direction, spec.packet_bits, t)
+        events.append(SimEvent(t, EventKind.PACKET_ARRIVAL, packet))
+        seq += 1
+        t += spec.interval_us
+    return events
+
+
+def eager_mode(scn):
+    """Give a built `Scenario`, in place, a fresh engine holding the eager
+    schedule: the enter/leave events up to the run's end, then every arrival
+    of every flow (flow by flow, in time order), then SIM_END, then the first
+    tick, each taking the next sequence number; no arrival schedules
+    another."""
+    config = scn.config
+    engine = Engine()
+    for kind, handler in scn.engine._handlers.items():
+        engine.on(kind, handler)
+    for event in lifecycle_events(v.traj for v in scn.vehicles.values()):
+        if event.fire_time <= config.sim_end_us:
+            engine.schedule(event)
+    for flow in expand_flows(list(config.flows), list(scn.vehicles)):
+        for event in eager_flow_events(flow, config.sim_end_us):
+            engine.schedule(event)
+    engine.schedule_at(config.sim_end_us, EventKind.SIM_END)
+    if config.sim_end_us > 0:
+        engine.schedule_at(0, EventKind.TTI_TICK, 0)
+    scn.engine = engine
+    scn._arrivals = {name: iter(()) for name in scn._arrivals}
     return scn

@@ -78,6 +78,9 @@ def test_traced_run_counts_grants_and_cqi(tmp_path):
     assert metrics["mac.useful_grant_ratio"] > 0
     assert metrics["mac.empty_grants"] > 0 and metrics["mac.wasted_rbs"] > 0
     assert sum(metrics[f"channel.cqi_hist.{k}"] for k in range(16)) > 0
+    # the hook counts len() of what set-up generates, one flow at a time:
+    # every arrival the run fires, 5 per vehicle
+    assert metrics["traffic.flow_events"] == metrics["engine.events.PACKET_ARRIVAL"] == 10
 
 
 def test_traced_round_robin_run_counts_useful_grants(tmp_path):

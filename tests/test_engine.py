@@ -30,6 +30,48 @@ def test_same_time_events_fire_in_insertion_order():
     assert fired == ["A", "B"]
 
 
+def test_an_event_with_a_preset_sequence_keeps_it():
+    eng = Engine()
+    event = SimEvent(ms_to_us(2), EventKind.PACKET_ARRIVAL, "A", sequence=7)
+    eng.schedule(event)
+    assert event.sequence == 7
+    # so does one scheduled again, as a flow's next arrival is
+    eng.run_until(ms_to_us(2))
+    event.fire_time = ms_to_us(3)
+    eng.schedule(event)
+    assert event.sequence == 7
+
+
+def test_events_sharing_a_slot_fire_in_time_order():
+    # one flow's arrivals reuse one sequence number: time alone orders them,
+    # and at a shared time the slot still decides against other events
+    eng = Engine()
+    fired = []
+    eng.on(EventKind.PACKET_ARRIVAL, lambda ev: fired.append((eng.now, ev.payload)))
+    eng.schedule(SimEvent(ms_to_us(1), EventKind.PACKET_ARRIVAL, "fresh"))  # sequence 0
+    for t_ms, payload in ((3, "late"), (1, "early"), (2, "middle")):
+        eng.schedule(SimEvent(ms_to_us(t_ms), EventKind.PACKET_ARRIVAL, payload, sequence=5))
+    eng.run_until(ms_to_us(3))
+    assert fired == [
+        (ms_to_us(1), "fresh"),
+        (ms_to_us(1), "early"),
+        (ms_to_us(2), "middle"),
+        (ms_to_us(3), "late"),
+    ]
+
+
+def test_a_fresh_event_takes_the_next_counter_value():
+    eng = Engine()
+    events = [
+        SimEvent(ms_to_us(1), EventKind.TTI_TICK),
+        SimEvent(ms_to_us(1), EventKind.PACKET_ARRIVAL, sequence=40),
+        SimEvent(ms_to_us(1), EventKind.TTI_TICK),
+    ]
+    for event in events:
+        eng.schedule(event)
+    assert [event.sequence for event in events] == [0, 40, 1]
+
+
 def test_scheduling_in_the_past_is_rejected():
     eng = Engine()
     eng.run_until(ms_to_us(7))

@@ -233,6 +233,46 @@ def test_setup_holds_only_the_arrivals_the_run_fires(tmp_path):
     assert scn.run().vehicles["car0"].offered_bits == 101 * 100
 
 
+def test_setup_does_not_grow_with_the_run_length(tmp_path):
+    # 20 vehicles with a 1 ms flow each, up and down: a 10x longer run sets
+    # up the same heap (one ENTER, two pending arrivals per vehicle, SIM_END
+    # and the first tick) in the same memory; up front it would hold 40x the
+    # run's length in ms of arrivals
+    trace = make_trace(
+        [(0, f"car{v}", 50.0 * v, 0) for v in range(20)]
+        + [(30, f"car{v}", 50.0 * v + 5, 0) for v in range(20)]
+    )
+    flows = [
+        f"flow[{f}].direction = {direction}\n"
+        f"flow[{f}].target = ALL\n"
+        f"flow[{f}].packet_bits = 100\n"
+        f"flow[{f}].interval_ms = 1\n"
+        f"flow[{f}].start_s = 0\n"
+        f"flow[{f}].stop_s = 30"
+        for f, direction in enumerate(("dl", "ul"))
+    ]
+    heaps, peaks = [], []
+    for sim_end_s in (1, 1, 10):  # the first set-up also pays one-off costs
+        cfg = build_config(
+            f"sim_end_s = {sim_end_s}",
+            "trace_file = trace.csv",
+            "dynamic_cell_association = true",
+            ONE_CELL,
+            *flows,
+        )
+        config = load_config(write_scenario(tmp_path / str(len(heaps)), cfg, trace))
+        tracemalloc.start()
+        try:
+            scn = Scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        heaps.append(len(scn.engine._heap))
+        peaks.append(peak)
+    assert heaps == [20 + 40 + 1 + 1] * 3
+    assert peaks[2] < peaks[1] * 1.1  # about 50 KiB; up front, 16 MiB then 160 MiB
+
+
 # ----------------------------------------------------------------------
 # latency and conservation
 
