@@ -1,6 +1,7 @@
 """Central bookkeeping for the simulated network.
 
 Every node (vehicle UE or eNB) registers here and gets a run-unique id.
+A record holds no position: the channel reads positions from mobility.
 eNBs are registered once and stay for the whole run; only vehicle UEs join
 and leave, and the binder is the only record of which vehicles are live.
 The binder also keeps the resource-block ledger: for each cell and
@@ -53,7 +54,6 @@ class NodeRecord:
     name: str
     tx_power_dbm: float
     serving_cell: Optional[int] = None  # UE only
-    position: tuple[float, float] = (0.0, 0.0)
 
 
 # Per-TTI grid: direction -> rb index -> {cell id -> transmitter id}.
@@ -98,22 +98,10 @@ class Binder:
     # ------------------------------------------------------------------
     # registry
 
-    def register_node(
-        self,
-        kind: NodeKind,
-        name: str,
-        tx_power_dbm: float,
-        position: tuple[float, float] = (0.0, 0.0),
-    ) -> NodeRecord:
+    def register_node(self, kind: NodeKind, name: str, tx_power_dbm: float) -> NodeRecord:
         if name in self._live_ids:
             raise RegistryError(f"a live node named {name!r} already exists")
-        record = NodeRecord(
-            node_id=self._next_node_id,
-            kind=kind,
-            name=name,
-            tx_power_dbm=tx_power_dbm,
-            position=position,
-        )
+        record = NodeRecord(self._next_node_id, kind, name, tx_power_dbm)
         self._next_node_id += 1
         self.nodes[record.node_id] = record
         self._live_ids[name] = record.node_id

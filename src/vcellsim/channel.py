@@ -14,25 +14,23 @@ ledger: other cells' eNBs in downlink, other cells' UEs in uplink. Every
 pair's power comes from `received_power_dbm`, the one path-loss formula.
 `measure` averages SINR over the whole `last` grid: RBs with the same
 occupants see the same interference I, so the mean is signal x ((free RBs)
-/ N + sum over distinct patterns of RB count / (N + I)) / RBs, a fixed
-number of operations per pattern. Its float order is not a per-RB walk's:
-a CQI can differ from the walk's only where the mean lies within an ulp of
-a threshold, and the bench digests at seeds 1-3 were checked unchanged.
-Pairs are still first queried, and so drawn, in per-RB walk order.
+/ N + sum over distinct patterns of RB count / (N + I)) / RBs. Its float
+order is not a per-RB walk's, so a CQI can differ from the walk's only
+where the mean lies within an ulp of a threshold (the bench digests at
+seeds 1-3 were checked unchanged). Pairs are still first queried, and so
+drawn, in per-RB walk order.
 
-The channel keeps one memo: the bracket above per (pattern index,
-receiver, serving cell), so one eNB's uplink sum serves all of its UEs,
-until a node moves through `move`. It re-indexes `last` when the binder
-hands it a new grid, as the binder never edits a closed one. A run moves
-only the UEs a TTI reads, so a position is current wherever it is read,
-and an idle UE's stale one is read by no one. Association and handover
-read `cell_powers`, a UE's DL dBm from each eNB in `binder.cells` order.
+Positions are pulled, never pushed: `where(node)` is the node's position
+at `clock.now`. A position read is kept until the time moves on (an eNB's
+for the run), and so is a cell's uplink bracket above, which all its UEs
+share; a downlink bracket has one reader and is not kept. `last` is
+re-indexed per grid the binder hands over, as it never edits a closed one.
 SINR stays linear: it is averaged and compared in the linear domain. The
 mean SINR maps to a 4-bit CQI through a threshold table, the CQI selects
 the MCS, and decoding succeeds exactly when the mean SINR over a grant's
-RBs is at or above the threshold of the CQI it was sent with. The
-threshold table is configured in dB and converted to linear once, so CQI
-selection and the decode gate read the same number.
+RBs is at or above the threshold of the CQI it was sent with. The dB
+threshold table is converted to linear once, so CQI selection and the
+decode gate read the same number.
 """
 
 from __future__ import annotations
@@ -59,9 +57,7 @@ CQI_EFFICIENCY = (
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141,
     2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
-CQI_BITS_PER_RB = tuple(
-    math.floor(eff * RESOURCE_ELEMENTS_PER_RB) for eff in CQI_EFFICIENCY
-)
+CQI_BITS_PER_RB = tuple(math.floor(eff * RESOURCE_ELEMENTS_PER_RB) for eff in CQI_EFFICIENCY)
 
 
 def db_to_linear(db: float) -> float:
@@ -108,11 +104,8 @@ def path_loss_db(distance_m: float, params: ChannelParams) -> float:
 
 def noise_dbm(params: ChannelParams) -> float:
     """Thermal noise over one RB plus the receiver noise figure."""
-    return (
-        THERMAL_NOISE_DBM_PER_HZ
-        + 10.0 * math.log10(params.rb_bandwidth_hz)
-        + params.noise_figure_db
-    )
+    rb_noise = THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(params.rb_bandwidth_hz)
+    return rb_noise + params.noise_figure_db
 
 
 def received_power_dbm(
@@ -124,11 +117,8 @@ def received_power_dbm(
 ) -> float:
     """The one path-loss formula: transmit power less PL and shadowing."""
     d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), params.min_distance_m)
-    return (
-        tx_power_dbm
-        - (params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0))
-        - shadowing_db
-    )
+    loss = params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0)
+    return tx_power_dbm - loss - shadowing_db
 
 
 def cqi_from_sinr(mean_sinr: float, tables: CqiTables) -> int:
@@ -163,23 +153,33 @@ class PatternIndex:
 
 
 class ChannelModel:
-    """Binds propagation parameters to the binder's registry and ledger."""
+    """Binds propagation parameters to the binder's registry and ledger.
+    `where(node_id)` gives a node's (x, y) in metres at `clock.now`."""
 
     def __init__(
-        self, binder: Binder, params: ChannelParams, tables: CqiTables, seed: int = 0
+        self, binder: Binder, params: ChannelParams, tables: CqiTables, where, clock, seed: int = 0
     ) -> None:
         self.binder = binder
         self.params = params
         self.tables = tables
+        self.where = where
+        self.clock = clock
         self._noise_mw = db_to_linear(noise_dbm(params))
         # dB per metre: path loss is steepest at the minimum coupling distance
         self.max_loss_slope_db_per_m = params.pathloss_b_db / params.min_distance_m / math.log(10)
         self._rng = random.Random(seed)
         self._shadowing_db: dict[tuple[int, int], float] = {}
-        # `measure`'s bracket per (index, receiver, serving cell) since the last move
-        self._brackets: dict[tuple[PatternIndex, int, int], float] = {}
+        self._now = -1  # the time of the positions and UL brackets (index, cell) kept
+        self._pos: dict[int, tuple[float, float]] = {}
+        self._brackets: dict[tuple[PatternIndex, int], float] = {}
         # per direction, the `last` grid dict `measure` indexed, and its index
         self._last_index: dict[Direction, tuple[dict, PatternIndex]] = {}
+
+    def _new_time(self) -> None:
+        """Drop what was read at an earlier time; eNB positions stay."""
+        self._now, pos = self.clock.now, self._pos
+        self._pos = {cell: pos[cell] for cell in self.binder.cells if cell in pos}
+        self._brackets.clear()
 
     def shadowing_db(self, node_a: int, node_b: int) -> float:
         """The pair's shadowing loss, drawn at its first query; reciprocal."""
@@ -197,24 +197,25 @@ class ChannelModel:
             self._shadowing_db.pop((cell, ue_id) if cell <= ue_id else (ue_id, cell), None)
 
     def _dbm(self, tx_id: int, rx_id: int) -> float:
-        """dBm received at `rx_id` from `tx_id` at current positions."""
-        tx, rx = self.binder.nodes[tx_id], self.binder.nodes[rx_id]
-        return received_power_dbm(
-            tx.tx_power_dbm, tx.position, rx.position, self.params, self.shadowing_db(tx_id, rx_id)
-        )
+        """dBm received at `rx_id` from `tx_id` where both are now."""
+        pos, tx_power = self._pos, self.binder.nodes[tx_id].tx_power_dbm
+        try:
+            tx_pos, rx_pos = pos[tx_id], pos[rx_id]
+        except KeyError:  # a first read at this time: ask `where`
+            tx_pos = pos[tx_id] = pos.get(tx_id) or self.where(tx_id)
+            rx_pos = pos[rx_id] = pos.get(rx_id) or self.where(rx_id)
+        shadowing = self.shadowing_db(tx_id, rx_id)
+        return received_power_dbm(tx_power, tx_pos, rx_pos, self.params, shadowing)
 
     def cell_powers(self, ue_id: int) -> list[float]:
         """DL dBm the UE receives from each eNB, in `binder.cells` order."""
+        if self._now != self.clock.now:
+            self._new_time()
         return [self._dbm(cell, ue_id) for cell in self.binder.cells]
 
     def rx_power_from_cell(self, ue_id: int, cell_id: int) -> float:
-        """Power the UE receives from one eNB at current positions (dBm)."""
-        return self._dbm(cell_id, ue_id)
-
-    def move(self, node_id: int, position: tuple[float, float]) -> None:
-        """Set a node's position; every kept bracket is stale from then on."""
-        self.binder.node(node_id).position = position
-        self._brackets.clear()
+        """DL dBm the UE receives from one eNB: its entry of `cell_powers`."""
+        return self.cell_powers(ue_id)[self.binder.cells.index(cell_id)]
 
     def _interference_mw(
         self, occupants: Iterable[tuple[int, int]], rx_id: int, serving_cell: int
@@ -246,13 +247,11 @@ class ChannelModel:
     def sinr(
         self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
     ) -> list[float]:
-        """Per-RB linear SINR for an allocated transmission, by ascending RB.
-
-        Every RB queried must be allocated to this transmission in the
-        binder's `current` grid (`check_allocated`); the intercell
-        interference on each RB comes from the co-channel transmitters that
-        grid holds for it, summed once per distinct occupant tuple.
-        """
+        """Per-RB linear SINR of a transmission on RBs the `current` grid
+        allocates it (`check_allocated`), by ascending RB; the co-channel
+        transmitters that grid holds interfere, summed once per occupant tuple."""
+        if self._now != self.clock.now:
+            self._new_time()
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
         signal_mw = db_to_linear(self._dbm(tx, rx))
         grid = self.binder.current[direction]
@@ -265,12 +264,12 @@ class ChannelModel:
         return out
 
     def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
-        """Full-grid channel report against the binder's `last` grid.
-
-        Used for CQI: the serving link is evaluated on every RB of the grid
-        whether or not it is allocated, with interference taken from the
-        last completed TTI. An RB nobody used sees S/N.
-        """
+        """CQI report over every RB of the binder's `last` grid, allocated or
+        not, with the last completed TTI's interference; a free RB sees S/N."""
+        if self._now != self.clock.now:
+            self._new_time()
+        if ue not in self._pos:  # a tick reads a UE here first: spare `_dbm` the KeyError
+            self._pos[ue] = self.where(ue)
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
         signal_mw = db_to_linear(self._dbm(tx, rx))
         grid = self.binder.last[direction]
@@ -278,13 +277,13 @@ class ChannelModel:
         if cached is None or cached[0] is not grid:
             cached = self._last_index[direction] = (grid, PatternIndex(grid))
         index = cached[1]
-        key = (index, rx, serving_cell)
-        bracket = self._brackets.get(key)
+        bracket = self._brackets.get((index, rx))  # never a DL one: it has one reader
         if bracket is None:
             noise = self._noise_mw
             bracket = (self.binder.num_rbs - index.occupied) / noise
             for occupants, count in index.patterns:
                 bracket += count / (noise + self._interference_mw(occupants, rx, serving_cell))
-            self._brackets[key] = bracket
+            if direction is Direction.UL:  # a cell's sum, shared by all its UEs
+                self._brackets[(index, rx)] = bracket
         mean = signal_mw * bracket / self.binder.num_rbs
         return ChannelReport(mean_sinr=mean, cqi=cqi_from_sinr(mean, self.tables))

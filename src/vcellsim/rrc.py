@@ -22,7 +22,7 @@ m = hysteresis - (best - serving) leaves the UE a movement budget of
 (m - 1e-6) / 2R metres (1e-6 dB covers float error): within that distance
 of p0 the condition must lapse, and the lapse at p0 popped any pending
 state, so a check there would change nothing. `slack_m` reads the budget,
-so a run need not check, or even move, the UE until it may have moved that
+so a run need not check, or even read, the UE until it may have moved that
 far. A holding condition, which every handover decision needs, and `forget`
 reset it to 0.
 """

@@ -1,9 +1,9 @@
 """Scenario wiring and the per-TTI pipeline.
 
-The TTI tick is the heartbeat: each slot runs mobility update, handover
-evaluation, CQI measurement against the previous slot's interference (of
-each UE and direction with buffered bits, the only ones a scheduler
-reads), scheduling, grid recording (so overlapping cells see each other),
+The TTI tick is the heartbeat: each slot runs handover evaluation, CQI
+measurement against the previous slot's interference (of each UE and
+direction with buffered bits, the only ones a scheduler reads),
+scheduling, grid recording (so overlapping cells see each other),
 decode of the grants that carry packets, and finally, at the slot boundary,
 the handovers RRC decided: the tick flushes each UE's downlink buffer and
 switches its serving cell, after which the binder closes the slot. A flow's
@@ -11,14 +11,13 @@ one pending arrival keeps its sequence number, so arrivals fire in set-up order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
 
-A tick touches only the UEs it reads, in ascending id: those due an A3
-check, the backlogged ones, and last slot's uplink transmitters, whose
-positions uplink CQI reads as interference. Only these are moved; an idle
-UE's recorded position goes stale, and nothing reads it. A UE is due at
-its first tick after attach. A check that leaves a movement budget of
-b > 0 metres (`Rrc.slack_m`) makes it due at the first TTI t with
-v_max (t - now) >= b, where v_max is the vehicle's top speed; any other
-check, at the next TTI.
+The channel pulls each position it reads from `_position`: a vehicle on
+its trajectory at the engine's time, an eNB at its site. A tick reads only
+the UEs due an A3 check and the backlogged ones (and, as interference,
+other cells' last-slot uplink senders). A UE is due at its first tick
+after attach. A check that leaves a movement budget of b > 0 metres
+(`Rrc.slack_m`) makes it due at the first TTI t with v_max (t - now) >= b,
+where v_max is the vehicle's top speed; any other check, at the next TTI.
 No due time lies past the vehicle's departure, and with handover off no
 UE is ever due.
 """
@@ -60,14 +59,17 @@ class Scenario:
         self.config = config
         self.engine = Engine()
         self.binder = Binder(config.num_rbs)
-        self.channel = ChannelModel(self.binder, config.channel, config.tables, config.seed)
+        self.channel = ChannelModel(
+            self.binder, config.channel, config.tables, self._position, self.engine, config.seed
+        )
         self.mac = Mac(self.binder)
         self.rrc = Rrc(
             self.binder, self.channel, config.handover, config.association_metric
         )
 
+        self._sites = {enb.name: (enb.x, enb.y) for enb in config.enbs}
         for enb in config.enbs:
-            self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm, (enb.x, enb.y))
+            self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm)
 
         self._load_vehicles()
         self._checks: list[tuple[int, int]] = []  # heap of (due us, UE), one per UE
@@ -139,6 +141,12 @@ class Scenario:
         if config.sim_end_us > 0:
             self.engine.schedule_at(0, EventKind.TTI_TICK, 0)
 
+    def _position(self, node_id: int) -> tuple[float, float]:
+        """Where the node is now: a vehicle on its trajectory, an eNB at its site."""
+        name = self.binder.nodes[node_id].name
+        vehicle = self.vehicles.get(name)
+        return self._sites[name] if vehicle is None else position_at(vehicle.traj, self.engine.now)
+
     def _logline(self, text: str) -> None:
         self.log.append(f"{us_to_s(self.engine.now):.6f} {text}")
 
@@ -148,8 +156,7 @@ class Scenario:
     def _on_enter(self, event: SimEvent) -> None:
         name = event.payload
         vehicle = self.vehicles[name]
-        pos = position_at(vehicle.traj, self.engine.now)
-        rec = self.binder.register_node(NodeKind.UE, name, vehicle.tx_power_dbm, pos)
+        rec = self.binder.register_node(NodeKind.UE, name, vehicle.tx_power_dbm)
         cell = self.rrc.initial_association(rec.node_id, vehicle.manual_cell)
         if self.rrc.can_hand_over:
             heappush(self._checks, (self.engine.now, rec.node_id))
@@ -231,12 +238,6 @@ class Scenario:
         nodes = self.binder.nodes
         # enter and leave are separate events, so the live set is fixed for the tick
         checks = self._due_checks(now)
-        backlog = self.mac.backlogged
-        senders = {tx for cells in self.binder.last[Direction.UL].values() for tx in cells.values()}
-        touched = sorted(senders.union(checks, backlog[Direction.DL], backlog[Direction.UL]))
-        for ue in touched:
-            self.channel.move(ue, position_at(self.vehicles[nodes[ue].name].traj, now))
-
         handovers = []  # (UE record, target cell)
         for ue in checks:
             target = self.rrc.handover_check(ue, now)
@@ -246,10 +247,8 @@ class Scenario:
 
         # the schedulers read only backlogged UEs, so only those are measured
         candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
-        for ue in touched:
-            for direction in (Direction.DL, Direction.UL):
-                if ue not in backlog[direction]:
-                    continue
+        for direction, backlog in self.mac.backlogged.items():
+            for ue in sorted(backlog):
                 cell = nodes[ue].serving_cell
                 cqi = self.channel.measure(ue, cell, direction).cqi
                 candidates.setdefault((cell, direction), []).append((ue, cqi))

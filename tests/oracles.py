@@ -28,6 +28,31 @@ def co_channel_transmitters(grid, rb: int, excluding_cell: int) -> list[int]:
     )
 
 
+class Positions:
+    """A dict-backed position provider for a `ChannelModel`, and its clock.
+
+    `place` puts a node at (x, y) and moves `now` on by 1 us, since the
+    channel keeps what it reads until the time moves on; `register` also
+    registers the node. Pass the same object as `where` and `clock`.
+    """
+
+    def __init__(self):
+        self.now = 0
+        self.at = {}
+
+    def __call__(self, node_id):
+        return self.at[node_id]
+
+    def place(self, node_id, xy):
+        self.at[node_id] = xy
+        self.now += 1
+
+    def register(self, binder, kind, name, tx_power_dbm, xy=(0.0, 0.0)):
+        rec = binder.register_node(kind, name, tx_power_dbm)
+        self.place(rec.node_id, xy)
+        return rec
+
+
 def live_ids(binder: Binder) -> set[int]:
     return {rec.node_id for rec in binder.live_nodes()}
 
@@ -58,38 +83,49 @@ def reference_noise_dbm(params: ChannelParams) -> float:
     return -174.0 + 10.0 * math.log10(params.rb_bandwidth_hz) + params.noise_figure_db
 
 
-def reference_rx_mw(tx_rec, rx_rec, params: ChannelParams) -> float:
-    d = math.hypot(tx_rec.position[0] - rx_rec.position[0], tx_rec.position[1] - rx_rec.position[1])
+def reference_distance_m(where, node_a: int, node_b: int) -> float:
+    """Straight-line distance between two nodes where the provider puts them."""
+    (xa, ya), (xb, yb) = where(node_a), where(node_b)
+    return math.hypot(xa - xb, ya - yb)
+
+
+def reference_rx_mw(where, tx_rec, rx_rec, params: ChannelParams) -> float:
+    d = reference_distance_m(where, tx_rec.node_id, rx_rec.node_id)
     return 10.0 ** ((tx_rec.tx_power_dbm - reference_path_loss_db(d, params)) / 10.0)
 
 
 def brute_force_sinr_db(
     binder: Binder,
     params: ChannelParams,
+    where,
     ue: int,
     serving: int,
     grid,
     direction: Direction,
     rb: int,
 ) -> float:
-    """SINR on one RB by direct summation over one direction's whole grid."""
+    """SINR on one RB by direct summation over one direction's whole grid,
+    with positions from the provider `where`."""
     ue_rec = binder.node(ue)
     cell_rec = binder.node(serving)
     tx, rx = (cell_rec, ue_rec) if direction == Direction.DL else (ue_rec, cell_rec)
-    signal = reference_rx_mw(tx, rx, params)
+    signal = reference_rx_mw(where, tx, rx, params)
     noise = 10.0 ** (reference_noise_dbm(params) / 10.0)
     interference = sum(
-        reference_rx_mw(binder.node(other_tx), rx, params)
+        reference_rx_mw(where, binder.node(other_tx), rx, params)
         for cell, grid_rb, other_tx in allocation_items(grid)
         if grid_rb == rb and cell != serving
     )
     return 10.0 * math.log10(signal / (noise + interference))
 
 
-def brute_force_mean_sinr(binder: Binder, params: ChannelParams, ue: int, serving: int, direction: Direction) -> float:
+def brute_force_mean_sinr(
+    binder: Binder, params: ChannelParams, where, ue: int, serving: int, direction: Direction
+) -> float:
     """Linear mean SINR over every RB of the `last` grid, one brute-force RB at a time."""
+    grid = binder.last[direction]
     per_rb = [
-        brute_force_sinr_db(binder, params, ue, serving, binder.last[direction], direction, rb)
+        brute_force_sinr_db(binder, params, where, ue, serving, grid, direction, rb)
         for rb in range(binder.num_rbs)
     ]
     return sum(10.0 ** (v / 10.0) for v in per_rb) / binder.num_rbs
@@ -142,9 +178,11 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
     """
     params = ChannelParams()
     binder = Binder(num_rbs=num_rbs)
+    positions = Positions()
     n_cells = rng.randint(1, max_cells)
     cells = [
-        binder.register_node(
+        positions.register(
+            binder,
             NodeKind.ENB,
             f"enb{i}",
             rng.uniform(40.0, 46.0),
@@ -154,7 +192,8 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
     ]
     ues = []
     for j in range(rng.randint(1, max_ues)):
-        rec = binder.register_node(
+        rec = positions.register(
+            binder,
             NodeKind.UE,
             f"ue{j}",
             rng.uniform(20.0, 26.0),
@@ -164,7 +203,7 @@ def random_allocated_scenario(rng: random.Random, num_rbs: int = 12, max_cells: 
         binder.set_serving_cell(rec.node_id, serving)
         ues.append((rec.node_id, serving))
     grants = record_random_grants(binder, rng, ues, cells)
-    channel = ChannelModel(binder, params, CqiTables())
+    channel = ChannelModel(binder, params, CqiTables(), positions, positions)
     return binder, channel, grants
 
 
@@ -233,7 +272,7 @@ def reference_maxcqi(ues_with_cqi, buffer_bits, num_rbs, tables):
 
 class MeasureEveryone:
     """A scenario's MAC that shows the tick every live UE as backlogged in
-    both directions, so every UE is moved and measured in both; the MAC's
+    both directions, so every UE is read and measured in both; the MAC's
     own scheduling still reads the real buffers. Every grant's SINR is
     taken, and discarded, also for the grants that carry nothing, whose
     SINR the MAC skips."""
@@ -256,14 +295,13 @@ class MeasureEveryone:
 
 
 def reference_cell_powers(rrc, ue: int) -> list[tuple[int, float]]:
-    """(cell, DL dBm) for every eNB, from the path-loss formula at current
-    positions; nothing is kept between calls."""
+    """(cell, DL dBm) for every eNB, from the path-loss formula at the
+    positions the channel's provider gives now; nothing is kept between calls."""
     channel, binder = rrc.channel, rrc.binder
-    rx = binder.node(ue)
     out = []
     for cell in binder.cells:
         tx = binder.node(cell)
-        d = math.hypot(tx.position[0] - rx.position[0], tx.position[1] - rx.position[1])
+        d = reference_distance_m(channel.where, cell, ue)
         loss = reference_path_loss_db(d, channel.params)
         out.append((cell, tx.tx_power_dbm - loss - channel.shadowing_db(cell, ue)))
     return out
@@ -292,13 +330,27 @@ def reference_handover_check(rrc, ue: int, now_us: int):
     return None
 
 
+def _unmemoized(channel, read):
+    """`read` run after the channel drops what it kept from earlier calls."""
+
+    def fresh(*args):
+        channel._new_time()
+        return read(*args)
+
+    return fresh
+
+
 def reference_mode(scn):
-    """Patch the skips out of a built `Scenario`, in place: every TTI moves
+    """Patch the skips out of a built `Scenario`, in place: every TTI reads
     every live UE, A3-checks it and measures it in both directions; attach
     and every A3 check compute every eNB's power from the path-loss formula,
-    with no movement budget; and every grant's SINR is taken.
-    `measure` keeps its own sums, so equal bytes never rest on float order."""
+    with no movement budget; every grant's SINR is taken; and each `measure`
+    and `sinr` call reads every position and sum afresh, keeping nothing from
+    an earlier call. `measure` keeps its own sums, so equal bytes never rest
+    on float order."""
     scn.mac = MeasureEveryone(scn.mac)
+    scn.channel.measure = _unmemoized(scn.channel, scn.channel.measure)
+    scn.channel.sinr = _unmemoized(scn.channel, scn.channel.sinr)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
     scn.rrc.handover_check = lambda ue, now_us: reference_handover_check(scn.rrc, ue, now_us)
     scn._due_checks = lambda now: [rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)]

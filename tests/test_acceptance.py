@@ -25,7 +25,6 @@ from vcellsim.config import load_config
 from vcellsim.engine import ms_to_us, s_to_us
 from vcellsim.mac import Mac
 from vcellsim.metrics import write_outputs
-from vcellsim.mobility import position_at
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import build_config, make_packet, make_trace, write_scenario
@@ -114,14 +113,14 @@ def test_accident_freeze_and_shift(tmp_path):
             "car[0].accident.duration_s = 30",
         )
         scn = Scenario(load_config(write_scenario(tmp_path, cfg, trace)))
-        # a tick moves only the UEs it reads, so the route is read where the
-        # scenario keeps it, with the accident applied at load
-        traj = scn.vehicles["car0"].traj
+        # read where the channel reads it: the scenario's position provider
+        # at the engine's time, on the route with the accident applied at load
         positions = {}
         for ms in range(0, 58_000):
             scn.engine.run_until(ms_to_us(ms))
-            if scn.binder.live_id("car0") is not None:
-                positions[ms] = position_at(traj, ms_to_us(ms))
+            car0 = scn.binder.live_id("car0")
+            if car0 is not None:
+                positions[ms] = scn.channel.where(car0)
 
         # oracle: piecewise time-shift of the raw sample table
         table = [(s_to_us(t), x, y) for t, x, y in raw]
@@ -204,10 +203,11 @@ def test_sinr_brute_force_equivalence():
             grids += 1
             for ue, cell, direction, rbs in grants:
                 values = channel.sinr(ue, cell, direction, rbs)
+                grid = binder.current[direction]
                 for linear, rb in zip(values, rbs):
                     value = 10.0 * math.log10(linear)
                     expected = brute_force_sinr_db(
-                        binder, channel.params, ue, cell, binder.current[direction], direction, rb
+                        binder, channel.params, channel.where, ue, cell, grid, direction, rb
                     )
                     assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
                     compared += 1
@@ -289,10 +289,10 @@ def test_lifecycle_ledger_fuzz():
 
 def _mac_env(n_ues, num_rbs):
     binder = Binder(num_rbs=num_rbs)
-    cell = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    cell = binder.register_node(NodeKind.ENB, "enb0", 46.0).node_id
     ues = []
     for i in range(n_ues):
-        rec = binder.register_node(NodeKind.UE, f"car{i}", 26.0, (100.0, float(i)))
+        rec = binder.register_node(NodeKind.UE, f"car{i}", 26.0)
         binder.set_serving_cell(rec.node_id, cell)
         ues.append(rec.node_id)
     return Mac(binder), cell, ues

@@ -16,7 +16,7 @@ EMPTY_GRID = {Direction.DL: {}, Direction.UL: {}}
 def _binder_with_cells(n=2, num_rbs=50):
     binder = Binder(num_rbs=num_rbs)
     cells = [
-        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0).node_id
         for i in range(n)
     ]
     return binder, cells
@@ -115,7 +115,7 @@ def test_deregister_purges_grid_like_a_rebuild():
     # oracle: rebuild both grids from scratch without the departed node
     oracle = Binder(num_rbs=50)
     ocells = [
-        oracle.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        oracle.register_node(NodeKind.ENB, f"enb{i}", 46.0).node_id
         for i in range(2)
     ]
     oracle.register_node(NodeKind.UE, "car0", 26.0)

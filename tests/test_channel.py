@@ -25,6 +25,7 @@ from vcellsim.channel import (
 from vcellsim.errors import ChannelError
 
 from oracles import (
+    Positions,
     brute_force_mean_sinr,
     brute_force_sinr_db,
     per_rb_pair_walk,
@@ -68,7 +69,8 @@ def test_path_loss_one_decade_step():
 def test_path_loss_never_rises_faster_than_the_channel_slope(min_distance, b_db, d, step):
     # the handover budget rests on this bound; at d_min it is tight
     params = ChannelParams(pathloss_b_db=b_db, min_distance_m=min_distance)
-    slope = ChannelModel(Binder(), params, TABLES).max_loss_slope_db_per_m
+    where = Positions()
+    slope = ChannelModel(Binder(), params, TABLES, where, where).max_loss_slope_db_per_m
     rise = path_loss_db(d + step, params) - path_loss_db(d, params)
     assert 0.0 <= rise <= slope * step + 1e-9
     tiny = min_distance * 1e-6
@@ -104,11 +106,11 @@ def test_noise_closed_form():
 
 
 def _one_cell_one_ue(distance=1000.0):
-    binder = Binder(num_rbs=10)
-    cell = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (distance, 0.0)).node_id
+    binder, where = Binder(num_rbs=10), Positions()
+    cell = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (distance, 0.0)).node_id
     binder.set_serving_cell(ue, cell)
-    return binder, ChannelModel(binder, PARAMS, TABLES), cell, ue
+    return binder, ChannelModel(binder, PARAMS, TABLES, where, where), cell, ue
 
 
 def test_sinr_without_interference_is_snr():
@@ -120,15 +122,15 @@ def test_sinr_without_interference_is_snr():
 
 
 def test_equal_power_interferer_pushes_sinr_just_below_zero():
-    binder = Binder(num_rbs=10)
+    binder, where = Binder(num_rbs=10), Positions()
     # two cells symmetric around the UE: equal received power
-    c0 = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    c1 = binder.register_node(NodeKind.ENB, "enb1", 46.0, (2000.0, 0.0)).node_id
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
+    c0 = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    c1 = where.register(binder, NodeKind.ENB, "enb1", 46.0, (2000.0, 0.0)).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
     binder.set_serving_cell(ue, c0)
     binder.record_allocation(Direction.DL, c0, [4], c0)
     binder.record_allocation(Direction.DL, c1, [4], c1)
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
     got = to_db(*channel.sinr(ue, c0, Direction.DL, [4]))
     assert got < 0.0
     assert got == pytest.approx(0.0, abs=0.01)  # N is tiny next to S here
@@ -147,9 +149,10 @@ def test_sinr_matches_brute_force_on_random_grids():
         binder, channel, grants = random_allocated_scenario(rng)
         for ue, cell, direction, rbs in grants:
             got = channel.sinr(ue, cell, direction, rbs)
+            grid = binder.current[direction]
             for value, rb in zip(got, rbs):
                 expected = brute_force_sinr_db(
-                    binder, channel.params, ue, cell, binder.current[direction], direction, rb
+                    binder, channel.params, channel.where, ue, cell, grid, direction, rb
                 )
                 assert to_db(value) == pytest.approx(expected, rel=1e-9)
 
@@ -164,7 +167,9 @@ def test_measure_full_grid_matches_per_rb_brute_force():
         for ue, cell in serving_of.items():
             for direction in (Direction.DL, Direction.UL):
                 report = channel.measure(ue, cell, direction)
-                expected = brute_force_mean_sinr(binder, channel.params, ue, cell, direction)
+                expected = brute_force_mean_sinr(
+                    binder, channel.params, channel.where, ue, cell, direction
+                )
                 assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
                 assert report.cqi == cqi_from_sinr(report.mean_sinr, TABLES)
 
@@ -176,13 +181,14 @@ def _assert_memo_matches_brute_force(binder, channel, grants):
         for direction in (Direction.DL, Direction.UL):
             report = channel.measure(rec.node_id, rec.serving_cell, direction)
             expected = brute_force_mean_sinr(
-                binder, channel.params, rec.node_id, rec.serving_cell, direction
+                binder, channel.params, channel.where, rec.node_id, rec.serving_cell, direction
             )
             assert report.mean_sinr == pytest.approx(expected, rel=1e-9)
     for ue, cell, direction, rbs in grants:
         got = [to_db(v) for v in channel.sinr(ue, cell, direction, rbs)]
+        grid = binder.current[direction]
         expected = [
-            brute_force_sinr_db(binder, channel.params, ue, cell, binder.current[direction], direction, rb)
+            brute_force_sinr_db(binder, channel.params, channel.where, ue, cell, grid, direction, rb)
             for rb in rbs
         ]
         assert got == pytest.approx(expected, rel=1e-9)
@@ -210,18 +216,18 @@ def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
 def test_memoized_interference_follows_every_binder_change(seed):
     # each check fills the memos, so a change that left them stale would show
     rng = random.Random(seed)
-    binder = Binder(num_rbs=10)
+    binder, where = Binder(num_rbs=10), Positions()
     cells = [
-        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        where.register(binder, NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
         for i in range(3)
     ]
     ues = []
     for j in range(12):
         pos = (rng.uniform(-300.0, 2300.0), rng.uniform(-300.0, 300.0))
-        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, pos).node_id
+        ue = where.register(binder, NodeKind.UE, f"car{j}", 26.0, pos).node_id
         binder.set_serving_cell(ue, cells[j % 3])
         ues.append((ue, cells[j % 3]))
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
     check = functools.partial(_assert_memo_matches_brute_force, binder, channel)
 
     grants = record_random_grants(binder, rng, ues, cells)
@@ -238,7 +244,7 @@ def test_memoized_interference_follows_every_binder_change(seed):
     check(grants)
 
     mover, _ = ues[0]
-    channel.move(mover, (2100.0, 50.0))  # a UE move
+    where.place(mover, (2100.0, 50.0))  # a UE move, read at a later time
     check(grants)
 
     binder.set_serving_cell(mover, cells[2])  # measure now excludes another cell
@@ -253,18 +259,18 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
     # Shadowing is drawn at a pair's first query, so the memos must query
     # pairs in the order of a walk that visits every RB of the call.
     rng = random.Random(seed)
-    binder = Binder(num_rbs=10)
+    binder, where = Binder(num_rbs=10), Positions()
     cells = [
-        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
+        where.register(binder, NodeKind.ENB, f"enb{i}", 46.0, (1000.0 * i, 0.0)).node_id
         for i in range(3)
     ]
     ues = []
     for j in range(12):
         pos = (rng.uniform(-300.0, 2300.0), rng.uniform(-300.0, 300.0))
-        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, pos).node_id
+        ue = where.register(binder, NodeKind.UE, f"car{j}", 26.0, pos).node_id
         binder.set_serving_cell(ue, cells[j % 3])
         ues.append((ue, cells[j % 3]))
-    channel = ChannelModel(binder, SHADOWED, TABLES, seed)
+    channel = ChannelModel(binder, SHADOWED, TABLES, where, where, seed)
     walk = []
     for _ in range(2):  # the first TTI measures against an empty `last` grid
         grants = record_random_grants(binder, rng, ues, cells)
@@ -282,20 +288,21 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
 
 def _two_cells_of_ul_grants():
     """Cell a with 4 UEs and cell b with 3, each UE on 2 UL RBs of the `last`
-    grid: RBs 0-5 hold one UE of each cell, RBs 6-7 one of a's; 4 patterns."""
-    binder = Binder(num_rbs=10)
-    a = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    b = binder.register_node(NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
+    grid: RBs 0-5 hold one UE of each cell, RBs 6-7 one of a's; 4 patterns.
+    Returns (binder, positions, a, own UEs, other UEs)."""
+    binder, where = Binder(num_rbs=10), Positions()
+    a = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    b = where.register(binder, NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
     own, others = [], []
     for j, (cell, members) in enumerate([(a, own)] * 4 + [(b, others)] * 3):
-        ue = binder.register_node(NodeKind.UE, f"car{j}", 26.0, (300.0 * j, 20.0)).node_id
+        ue = where.register(binder, NodeKind.UE, f"car{j}", 26.0, (300.0 * j, 20.0)).node_id
         binder.set_serving_cell(ue, cell)
         members.append(ue)
     for cell, members in ((a, own), (b, others)):
         for k, ue in enumerate(members):
             binder.record_allocation(Direction.UL, cell, [2 * k, 2 * k + 1], ue)
     binder.end_tti()
-    return binder, a, own, others
+    return binder, where, a, own, others
 
 
 def _count_pair_powers(channel):
@@ -312,20 +319,19 @@ def _count_pair_powers(channel):
 
 
 def test_ul_measure_sums_each_interferer_once_per_tti():
-    binder, a, own, others = _two_cells_of_ul_grants()
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    binder, where, a, own, others = _two_cells_of_ul_grants()
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
     evaluations = _count_pair_powers(channel)
     for tti in (1, 2):
         for ue in own:
             channel.measure(ue, a, Direction.UL)
         assert [evaluations[(other, a)] for other in others] == [tti] * len(others)
-        for ue in own + others:  # the next tick moves every UE
-            channel.move(ue, binder.node(ue).position)
+        where.now += 1000  # the next tick: every position is read afresh
 
 
 def test_ul_bracket_is_summed_once_per_tti_for_all_ues_of_a_cell():
-    binder, a, own, others = _two_cells_of_ul_grants()
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    binder, where, a, own, others = _two_cells_of_ul_grants()
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
     sums = collections.Counter()
     original = channel._interference_mw
 
@@ -338,24 +344,46 @@ def test_ul_bracket_is_summed_once_per_tti_for_all_ues_of_a_cell():
         for ue in own:
             channel.measure(ue, a, Direction.UL)
             assert sums == {(a, a): 4 * tti}  # one sum per pattern, not per RB or UE
-        for ue in own + others:
-            channel.move(ue, binder.node(ue).position)
+        where.now += 1000
+
+
+def test_a_downlink_bracket_is_summed_at_every_measure():
+    # a DL bracket's receiver is its UE, which a tick measures once, so
+    # only UL brackets are kept: two measures at one time sum twice
+    binder, where = Binder(num_rbs=10), Positions()
+    a = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    b = where.register(binder, NodeKind.ENB, "enb1", 46.0, (1000.0, 0.0)).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (300.0, 0.0)).node_id
+    binder.set_serving_cell(ue, a)
+    binder.record_allocation(Direction.DL, a, range(4), a)
+    binder.record_allocation(Direction.DL, b, range(2, 6), b)
+    binder.end_tti()  # 3 patterns: a alone, a with b, b alone
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
+    sums = collections.Counter()
+    original = channel._interference_mw
+
+    def counting(occupants, rx_id, serving_cell):
+        sums[(rx_id, serving_cell)] += 1
+        return original(occupants, rx_id, serving_cell)
+
+    channel._interference_mw = counting
+    first = channel.measure(ue, a, Direction.DL)
+    assert channel.measure(ue, a, Direction.DL) == first
+    assert sums == {(ue, a): 2 * 3}
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_added_interferer_never_raises_sinr(seed):
     rng = random.Random(seed)
-    binder = Binder(num_rbs=4)
-    c0 = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    c1 = binder.register_node(
-        NodeKind.ENB, "enb1", rng.uniform(30.0, 50.0), (rng.uniform(100, 5000), rng.uniform(-1000, 1000))
-    ).node_id
-    ue = binder.register_node(
-        NodeKind.UE, "car0", 26.0, (rng.uniform(50, 2000), rng.uniform(-500, 500))
-    ).node_id
+    binder, where = Binder(num_rbs=4), Positions()
+    c0 = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    c1_power, c1_xy = rng.uniform(30.0, 50.0), (rng.uniform(100, 5000), rng.uniform(-1000, 1000))
+    c1 = where.register(binder, NodeKind.ENB, "enb1", c1_power, c1_xy).node_id
+    ue_xy = (rng.uniform(50, 2000), rng.uniform(-500, 500))
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, ue_xy).node_id
     binder.set_serving_cell(ue, c0)
-    channel = ChannelModel(binder, PARAMS, TABLES)
+    channel = ChannelModel(binder, PARAMS, TABLES, where, where)
 
     binder.record_allocation(Direction.DL, c0, [0], c0)
     (before,) = channel.sinr(ue, c0, Direction.DL, [0])
@@ -491,7 +519,8 @@ def test_channel_is_pure_without_shadowing():
 
 
 def test_shadowing_is_fixed_per_pair_and_reciprocal():
-    channel = ChannelModel(Binder(), SHADOWED, TABLES, seed=3)
+    where = Positions()
+    channel = ChannelModel(Binder(), SHADOWED, TABLES, where, where, seed=3)
     a = channel.shadowing_db(1, 2)
     assert channel.shadowing_db(1, 2) == a
     assert channel.shadowing_db(2, 1) == a  # reciprocal channel
@@ -499,14 +528,15 @@ def test_shadowing_is_fixed_per_pair_and_reciprocal():
 
 
 def test_shadowing_disabled_is_zero():
-    channel = ChannelModel(Binder(), ChannelParams(shadowing_sigma_db=8.0), TABLES, seed=3)
+    where, params = Positions(), ChannelParams(shadowing_sigma_db=8.0)
+    channel = ChannelModel(Binder(), params, TABLES, where, where, seed=3)
     assert channel.shadowing_db(1, 2) == 0.0
 
 
 def test_shadowing_enabled_in_the_params_alone_shadows():
-    binder, _, cell, ue = _one_cell_one_ue()
+    binder, plain, cell, ue = _one_cell_one_ue()
     unshadowed = received_power_dbm(46.0, (0.0, 0.0), (1000.0, 0.0), PARAMS)
-    channel = ChannelModel(binder, SHADOWED, TABLES)
+    channel = ChannelModel(binder, SHADOWED, TABLES, plain.where, plain.clock)
     assert channel.rx_power_from_cell(ue, cell) != unshadowed
 
 
@@ -515,31 +545,34 @@ def test_shadowing_enabled_in_the_params_alone_shadows():
 
 
 def _cells_and_ues(rng, params, n_cells=4, n_ues=5):
-    binder = Binder(num_rbs=6)
+    binder, where = Binder(num_rbs=6), Positions()
     for i in range(n_cells):
         pos = (rng.uniform(0, 3000), rng.uniform(0, 3000))
-        binder.register_node(NodeKind.ENB, f"enb{i}", rng.uniform(38, 48), pos)
+        where.register(binder, NodeKind.ENB, f"enb{i}", rng.uniform(38, 48), pos)
     ues = [
-        binder.register_node(NodeKind.UE, f"car{j}", 23.0, (rng.uniform(0, 3000), 0.0)).node_id
+        where.register(binder, NodeKind.UE, f"car{j}", 23.0, (rng.uniform(0, 3000), 0.0)).node_id
         for j in range(n_ues)
     ]
-    return binder, ChannelModel(binder, params, TABLES, seed=rng.randrange(100)), ues
+    return binder, ChannelModel(binder, params, TABLES, where, where, seed=rng.randrange(100)), ues
 
 
 @pytest.mark.parametrize("params", [PARAMS, SHADOWED], ids=["plain", "shadowed"])
 def test_cell_powers_equal_the_per_pair_power_bit_for_bit(params):
     rng = random.Random(11)
     binder, channel, ues = _cells_and_ues(rng, params)
+    where = channel.where
     for ue in ues:
-        rx = binder.node(ue)
         for _ in range(3):
             row = channel.cell_powers(ue)
             assert len(row) == len(binder.cells)
             for cell, power in zip(binder.cells, row):
-                tx = binder.node(cell)
                 expected = received_power_dbm(
-                    tx.tx_power_dbm, tx.position, rx.position, params, channel.shadowing_db(cell, ue)
+                    binder.node(cell).tx_power_dbm,
+                    where(cell),
+                    where(ue),
+                    params,
+                    channel.shadowing_db(cell, ue),
                 )
                 assert power == expected  # bit for bit, no tolerance
                 assert channel.rx_power_from_cell(ue, cell) == expected
-            channel.move(ue, (rng.uniform(0, 3000), rng.uniform(0, 3000)))
+            where.place(ue, (rng.uniform(0, 3000), rng.uniform(0, 3000)))

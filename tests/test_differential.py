@@ -1,7 +1,7 @@
 """The optimized run against a reference run with every skip patched out.
 
 `oracles.reference_mode` takes out the due times that the A3 check's
-movement budget sets, which let a tick leave a UE unchecked and unmoved,
+movement budget sets, which let a tick leave a UE unchecked and unread,
 and the guard that measures only backlogged UEs. The skips are exact by
 argument, so both runs must write the same vehicles.csv, cells.csv and
 events.log, whatever the scenario, and every CQI report the optimized

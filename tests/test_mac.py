@@ -10,23 +10,21 @@ from vcellsim.errors import ChannelError, MacError
 from vcellsim.mac import Allocation, Grant, GrantOutcome, Mac
 
 from conftest import make_packet
-from oracles import reference_maxcqi, reference_rr
+from oracles import Positions, reference_maxcqi, reference_rr
 
 TABLES = CqiTables()
 
 
 def _env(n_ues=1, num_rbs=50, ue_distance=100.0):
     """One cell with n close-by UEs (interference-free, strong signal)."""
-    binder = Binder(num_rbs=num_rbs)
-    cell = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    binder, where = Binder(num_rbs=num_rbs), Positions()
+    cell = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
     ues = []
     for i in range(n_ues):
-        rec = binder.register_node(
-            NodeKind.UE, f"car{i}", 26.0, (ue_distance, float(i))
-        )
+        rec = where.register(binder, NodeKind.UE, f"car{i}", 26.0, (ue_distance, float(i)))
         binder.set_serving_cell(rec.node_id, cell)
         ues.append(rec.node_id)
-    channel = ChannelModel(binder, ChannelParams(), TABLES)
+    channel = ChannelModel(binder, ChannelParams(), TABLES, where, where)
     return binder, channel, Mac(binder), cell, ues
 
 
@@ -436,14 +434,14 @@ def test_grant_that_took_nothing_computes_no_sinr():
 
 def test_colliding_cells_at_close_range_drop_both_grants():
     # oracle: brute-force SINR is far below the CQI-15 threshold for both
-    binder = Binder(num_rbs=10)
-    c0 = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    c1 = binder.register_node(NodeKind.ENB, "enb1", 46.0, (50.0, 0.0)).node_id
-    u0 = binder.register_node(NodeKind.UE, "car0", 26.0, (25.0, 10.0)).node_id
-    u1 = binder.register_node(NodeKind.UE, "car1", 26.0, (25.0, -10.0)).node_id
+    binder, where = Binder(num_rbs=10), Positions()
+    c0 = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    c1 = where.register(binder, NodeKind.ENB, "enb1", 46.0, (50.0, 0.0)).node_id
+    u0 = where.register(binder, NodeKind.UE, "car0", 26.0, (25.0, 10.0)).node_id
+    u1 = where.register(binder, NodeKind.UE, "car1", 26.0, (25.0, -10.0)).node_id
     binder.set_serving_cell(u0, c0)
     binder.set_serving_cell(u1, c1)
-    channel = ChannelModel(binder, ChannelParams(), TABLES)
+    channel = ChannelModel(binder, ChannelParams(), TABLES, where, where)
     mac = Mac(binder)
     mac.enqueue(u0, make_packet(1000))
     mac.enqueue(u1, make_packet(1000))

@@ -14,16 +14,16 @@ from vcellsim.engine import ms_to_us
 from vcellsim.errors import AssociationError
 from vcellsim.rrc import HandoverConfig, Rrc
 
-from oracles import reference_handover_check
+from oracles import Positions, reference_handover_check
 
 PARAMS = ChannelParams()
 
 
 def _two_cell_env(ho=HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0), spacing=2000.0):
-    binder = Binder(num_rbs=10)
-    c0 = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    c1 = binder.register_node(NodeKind.ENB, "enb1", 46.0, (spacing, 0.0)).node_id
-    channel = ChannelModel(binder, PARAMS, CqiTables())
+    binder, where = Binder(num_rbs=10), Positions()
+    c0 = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    c1 = where.register(binder, NodeKind.ENB, "enb1", 46.0, (spacing, 0.0)).node_id
+    channel = ChannelModel(binder, PARAMS, CqiTables(), where, where)
     rrc = Rrc(binder, channel, ho)
     return binder, channel, rrc, c0, c1
 
@@ -33,25 +33,25 @@ def _two_cell_env(ho=HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_tri
 
 
 def test_manual_association_ignores_position():
-    binder, _, rrc, c0, c1 = _two_cell_env()
+    binder, channel, rrc, c0, c1 = _two_cell_env()
     for i, x in enumerate((0.0, 1500.0, 1999.0)):  # even right next to the other cell
-        ue = binder.register_node(NodeKind.UE, f"car{i}", 26.0, (x, 0.0)).node_id
+        ue = channel.where.register(binder, NodeKind.UE, f"car{i}", 26.0, (x, 0.0)).node_id
         assert rrc.initial_association(ue, c0) == c0
         assert binder.node(ue).serving_cell == c0
 
 
 def test_dynamic_single_cell():
-    binder = Binder()
-    cell = binder.register_node(NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
-    channel = ChannelModel(binder, PARAMS, CqiTables())
+    binder, where = Binder(), Positions()
+    cell = where.register(binder, NodeKind.ENB, "enb0", 46.0, (0.0, 0.0)).node_id
+    channel = ChannelModel(binder, PARAMS, CqiTables(), where, where)
     rrc = Rrc(binder, channel, HandoverConfig())
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (5000.0, 0.0)).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (5000.0, 0.0)).node_id
     assert rrc.initial_association(ue, None) == cell
 
 
 def test_dynamic_picks_argmax_received_power():
-    binder, _, rrc, c0, c1 = _two_cell_env(spacing=1000.0)
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (400.0, 0.0)).node_id
+    binder, channel, rrc, c0, c1 = _two_cell_env(spacing=1000.0)
+    ue = channel.where.register(binder, NodeKind.UE, "car0", 26.0, (400.0, 0.0)).node_id
     got = rrc.initial_association(ue, None)
 
     # oracle: evaluate received power for both cells, take the argmax
@@ -62,23 +62,23 @@ def test_dynamic_picks_argmax_received_power():
 
 
 def test_dynamic_tie_goes_to_lowest_cell_id():
-    binder, _, rrc, c0, c1 = _two_cell_env(spacing=2000.0)
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
+    binder, channel, rrc, c0, c1 = _two_cell_env(spacing=2000.0)
+    ue = channel.where.register(binder, NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
     assert rrc.initial_association(ue, None) == c0
 
 
 def test_association_without_cells_fails():
-    binder = Binder()
-    channel = ChannelModel(binder, PARAMS, CqiTables())
+    binder, where = Binder(), Positions()
+    channel = ChannelModel(binder, PARAMS, CqiTables(), where, where)
     rrc = Rrc(binder, channel, HandoverConfig())
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0).node_id
     with pytest.raises(AssociationError):
         rrc.initial_association(ue, None)
 
 
 def test_manual_association_to_unknown_cell_fails():
-    binder, _, rrc, c0, c1 = _two_cell_env()
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
+    binder, channel, rrc, c0, c1 = _two_cell_env()
+    ue = channel.where.register(binder, NodeKind.UE, "car0", 26.0).node_id
     with pytest.raises(AssociationError):
         rrc.initial_association(ue, 999)
 
@@ -86,13 +86,13 @@ def test_manual_association_to_unknown_cell_fails():
 def test_sinr_metric_can_diverge_from_power_metric():
     # cell A idle-adjacent but loaded, cell B marginally stronger yet drowned
     # in A's interference: power picks B, SINR picks A
-    binder = Binder(num_rbs=10)
-    a = binder.register_node(NodeKind.ENB, "enbA", 46.0, (0.0, 0.0)).node_id
-    b = binder.register_node(NodeKind.ENB, "enbB", 46.0, (1940.6, 0.0)).node_id
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
+    binder, where = Binder(num_rbs=10), Positions()
+    a = where.register(binder, NodeKind.ENB, "enbA", 46.0, (0.0, 0.0)).node_id
+    b = where.register(binder, NodeKind.ENB, "enbB", 46.0, (1940.6, 0.0)).node_id
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (1000.0, 0.0)).node_id
     binder.record_allocation(Direction.DL, a, range(10), a)
     binder.end_tti()  # association between ticks reads the last completed TTI
-    channel = ChannelModel(binder, PARAMS, CqiTables())
+    channel = ChannelModel(binder, PARAMS, CqiTables(), where, where)
 
     by_power = Rrc(binder, channel, HandoverConfig(), association_metric="rx_power")
     assert by_power.initial_association(ue, None) == b
@@ -116,7 +116,7 @@ def _walk(rrc, binder, ue, positions_by_ms):
     decision as the TTI pipeline does; returns (source, target, ms) triples."""
     decisions = []
     for ms, x in positions_by_ms:
-        rrc.channel.move(ue, (x, 0.0))
+        rrc.channel.where.place(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
@@ -125,7 +125,7 @@ def _walk(rrc, binder, ue, positions_by_ms):
 
 
 def _attached_ue(binder, rrc, x=0.0):
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (x, 0.0)).node_id
+    ue = rrc.channel.where.register(binder, NodeKind.UE, "car0", 26.0, (x, 0.0)).node_id
     rrc.initial_association(ue, None)
     return ue
 
@@ -226,13 +226,13 @@ def test_condition_lapse_resets_the_trigger_clock():
 
 def _three_cell_env(ho):
     """Serving cell enb0 at the origin, enb1 on the x axis, enb2 on the y axis."""
-    binder = Binder(num_rbs=10)
+    binder, where = Binder(num_rbs=10), Positions()
     cells = [
-        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, pos).node_id
+        where.register(binder, NodeKind.ENB, f"enb{i}", 46.0, pos).node_id
         for i, pos in enumerate([(0.0, 0.0), (2000.0, 0.0), (0.0, 2000.0)])
     ]
-    rrc = Rrc(binder, ChannelModel(binder, PARAMS, CqiTables()), ho)
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (0.0, 0.0)).node_id
+    rrc = Rrc(binder, ChannelModel(binder, PARAMS, CqiTables(), where, where), ho)
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (0.0, 0.0)).node_id
     rrc.initial_association(ue, cells[0])
     return binder, rrc, ue, cells
 
@@ -241,7 +241,7 @@ def test_equal_neighbours_hand_over_to_the_lower_id():
     binder, rrc, ue, (c0, c1, c2) = _three_cell_env(
         HandoverConfig(enabled=True, hysteresis_db=0.0, time_to_trigger_us=0)
     )
-    rrc.channel.move(ue, (1500.0, 1500.0))  # on the bisector of enb1 and enb2
+    rrc.channel.where.place(ue, (1500.0, 1500.0))  # on the bisector of enb1 and enb2
     p1 = rrc.channel.rx_power_from_cell(ue, c1)
     assert p1 == rrc.channel.rx_power_from_cell(ue, c2) > rrc.channel.rx_power_from_cell(ue, c0)
     assert c1 < c2
@@ -257,7 +257,7 @@ def test_new_best_neighbour_restarts_the_trigger_clock():
     # within the window, so the clock restarts at ms 4 and fires 5 ms later
     decisions = []
     for ms in range(1, 20):
-        rrc.channel.move(ue, (1600.0, 0.0) if ms < 4 else (0.0, 1600.0))
+        rrc.channel.where.place(ue, (1600.0, 0.0) if ms < 4 else (0.0, 1600.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             decisions.append((binder.node(ue).serving_cell, target, ms))
@@ -277,7 +277,7 @@ def test_double_handover_a_b_a_keeps_history_consistent():
         (40 + i, 1560.0 - 40.0 * i) for i in range(40)
     ]
     for ms, x in path:
-        rrc.channel.move(ue, (x, 0.0))
+        rrc.channel.where.place(ue, (x, 0.0))
         target = rrc.handover_check(ue, ms_to_us(ms))
         if target is not None:
             binder.set_serving_cell(ue, target)
@@ -290,8 +290,8 @@ def test_double_handover_a_b_a_keeps_history_consistent():
 
 
 def _lapsed(rrc, ue, x):
-    """Move the UE to (x, 0), check it and return the budget its lapse left."""
-    rrc.channel.move(ue, (x, 0.0))
+    """Put the UE at (x, 0), check it and return the budget its lapse left."""
+    rrc.channel.where.place(ue, (x, 0.0))
     assert rrc.handover_check(ue, 0) is None
     return rrc.slack_m(ue)
 
@@ -314,7 +314,7 @@ def test_budget_is_cleared_by_a_holding_condition_and_forget():
     )
     ue = _attached_ue(binder, rrc, x=100.0)
     assert _lapsed(rrc, ue, 100.0) > 0.0
-    rrc.channel.move(ue, (1600.0, 0.0))  # far beyond the budget: enb1 is stronger
+    rrc.channel.where.place(ue, (1600.0, 0.0))  # far beyond the budget: enb1 is stronger
     assert rrc.handover_check(ue, ms_to_us(1)) is None  # pending, time-to-trigger
     assert rrc.slack_m(ue) == 0.0 and ue in rrc._states
     # a decision comes only from a holding condition, so it leaves no budget
@@ -348,11 +348,11 @@ def test_reference_check_lapses_everywhere_within_the_budget(seed, serving, hyst
     # reaches points where the condition holds.
     ho = HandoverConfig(enabled=True, hysteresis_db=hysteresis, time_to_trigger_us=0)
     params = ChannelParams(min_distance_m=135.0, shadowing_enabled=True, shadowing_sigma_db=3.0)
-    binder = Binder(num_rbs=10)
+    binder, where = Binder(num_rbs=10), Positions()
     for i in range(3):
-        binder.register_node(NodeKind.ENB, f"enb{i}", 46.0, (300.0 * i, 10.0 * i))
-    rrc = Rrc(binder, ChannelModel(binder, params, CqiTables(), seed=seed), ho)
-    ue = binder.register_node(NodeKind.UE, "car0", 26.0, (x0, y0)).node_id
+        where.register(binder, NodeKind.ENB, f"enb{i}", 46.0, (300.0 * i, 10.0 * i))
+    rrc = Rrc(binder, ChannelModel(binder, params, CqiTables(), where, where, seed=seed), ho)
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, (x0, y0)).node_id
     rrc.initial_association(ue, binder.cells[serving])  # draws every pair's shadowing
     assume(rrc.handover_check(ue, 0) is None)  # with no time-to-trigger: a lapse
     budget = max(rrc.slack_m(ue), 0.0)  # a tie leaves none
@@ -360,5 +360,5 @@ def test_reference_check_lapses_everywhere_within_the_budget(seed, serving, hyst
         heading = 2 * math.pi * k / 32
         for share in (0.25, 0.5, 0.75, 1.0):
             reach = share * budget
-            rrc.channel.move(ue, (x0 + reach * math.cos(heading), y0 + reach * math.sin(heading)))
+            rrc.channel.where.place(ue, (x0 + reach * math.cos(heading), y0 + reach * math.sin(heading)))
             assert reference_handover_check(rrc, ue, 0) is None

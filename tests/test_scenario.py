@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import os
@@ -733,11 +734,12 @@ def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
     assert outputs[1] == outputs[0]
 
 
-def test_last_uplink_sender_is_moved_after_emptying_its_buffer(tmp_path):
+def test_last_uplink_sender_is_read_at_its_current_position_after_emptying_its_buffer(tmp_path):
     # car0 sends one UL packet in cell enb0 at TTI 0, which empties its buffer,
     # then jumps 800 m toward enb1 by TTI 1. car1, always UL-backlogged in
     # enb1, reads car0 on their shared RBs as interference in TTI 1, so car0
-    # must be moved then although it is neither backlogged nor due a check.
+    # must be read where it is then although it is neither backlogged nor due
+    # a check.
     trace = make_trace(
         [
             (0.0, "car0", 100.0, 0.0),
@@ -798,6 +800,120 @@ def test_last_uplink_sender_is_moved_after_emptying_its_buffer(tmp_path):
     assert reports[0] == {name: reports[1][name] for name in reports[0]}
 
 
+def test_a_vehicle_entering_between_ticks_is_read_afresh_at_the_next_tick(tmp_path):
+    # car0 enters at 10.5 ms, off a TTI boundary, 100 m from enb0, and is 900 m
+    # from it (100 m from enb1) by the tick at 11 ms. `sinr` association
+    # measures it at 10.5 ms; its first DL packet lands at once, so the tick
+    # measures it again against enb1's DL grid, which car1's packets, too
+    # big for one TTI, keep full. A position kept from 10.5 ms would read
+    # CQI 15 there instead of 0.
+    trace = make_trace(
+        [
+            (0.0105, "car0", 100.0, 0.0),
+            (0.011, "car0", 900.0, 0.0),
+            (0.02, "car0", 900.0, 0.0),
+            (0.0, "car1", 1050.0, 0.0),
+            (0.02, "car1", 1050.0, 0.0),
+        ]
+    )
+    config = load_config(
+        write_scenario(
+            tmp_path,
+            build_config(
+                "sim_end_s = 0.015",
+                "trace_file = trace.csv",
+                "dynamic_cell_association = true",
+                "association_metric = sinr",
+                "backhaul.delay_ms = 0",
+                TWO_CELLS.replace("2000.0", "1000.0"),
+                "flow[0].direction = dl",
+                "flow[0].target = car1",
+                "flow[0].packet_bits = 60000",
+                "flow[0].interval_ms = 1",
+                "flow[0].start_s = 0",
+                "flow[0].stop_s = 0.015",
+                "flow[1].direction = dl",
+                "flow[1].target = car0",
+                "flow[1].packet_bits = 800",
+                "flow[1].interval_ms = 1",
+                "flow[1].start_s = 0.0105",
+                "flow[1].stop_s = 0.015",
+            ),
+            trace,
+        )
+    )
+    cqis = []
+    for reference in (False, True):
+        scn = Scenario(config)
+        if reference:
+            reference_mode(scn)
+        seen = {}
+        measure = scn.channel.measure
+
+        def recorded(ue, cell, direction, scn=scn, seen=seen, measure=measure):
+            report = measure(ue, cell, direction)
+            if scn.binder.node(ue).name == "car0" and direction is Direction.DL:
+                seen[scn.engine.now] = report.cqi
+            return report
+
+        scn.channel.measure = recorded
+        scn.run()
+        assert ms_to_us(10.5) in seen and scn.vehicles["car0"].stats.first_cell == "enb0"
+        cqis.append(seen[ms_to_us(11)])
+    assert cqis == [0, 0]
+
+
+def test_maxcqi_link_adaptation_misses_its_error_target(tmp_path):
+    # Pins the model's link adaptation, not a fix: every CQI reads 15, since
+    # the wideband mean over the last grid is dominated by RBs no other cell
+    # uses, while max-CQI packs each cell's grants from RB 0 upward, where
+    # the cells collide. So far more than the 10% block errors a CQI aims at
+    # fail to decode, and with no HARQ each failure drops its packets.
+    rows = []
+    for i in range(6):
+        x = -300.0 + 2600.0 * (i + 0.5) / 6
+        rows += [(0.0, f"car{i}", x, 5.0), (1.0, f"car{i}", x, 5.0)]
+    config_text = build_config(
+        "sim_end_s = 0.2",
+        "trace_file = trace.csv",
+        "scheduler = maxcqi",
+        "dynamic_cell_association = true",
+        THREE_CELLS_1KM,
+        "flow[0].direction = dl",
+        "flow[0].target = ALL",
+        "flow[0].packet_bits = 800",
+        "flow[0].interval_ms = 5",
+        "flow[0].start_s = 0",
+        "flow[0].stop_s = 0.2",
+        "flow[1].direction = ul",
+        "flow[1].target = ALL",
+        "flow[1].packet_bits = 400",
+        "flow[1].interval_ms = 10",
+        "flow[1].start_s = 0",
+        "flow[1].stop_s = 0.2",
+    )
+    scn = Scenario(load_config(write_scenario(tmp_path, config_text, make_trace(rows))))
+    cqis, outcomes = collections.Counter(), []
+    measure, transmit = scn.channel.measure, scn.mac.transmit
+
+    def measured(*args):
+        report = measure(*args)
+        cqis[report.cqi] += 1
+        return report
+
+    def transmitted(allocation, channel):
+        outcome = transmit(allocation, channel)
+        outcomes.extend(outcome.grant_outcomes.values())
+        return outcome
+
+    scn.channel.measure, scn.mac.transmit = measured, transmitted
+    scn.run()
+    carried = [g for g in outcomes if g.delivered or g.dropped_bits]
+    failed = sum(not g.decoded for g in carried)
+    assert len(carried) > 300 and set(cqis) == {15}
+    assert failed / len(carried) > 0.3
+
+
 def _crowd(vehicles: int, sim_s: float, seed: int = 5):
     """(config text, trace text): `vehicles` slots over 4 cells 1 km apart,
     each a vehicle at 0-3 m/s that leaves within twice the run and a
@@ -823,10 +939,10 @@ def _crowd(vehicles: int, sim_s: float, seed: int = 5):
     return config, make_trace(rows)
 
 
-def test_idle_vehicles_are_neither_moved_nor_checked_each_tti(tmp_path, monkeypatch):
-    # Counts, not timings: a tick moves and checks an idle UE only when its
+def test_idle_vehicles_are_neither_read_nor_checked_each_tti(tmp_path, monkeypatch):
+    # Counts, not timings: a tick reads and checks an idle UE only when its
     # A3 check falls due, which the movement budget puts far apart at 0-3
-    # m/s. Moving and checking every live UE every TTI would make about
+    # m/s. Reading and checking every live UE every TTI would make about
     # 60 x 200 = 12,000 calls of each here.
     config_text, trace_text = _crowd(vehicles=60, sim_s=0.2)
     scn = Scenario(load_config(write_scenario(tmp_path, config_text, trace_text)))
