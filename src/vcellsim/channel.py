@@ -31,6 +31,21 @@ the MCS, and decoding succeeds exactly when the mean SINR over a grant's
 RBs is at or above the threshold of the CQI it was sent with. The dB
 threshold table is converted to linear once, so CQI selection and the
 decode gate read the same number.
+
+Movement budgets. Path loss changes at most R = B / (d_min ln 10) dB per
+metre of distance (`max_loss_slope_db_per_m`; it is steepest at the
+clamp), and eNBs never move. So a figure that moves at most 2R dB per
+metre the receiver moves, with m dB of margin left, cannot use it up
+within (m - 1e-6) / 2R metres (`movement_budget_m`; 1e-6 dB covers float
+error). The A3 check's best - serving is one such figure. A DL mean SINR
+is another while the serving cell and the `last` DL patterns stay the
+same: the UE's moves change the signal, and every eNB interferer of every
+pattern, by at most R dB per metre each, so the bracket, a sum of
+positive terms each inverse in one pattern's noise plus interference, by
+at most R, and the mean by at most 2R. `cqi_budget_m` takes m as the
+report's distance to the nearer edge of its CQI's band (CQI 0 has no
+lower edge, CQI 15 no upper one). UL has no such budget: its interferers
+are UEs, which move.
 """
 
 from __future__ import annotations
@@ -263,6 +278,30 @@ class ChannelModel:
             out.append(sinrs[key])
         return out
 
+    def last_index(self, direction: Direction) -> PatternIndex:
+        """The patterns of the binder's `last` grid in `direction`, which `measure` sums over."""
+        grid = self.binder.last[direction]
+        cached = self._last_index.get(direction)
+        if cached is None or cached[0] is not grid:
+            cached = self._last_index[direction] = (grid, PatternIndex(grid))
+        return cached[1]
+
+    def movement_budget_m(self, margin_db: float) -> float:
+        """Metres a receiver may move before a figure that moves at most 2R dB
+        per metre can use up `margin_db`; 0 or less leaves none."""
+        return (margin_db - 1e-6) / (2.0 * self.max_loss_slope_db_per_m)
+
+    def cqi_budget_m(self, report: ChannelReport) -> float:
+        """Metres the UE of a DL `report` may move before its CQI can change,
+        while its serving cell and the `last` DL patterns stay as measured
+        (an underflowed mean, which has no margin in dB, gets none)."""
+        thresholds, cqi, mean = self.tables.sinr_thresholds, report.cqi, report.mean_sinr
+        if not mean > 0.0:
+            return 0.0
+        above = mean / thresholds[cqi - 1] if cqi else math.inf  # CQI 0 has no lower edge
+        below = thresholds[cqi] / mean if cqi < len(thresholds) else math.inf  # nor 15 an upper
+        return self.movement_budget_m(10.0 * math.log10(min(above, below)))
+
     def measure(self, ue: int, serving_cell: int, direction: Direction) -> ChannelReport:
         """CQI report over every RB of the binder's `last` grid, allocated or
         not, with the last completed TTI's interference; a free RB sees S/N."""
@@ -272,11 +311,7 @@ class ChannelModel:
             self._pos[ue] = self.where(ue)
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
         signal_mw = db_to_linear(self._dbm(tx, rx))
-        grid = self.binder.last[direction]
-        cached = self._last_index.get(direction)
-        if cached is None or cached[0] is not grid:
-            cached = self._last_index[direction] = (grid, PatternIndex(grid))
-        index = cached[1]
+        index = self.last_index(direction)
         bracket = self._brackets.get((index, rx))  # never a DL one: it has one reader
         if bracket is None:
             noise = self._noise_mw

@@ -19,7 +19,8 @@ Path loss changes at most R = B / (d_min ln 10) dB per metre (the channel's
 `max_loss_slope_db_per_m`), and eNBs never move, so best - serving moves at
 most 2R|p - p0|. A check at p0 whose condition lapsed with margin
 m = hysteresis - (best - serving) leaves the UE a movement budget of
-(m - 1e-6) / 2R metres (1e-6 dB covers float error): within that distance
+(m - 1e-6) / 2R metres (`ChannelModel.movement_budget_m`; 1e-6 dB covers
+float error): within that distance
 of p0 the condition must lapse, and the lapse at p0 popped any pending
 state, so a check there would change nothing. `slack_m` reads the budget,
 so a run need not check, or even read, the UE until it may have moved that
@@ -70,7 +71,6 @@ class Rrc:
         self._states: dict[int, HandoverState] = {}
         # per UE whose condition lapsed at its last check: its budget in metres
         self._slack_m: dict[int, float] = {}
-        self._gap_db_per_m = 2.0 * channel.max_loss_slope_db_per_m  # 2R of the docstring
 
     @property
     def can_hand_over(self) -> bool:
@@ -113,7 +113,7 @@ class Rrc:
         margin = self.config.hysteresis_db - (best_power - powers[serving])
         if margin >= 0.0:
             self._states.pop(ue, None)  # condition lapsed
-            self._slack_m[ue] = (margin - 1e-6) / self._gap_db_per_m
+            self._slack_m[ue] = self.channel.movement_budget_m(margin)
             return None
         self._slack_m.pop(ue, None)
         state = self._states.get(ue)

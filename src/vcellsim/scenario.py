@@ -13,13 +13,21 @@ only the binder knows which vehicles are live, and under which node id.
 
 The channel pulls each position it reads from `_position`: a vehicle on
 its trajectory at the engine's time, an eNB at its site. A tick reads only
-the UEs due an A3 check and the backlogged ones (and, as interference,
-other cells' last-slot uplink senders). A UE is due at its first tick
-after attach. A check that leaves a movement budget of b > 0 metres
-(`Rrc.slack_m`) makes it due at the first TTI t with v_max (t - now) >= b,
-where v_max is the vehicle's top speed; any other check, at the next TTI.
-No due time lies past the vehicle's departure, and with handover off no
-UE is ever due.
+the UEs due an A3 check, the UL-backlogged ones (and, as interference,
+other cells' last-slot uplink senders) and the DL-backlogged ones whose
+kept DL CQI has lapsed. A budget of b metres, measured at `now`, falls
+due at the first TTI t with v_max (t - now) >= b, where v_max is the
+vehicle's top speed, or at the next TTI if b <= 0; no due time lies past
+the vehicle's departure (`_due_us`).
+- A3 check: a UE is due at its first tick after attach, and each check
+  sets its next due time from its budget (`Rrc.slack_m`). With handover
+  off no UE is ever due.
+- DL CQI: each measure keeps the UE's CQI with its serving cell, the
+  `last` DL grid's patterns and the due time of its budget
+  (`ChannelModel.cqi_budget_m`). A tick before then, with the same cell
+  and patterns (compared by value), schedules with the kept CQI, which a
+  measure would read again; any other tick measures. The UE's entry goes
+  when it leaves.
 """
 
 from __future__ import annotations
@@ -73,6 +81,8 @@ class Scenario:
 
         self._load_vehicles()
         self._checks: list[tuple[int, int]] = []  # heap of (due us, UE), one per UE
+        # per UE, its last measured DL (serving cell, `last` patterns, CQI, due us)
+        self._dl_cqis: dict[int, tuple[int, list, int, int]] = {}
 
         self.log: list[str] = []
         self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
@@ -172,6 +182,7 @@ class Scenario:
         self.vehicles[name].stats.residual_bits += residual
         self.rrc.forget(node)
         self.channel.forget(node)
+        self._dl_cqis.pop(node, None)
         self.binder.deregister_node(node)
         self._logline(f"LEAVE {name} residual_bits={residual}")
 
@@ -219,19 +230,37 @@ class Scenario:
         due.sort()
         return due
 
-    def _queue_check(self, ue: int, now: int) -> None:
-        """Queue the UE's next A3 check, just checked at `now`."""
+    def _due_us(self, ue: int, now: int, budget_m: float) -> int:
+        """The first TTI at which the UE, at its top speed, may have moved
+        `budget_m` metres since `now` (the next TTI if the budget is not
+        positive), or its departure if that comes first."""
         traj = self.vehicles[self.binder.node(ue).name].traj
         due = now + TTI_US
-        slack = self.rrc.slack_m(ue)
-        if slack > 0.0:
-            # TTIs until it may have moved `slack` metres, or until it leaves
+        if budget_m > 0.0:
+            # TTIs until it may have moved `budget_m` metres, or until it leaves
             ticks = (traj.leave_us - now) / TTI_US
             metres_per_tti = traj.top_speed * TTI_US
-            if slack < metres_per_tti * ticks:
-                ticks = slack / metres_per_tti
+            if budget_m < metres_per_tti * ticks:
+                ticks = budget_m / metres_per_tti
             due = now + ceil(ticks) * TTI_US
-        heappush(self._checks, (min(due, traj.leave_us), ue))
+        return min(due, traj.leave_us)
+
+    def _queue_check(self, ue: int, now: int) -> None:
+        """Queue the UE's next A3 check, just checked at `now`."""
+        heappush(self._checks, (self._due_us(ue, now, self.rrc.slack_m(ue)), ue))
+
+    def _dl_cqi(self, ue: int, cell: int, now: int) -> int:
+        """The UE's DL CQI: the one kept from its last measure while it cannot
+        have changed (same serving cell and `last` patterns, and not yet due),
+        else measured afresh and kept."""
+        patterns = self.channel.last_index(Direction.DL).patterns
+        kept = self._dl_cqis.get(ue)
+        if kept is not None and now < kept[3] and kept[0] == cell and kept[1] == patterns:
+            return kept[2]
+        report = self.channel.measure(ue, cell, Direction.DL)
+        due = self._due_us(ue, now, self.channel.cqi_budget_m(report))
+        self._dl_cqis[ue] = (cell, patterns, report.cqi, due)
+        return report.cqi
 
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
@@ -250,7 +279,10 @@ class Scenario:
         for direction, backlog in self.mac.backlogged.items():
             for ue in sorted(backlog):
                 cell = nodes[ue].serving_cell
-                cqi = self.channel.measure(ue, cell, direction).cqi
+                if direction is Direction.DL:
+                    cqi = self._dl_cqi(ue, cell, now)
+                else:  # UL interferers are UEs, which move
+                    cqi = self.channel.measure(ue, cell, direction).cqi
                 candidates.setdefault((cell, direction), []).append((ue, cqi))
 
         schedule = (

@@ -342,13 +342,14 @@ def _unmemoized(channel, read):
 
 def reference_mode(scn):
     """Patch the skips out of a built `Scenario`, in place: every TTI reads
-    every live UE, A3-checks it and measures it in both directions; attach
-    and every A3 check compute every eNB's power from the path-loss formula,
-    with no movement budget; every grant's SINR is taken; and each `measure`
-    and `sinr` call reads every position and sum afresh, keeping nothing from
-    an earlier call. `measure` keeps its own sums, so equal bytes never rest
-    on float order."""
+    every live UE, A3-checks it and measures it in both directions, with no
+    DL CQI kept from an earlier tick; attach and every A3 check compute
+    every eNB's power from the path-loss formula, with no movement budget;
+    every grant's SINR is taken; and each `measure` and `sinr` call reads
+    every position and sum afresh, keeping nothing from an earlier call.
+    `measure` keeps its own sums, so equal bytes never rest on float order."""
     scn.mac = MeasureEveryone(scn.mac)
+    scn._dl_cqi = lambda ue, cell, now: scn.channel.measure(ue, cell, Direction.DL).cqi
     scn.channel.measure = _unmemoized(scn.channel, scn.channel.measure)
     scn.channel.sinr = _unmemoized(scn.channel, scn.channel.sinr)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]

@@ -12,6 +12,7 @@ from vcellsim.channel import (
     CQI_SINR_THRESHOLDS_DB,
     ChannelModel,
     ChannelParams,
+    ChannelReport,
     CqiTables,
     PatternIndex,
     bits_per_rb,
@@ -77,6 +78,26 @@ def test_path_loss_never_rises_faster_than_the_channel_slope(min_distance, b_db,
     assert path_loss_db(min_distance + tiny, params) - path_loss_db(min_distance, params) == (
         pytest.approx(slope * tiny, rel=1e-4)
     )
+
+
+def test_a_cqi_budget_is_its_margin_to_the_nearer_band_edge_over_2r():
+    where = Positions()
+    channel = ChannelModel(Binder(), PARAMS, TABLES, where, where)
+    two_r = 2 * channel.max_loss_slope_db_per_m
+    edges = CQI_SINR_THRESHOLDS_DB
+    for cqi in range(16):
+        lower = edges[cqi - 1] if cqi else edges[0] - 40.0  # CQI 0 and 15 have one edge
+        upper = edges[cqi] if cqi < 15 else edges[14] + 40.0
+        for mean_db in (lower + 0.25, (lower + upper) / 2, upper - 0.25):
+            mean = db_to_linear(mean_db)
+            assert cqi_from_sinr(mean, TABLES) == cqi
+            margin = min(
+                mean_db - lower if cqi else math.inf, upper - mean_db if cqi < 15 else math.inf
+            )
+            budget = channel.cqi_budget_m(ChannelReport(mean, cqi))
+            assert budget == pytest.approx((margin - 1e-6) / two_r, rel=1e-9)
+    assert channel.cqi_budget_m(ChannelReport(db_to_linear(edges[4]), 5)) < 0.0  # on an edge
+    assert channel.cqi_budget_m(ChannelReport(0.0, 0)) == 0.0  # an underflowed signal
 
 
 def test_received_power_at_one_km():

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -681,20 +682,23 @@ def test_shadowing_memory_tracks_live_vehicles(tmp_path):
 
 
 def test_budgets_are_kept_for_live_vehicles_only(tmp_path):
+    # the A3 check's budgets in RRC, and the DL CQIs the tick keeps
     scn = Scenario(load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE)))
-    kept = set()
+    kept, cqis_of_leavers = set(), []
     leave = scn._on_leave
 
     def checked_leave(event):
         node = scn.binder.live_id(event.payload)
         kept.update(scn.rrc._slack_m)
+        cqis_of_leavers.append(node in scn._dl_cqis)
         leave(event)
-        assert node not in scn.rrc._slack_m
+        assert node not in scn.rrc._slack_m and node not in scn._dl_cqis
 
     scn.engine.on(EventKind.VEHICLE_LEAVE, checked_leave)
     scn.run()
     live = {rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)}
     assert kept and set(scn.rrc._slack_m) <= live
+    assert any(cqis_of_leavers) and set(scn._dl_cqis) <= live
 
 
 def _count_measures(scn):
@@ -861,6 +865,127 @@ def test_a_vehicle_entering_between_ticks_is_read_afresh_at_the_next_tick(tmp_pa
         assert ms_to_us(10.5) in seen and scn.vehicles["car0"].stats.first_cell == "enb0"
         cqis.append(seen[ms_to_us(11)])
     assert cqis == [0, 0]
+
+
+def test_a_kept_downlink_cqi_is_the_one_a_fresh_measure_reads(tmp_path):
+    # enb0 and enb1 stand 2.2 d_min apart (d_min = 100 m). car0 drives at
+    # 20 m/s from 1.0 to 1.2 d_min from enb0, its serving cell, toward enb1,
+    # whose DL grid car1 keeps full. Its signal falls and enb1's interference
+    # rises, each at 0.83R-R dB per metre, so the mean SINR falls at close to
+    # the 2R dB per metre the budget allows, from about 0.6 dB above CQI 5's
+    # threshold down to CQI 2. A budget from R alone would keep a CQI past
+    # the threshold the UE has crossed.
+    trace = make_trace(
+        [
+            (0.0, "car0", 100.0, 0.0),
+            (1.0, "car0", 120.0, 0.0),
+            (0.0, "car1", 240.0, 0.0),
+            (1.0, "car1", 240.0, 0.0),
+        ]
+    )
+    config = load_config(
+        write_scenario(
+            tmp_path,
+            build_config(
+                "sim_end_s = 1.0",
+                "trace_file = trace.csv",
+                "dynamic_cell_association = true",
+                "backhaul.delay_ms = 0",
+                "channel.min_distance_m = 100",
+                TWO_CELLS.replace("2000.0", "220.0"),
+                *_full_dl_flows(("car0", "car1"), stop_s=1.0),
+            ),
+            trace,
+        )
+    )
+    _, scheduled, measured = _run_checking_dl_cqis(config, "car0")
+    # CQI 15 at the first tick, over an empty grid; then three thresholds crossed
+    assert [cqi for cqi, _ in itertools.groupby(scheduled)] == [15, 5, 4, 3, 2]
+    assert len(scheduled) == 999 and len(measured) < 50  # mostly kept
+
+
+def test_a_downlink_cqi_kept_in_the_source_cell_is_not_read_in_the_target(tmp_path):
+    # car0 attaches to enb0 and drives at 20 m/s across the A3 point (109.2 m
+    # from enb0 with 3 dB hysteresis, the cells 200 m apart), so it hands
+    # over to enb1 with its SINR there 6 dB above its SINR in enb0. Its DL
+    # buffer refills by the next tick, while car1 and car2, parked by enb0
+    # and enb1, keep both DL grids full, so the `last` patterns never change:
+    # only the serving cell tells the CQI kept in enb0 from enb1's.
+    trace = make_trace(
+        [
+            (0.0, "car0", 99.0, 0.0),
+            (0.6, "car0", 111.0, 0.0),
+            (0.0, "car1", 20.0, 0.0),
+            (0.6, "car1", 20.0, 0.0),
+            (0.0, "car2", 180.0, 0.0),
+            (0.6, "car2", 180.0, 0.0),
+        ]
+    )
+    config = load_config(
+        write_scenario(
+            tmp_path,
+            build_config(
+                "sim_end_s = 0.6",
+                "trace_file = trace.csv",
+                "dynamic_cell_association = true",
+                "enable_handover = true",
+                "handover.time_to_trigger_ms = 0",
+                "backhaul.delay_ms = 0",
+                TWO_CELLS.replace("2000.0", "200.0"),
+                *_full_dl_flows(("car0", "car1", "car2"), stop_s=0.6),
+            ),
+            trace,
+        )
+    )
+    scn, scheduled, measured = _run_checking_dl_cqis(config, "car0")
+    assert "0.509000 HANDOVER car0 enb0->enb1" in scn.log
+    # CQI 2 in enb0 just before the handover, 5 in enb1 from the next tick
+    assert [cqi for cqi, _ in itertools.groupby(scheduled)] == [15, 4, 3, 2, 5]
+    assert len(scheduled) == 599 and len(measured) < 60  # mostly kept
+
+
+def _full_dl_flows(cars, stop_s):
+    """Config lines of one DL flow per car whose packets are too big for one
+    TTI, so each car's cell grants all its RBs at every tick."""
+    lines = []
+    for i, car in enumerate(cars):
+        lines += [
+            f"flow[{i}].direction = dl",
+            f"flow[{i}].target = {car}",
+            f"flow[{i}].packet_bits = 60000",
+            f"flow[{i}].interval_ms = 1",
+            f"flow[{i}].start_s = 0",
+            f"flow[{i}].stop_s = {stop_s}",
+        ]
+    return lines
+
+
+def _run_checking_dl_cqis(config, vehicle):
+    """Run the scenario, asserting at every tick that each DL CQI `vehicle`
+    is scheduled with is the one a fresh `measure` reads; return the
+    scenario, those CQIs and the times of the vehicle's DL measures."""
+    scn = Scenario(config)
+    measure, schedule = scn.channel.measure, scn.mac.schedule_tti_rr
+    measured, scheduled = [], []
+
+    def watched(ue, direction):
+        return direction is Direction.DL and scn.binder.node(ue).name == vehicle
+
+    def counted(ue, cell, direction):
+        if watched(ue, direction):
+            measured.append(scn.engine.now)
+        return measure(ue, cell, direction)
+
+    def checked(cell, direction, ues, tables):
+        for ue, cqi in ues:
+            if watched(ue, direction):
+                assert cqi == measure(ue, cell, direction).cqi, scn.engine.now
+                scheduled.append(cqi)
+        return schedule(cell, direction, ues, tables)
+
+    scn.channel.measure, scn.mac.schedule_tti_rr = counted, checked
+    scn.run()
+    return scn, scheduled, measured
 
 
 def test_maxcqi_link_adaptation_misses_its_error_target(tmp_path):
