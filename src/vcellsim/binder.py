@@ -4,24 +4,26 @@ Every node (vehicle UE or eNB) registers here and gets a run-unique id.
 A record holds no position: the channel reads positions from mobility.
 eNBs are registered once and stay for the whole run; only vehicle UEs join
 and leave, and the binder is the only record of which vehicles are live.
-The binder also keeps the resource-block ledger: for each cell and
-direction, which node transmits on which RB. Downlink and uplink use two
-distinct RB sets. It holds exactly two grids. `current` is the TTI
-being scheduled: allocations are recorded into it and decoding reads it.
-`last` is the last completed TTI: CQI measurement reads it, in the tick
-and between ticks alike. `end_tti` closes a TTI, and anything older than
-`last` is discarded.
+The binder also keeps the resource-block ledger: per direction, one row
+per cell with a grant, holding the transmitter on each RB, 0 on a free one
+(ids start at 1). Downlink and uplink use two distinct RB sets. A grant's
+RBs must ascend strictly inside the grid. It holds exactly two grids.
+`current` is the TTI being scheduled: allocations are recorded into it and
+decoding reads it. `last` is the last completed TTI: CQI measurement reads
+it, in the tick and between ticks alike. `end_tti` closes a TTI, and
+anything older than `last` is discarded.
 
 A closed grid is never changed in place: `record_allocation` writes only
 `current`, and deregistration replaces each grid direction with a purged
-copy. So a reader may key a cache of `last` on the identity of its dicts.
+copy, which drops any row left empty, so it equals a rebuild. So a
+reader may key a cache of `last` on the identity of its dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .errors import LedgerError, RegistryError
 
@@ -56,8 +58,8 @@ class NodeRecord:
     serving_cell: Optional[int] = None  # UE only
 
 
-# Per-TTI grid: direction -> rb index -> {cell id -> transmitter id}.
-Grid = dict[Direction, dict[int, dict[int, int]]]
+# Per-TTI grid: direction -> cell id -> transmitter id per RB, 0 if free.
+Grid = dict[Direction, dict[int, list[int]]]
 
 
 def _empty_grid() -> Grid:
@@ -65,14 +67,14 @@ def _empty_grid() -> Grid:
 
 
 def _without(grid: Grid, node_id: int) -> Grid:
-    """A copy of `grid` without `node_id`'s entries and the RBs they leave
-    empty; RB and cell order are kept."""
+    """A copy of `grid` with `node_id`'s RBs freed and the rows left empty
+    dropped; cell order is kept."""
     out = _empty_grid()
-    for direction, per_rb in grid.items():
-        for rb, cells in per_rb.items():
-            kept = {c: tx for c, tx in cells.items() if tx != node_id}
-            if kept:
-                out[direction][rb] = kept
+    for direction, rows in grid.items():
+        for cell, row in rows.items():
+            kept = [0 if tx == node_id else tx for tx in row]
+            if any(kept):
+                out[direction][cell] = kept
     return out
 
 
@@ -158,22 +160,24 @@ class Binder:
         self.current = _empty_grid()
 
     def record_allocation(
-        self, direction: Direction, cell: int, rb_set: Iterable[int], transmitter: int
+        self, direction: Direction, cell: int, rb_set: Sequence[int], transmitter: int
     ) -> None:
-        """Record a grant in the `current` grid."""
+        """Record a grant in the `current` grid: LedgerError, with nothing
+        written, unless its RBs ascend strictly inside the grid and are free."""
         cell_rec = self.node(cell)
         if cell_rec.kind != NodeKind.ENB:
             raise RegistryError(f"allocation cell {cell} is not an eNB")
         if not self.is_live(transmitter):
             raise RegistryError(f"transmitter {transmitter} is not live")
-        per_rb = self.current[direction]
-        rbs = sorted(set(rb_set))
-        for rb in rbs:
-            if not 0 <= rb < self.num_rbs:
-                raise LedgerError(f"RB index {rb} outside grid of {self.num_rbs} RBs")
-            if cell in per_rb.get(rb, {}):
-                raise LedgerError(
-                    f"RB {rb} of cell {cell} ({direction.value}) is already allocated"
-                )
-        for rb in rbs:
-            per_rb.setdefault(rb, {})[cell] = transmitter
+        rows, num_rbs, prev = self.current[direction], self.num_rbs, -1
+        row = rows.get(cell) or [0] * num_rbs
+        for rb in rb_set:
+            if not prev < rb < num_rbs:
+                raise LedgerError(f"RB {rb} after RB {prev}: not ascending in 0..{num_rbs - 1}")
+            if row[rb]:
+                raise LedgerError(f"RB {rb} of cell {cell} ({direction.value}) is already taken")
+            prev = rb
+        if rb_set:
+            for rb in rb_set:
+                row[rb] = transmitter
+            rows[cell] = row

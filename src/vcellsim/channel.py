@@ -18,7 +18,7 @@ occupants see the same interference I, so the mean is signal x ((free RBs)
 order is not a per-RB walk's, so a CQI can differ from the walk's only
 where the mean lies within an ulp of a threshold (the bench digests at
 seeds 1-3 were checked unchanged). Pairs are still first queried, and so
-drawn, in per-RB walk order.
+drawn, in the order of a per-RB walk by ascending RB.
 
 Positions are pulled, never pushed: `where(node)` is the node's position
 at `clock.now`. A position read is kept until the time moves on (an eNB's
@@ -55,6 +55,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .binder import Binder, Direction
@@ -158,13 +159,18 @@ def bits_per_rb(cqi: int, tables: CqiTables) -> int:
 
 class PatternIndex:
     """One grid direction's distinct occupant tuples, ((cell, transmitter), ...),
-    each with the number of RBs it fills, in first-appearance order, and the
-    number of occupied RBs. Compared and hashed by identity, so it keys memos
-    of this one index."""
+    each with the number of RBs it fills, in order of first appearance by
+    ascending RB, and the number of occupied RBs. Compared and hashed by
+    identity, so it keys memos of this one index."""
 
-    def __init__(self, per_rb: dict[int, dict[int, int]]) -> None:
-        self.patterns = list(Counter(tuple(cells.items()) for cells in per_rb.values()).items())
-        self.occupied = len(per_rb)
+    def __init__(self, rows: dict[int, list[int]]) -> None:
+        counts = Counter(zip(*rows.values()))  # one column per RB
+        counts.pop((0,) * len(rows), None)  # the free RBs
+        self.patterns = [
+            (tuple((c, tx) for c, tx in zip(rows, column) if tx), count)
+            for column, count in counts.items()
+        ]
+        self.occupied = sum(counts.values())
 
 
 class ChannelModel:
@@ -236,31 +242,31 @@ class ChannelModel:
         self, occupants: Iterable[tuple[int, int]], rx_id: int, serving_cell: int
     ) -> float:
         """Co-channel interference (mW) at `rx_id` from the (cell, transmitter)
-        occupants of one RB that are not in `serving_cell`, summed in item order."""
+        occupants of one RB outside `serving_cell` (transmitter 0: none), in item order."""
         total = 0.0
         for cell, tx_id in occupants:
-            if cell != serving_cell:
+            if tx_id and cell != serving_cell:
                 total += db_to_linear(self._dbm(tx_id, rx_id))
         return total
 
     def check_allocated(
-        self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
-    ) -> list[int]:
-        """The distinct RBs of `rb_set`, ascending; ChannelError unless each is
-        allocated to this link's transmitter in the binder's `current` grid."""
+        self, ue: int, serving_cell: int, direction: Direction, rb_set: Sequence[int]
+    ) -> None:
+        """ChannelError unless `rb_set` ascends strictly and the binder's
+        `current` grid allocates each of its RBs to this link's transmitter."""
         tx_id = serving_cell if direction is Direction.DL else ue
-        grid = self.binder.current[direction]
-        rbs = sorted(set(rb_set))
-        for rb in rbs:
-            if grid.get(rb, {}).get(serving_cell) != tx_id:
+        row, prev = self.binder.current[direction].get(serving_cell, ()), -1
+        num_rbs = len(row)  # 0 without a row
+        for rb in rb_set:
+            if not prev < rb < num_rbs or row[rb] != tx_id:
                 raise ChannelError(
-                    f"RB {rb} of cell {serving_cell} ({direction.value}) "
-                    f"is not allocated to node {tx_id}"
+                    f"RB {rb} of cell {serving_cell} ({direction.value}) is not allocated "
+                    f"to node {tx_id} in a strictly ascending RB set"
                 )
-        return rbs
+            prev = rb
 
     def sinr(
-        self, ue: int, serving_cell: int, direction: Direction, rb_set: Iterable[int]
+        self, ue: int, serving_cell: int, direction: Direction, rb_set: Sequence[int]
     ) -> list[float]:
         """Per-RB linear SINR of a transmission on RBs the `current` grid
         allocates it (`check_allocated`), by ascending RB; the co-channel
@@ -269,13 +275,18 @@ class ChannelModel:
             self._new_time()
         tx, rx = (serving_cell, ue) if direction is Direction.DL else (ue, serving_cell)
         signal_mw = db_to_linear(self._dbm(tx, rx))
-        grid = self.binder.current[direction]
+        self.check_allocated(ue, serving_cell, direction, rb_set)
+        rows = self.binder.current[direction]
         noise, sinrs, out = self._noise_mw, {}, []
-        for rb in self.check_allocated(ue, serving_cell, direction, rb_set):
-            key = tuple(grid[rb].items())  # the RB's occupants
-            if key not in sinrs:  # at its first RB, so pairs are queried in per-RB walk order
-                sinrs[key] = signal_mw / (noise + self._interference_mw(key, rx, serving_cell))
-            out.append(sinrs[key])
+        if len(rb_set) > 1:  # each RB's column of transmitters, one per row
+            columns = zip(*map(itemgetter(*rb_set), rows.values()))
+        else:  # itemgetter of one index gives the item, not a 1-tuple
+            columns = [tuple([row[rb] for row in rows.values()]) for rb in rb_set]
+        for column in columns:
+            if column not in sinrs:  # at its first RB, so pairs are queried in walk order
+                interference = self._interference_mw(zip(rows, column), rx, serving_cell)
+                sinrs[column] = signal_mw / (noise + interference)
+            out.append(sinrs[column])
         return out
 
     def last_index(self, direction: Direction) -> PatternIndex:

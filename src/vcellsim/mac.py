@@ -47,6 +47,8 @@ class TxBuffer:
 
 @dataclass(frozen=True)
 class Grant:
+    """RBs strictly ascending inside the grid, which binder and channel require."""
+
     rb_set: tuple[int, ...]
     cqi_used: int
 
@@ -195,7 +197,8 @@ class Mac:
         a grant that took any. The allocation must already be recorded in
         the binder grid so that overlapping cells see each other as
         interference; `ChannelModel.check_allocated` raises ChannelError for
-        a granted RB that is not, whether or not the grant carried anything.
+        a granted RB that is not, or an RB set that does not ascend strictly,
+        whether or not the grant carried anything.
         """
         outcome = TtiOutcome()
         cell, direction = allocation.cell, allocation.direction

@@ -315,6 +315,8 @@ class Scenario:
             outcome = self.mac.transmit(alloc, self.channel)
             done_us = deliver_us if alloc.direction == Direction.DL else ul_deliver_us
             for ue, result in outcome.grant_outcomes.items():
+                if not (result.delivered or result.dropped_bits):
+                    continue  # a grant that carried nothing changes no stats
                 stats = self.vehicles[self.binder.node(ue).name].stats
                 for pkt in result.delivered:
                     stats.record_delivery(pkt.size_bits, done_us - pkt.created_us)

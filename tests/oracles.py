@@ -13,11 +13,13 @@ from vcellsim.traffic import Packet, expand_flows
 
 
 def allocation_items(grid):
-    """Every (cell, rb, transmitter) entry of one direction's grid,
-    rb -> {cell -> transmitter}, such as `binder.current[Direction.DL]`."""
-    for rb, cells in grid.items():
-        for cell, tx in cells.items():
-            yield (cell, rb, tx)
+    """Every allocated (cell, rb, transmitter) entry of one direction's grid,
+    cell -> [transmitter on each RB, 0 if free], such as
+    `binder.current[Direction.DL]`."""
+    for cell, row in grid.items():
+        for rb, tx in enumerate(row):
+            if tx:
+                yield (cell, rb, tx)
 
 
 def co_channel_transmitters(grid, rb: int, excluding_cell: int) -> list[int]:
@@ -135,15 +137,15 @@ def per_rb_pair_walk(ue: int, serving: int, direction: Direction, grid, rbs):
     """The (tx, rx) node pairs a per-RB SINR walk evaluates, in its order.
 
     First the serving link, then for each RB of `rbs` in turn every occupant
-    of another cell, in the grid entry's item order. `grid` is one
-    direction's rb -> {cell -> transmitter}.
+    of another cell, in the grid's cell order. `grid` is one direction's
+    cell -> [transmitter on each RB, 0 if free].
     """
     tx, rx = (serving, ue) if direction == Direction.DL else (ue, serving)
     yield (tx, rx)
     for rb in rbs:
-        for cell, other in grid.get(rb, {}).items():
-            if cell != serving:
-                yield (other, rx)
+        for cell, row in grid.items():
+            if row[rb] and cell != serving:
+                yield (row[rb], rx)
 
 
 def record_random_grants(binder: Binder, rng: random.Random, ues, cells) -> list:

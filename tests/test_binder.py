@@ -151,7 +151,7 @@ def test_deregister_replaces_a_closed_grid_instead_of_editing_it():
     binder.deregister_node(ue1)
 
     assert held == before
-    oracle = {rb: {cells[1]: ue2} for rb in range(3, 8)}
+    oracle = {cells[1]: [ue2 if 3 <= rb < 8 else 0 for rb in range(50)]}
     assert binder.last == {Direction.DL: {}, Direction.UL: oracle}
 
 
@@ -217,6 +217,29 @@ def test_rb_out_of_range_rejected():
         binder.record_allocation(Direction.DL, cells[0], [10], cells[0])
 
 
+@pytest.mark.parametrize(
+    "rbs",
+    [[3, 2], [4, 5, 3], [2, 2], [6, 7, 7], [-1], [-1, 0], [9, 10], [10]],
+    ids=["descending", "dip-after-a-run", "repeat", "repeat-after-a-run",
+         "negative", "negative-first", "past-the-end", "past-the-end-alone"],
+)
+def test_a_grant_that_does_not_ascend_strictly_in_the_grid_changes_no_grid(rbs):
+    # the ledger takes a grant's RBs as given: no sort, no dedup
+    binder, cells = _binder_with_cells(2, num_rbs=10)
+    ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
+    binder.record_allocation(Direction.UL, cells[0], [0, 1], ue)
+    binder.end_tti()
+    binder.record_allocation(Direction.UL, cells[0], [8], ue)
+    binder.record_allocation(Direction.UL, cells[1], [1, 2], ue)
+    last, current = copy.deepcopy(binder.last), copy.deepcopy(binder.current)
+
+    for direction in (Direction.UL, Direction.DL):  # cells[0] has a row only in UL
+        with pytest.raises(LedgerError):
+            binder.record_allocation(direction, cells[0], rbs, ue)
+
+    assert binder.last == last and binder.current == current
+
+
 # ----------------------------------------------------------------------
 # co-channel queries
 
@@ -230,7 +253,7 @@ def test_co_channel_excludes_own_cell():
     binder, cells = _binder_with_cells(2)
     binder.record_allocation(Direction.DL, cells[0], [7], cells[0])
     binder.record_allocation(Direction.DL, cells[1], [7], cells[1])
-    assert binder.current[Direction.DL][7] == {cells[0]: cells[0], cells[1]: cells[1]}
+    assert [row[7] for row in binder.current[Direction.DL].values()] == cells
     got = co_channel_transmitters(binder.current[Direction.DL], 7, excluding_cell=cells[0])
     assert got == [cells[1]]
 

@@ -164,6 +164,21 @@ def test_sinr_on_unallocated_rb_rejected():
         channel.sinr(ue, cell, Direction.DL, [0, 1])
 
 
+@pytest.mark.parametrize(
+    "rbs", [[1, 0], [0, 2, 1], [3, 3], [-1], [0, -1], [9, 10]],
+    ids=["descending", "dip-after-a-run", "repeat", "negative", "negative-after-0", "past-the-end"],
+)
+def test_a_grant_that_does_not_ascend_strictly_is_rejected_even_on_recorded_rbs(rbs):
+    # every RB of the grid is recorded for this link, so only the order check
+    # can reject; a negative RB would otherwise read the row from its end
+    binder, channel, cell, ue = _one_cell_one_ue()
+    binder.record_allocation(Direction.UL, cell, range(binder.num_rbs), ue)
+    with pytest.raises(ChannelError):
+        channel.check_allocated(ue, cell, Direction.UL, rbs)
+    with pytest.raises(ChannelError):
+        channel.sinr(ue, cell, Direction.UL, rbs)
+
+
 def test_sinr_matches_brute_force_on_random_grids():
     rng = random.Random(20240)
     for _ in range(40):
@@ -218,7 +233,7 @@ def _assert_memo_matches_brute_force(binder, channel, grants):
 def test_pattern_index_lists_distinct_occupants_in_first_appearance_order():
     binder = Binder(num_rbs=8)
     c0, c1 = (binder.register_node(NodeKind.ENB, f"enb{i}", 46.0).node_id for i in range(2))
-    binder.record_allocation(Direction.DL, c0, [5, 0, 1, 2], c0)
+    binder.record_allocation(Direction.DL, c0, [0, 1, 2, 5], c0)
     index = PatternIndex(binder.current[Direction.DL])
     assert (index.patterns, index.occupied) == ([(((c0, c0),), 4)], 4)
     binder.record_allocation(Direction.DL, c1, [2, 5, 6], c1)
@@ -298,7 +313,7 @@ def test_shadowing_draw_order_is_the_per_rb_walk_on_random_grids(seed):
         for ue, cell in ues:
             for direction in (Direction.DL, Direction.UL):
                 grid = binder.last[direction]
-                walk.extend(per_rb_pair_walk(ue, cell, direction, grid, list(grid)))
+                walk.extend(per_rb_pair_walk(ue, cell, direction, grid, range(10)))
                 channel.measure(ue, cell, direction)
         for ue, cell, direction, rbs in grants:
             walk.extend(per_rb_pair_walk(ue, cell, direction, binder.current[direction], rbs))

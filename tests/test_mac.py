@@ -288,6 +288,36 @@ def test_schedulers_match_their_references(scheduler, data):
         assert {ue: (g.rb_set, g.cqi_used) for ue, g in alloc.grants.items()} == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["schedule_tti_rr", "schedule_tti_maxcqi"]), st.data())
+def test_grants_ascend_strictly_within_the_grid_and_share_no_rb(scheduler, data):
+    """The binder and channel take a grant's RBs as given, unsorted: each
+    grant must be a strictly ascending run in 0..num_rbs-1, and a cell's
+    grants disjoint, for demands below and above the rotation's length and
+    any round-robin pointer."""
+    num_rbs = data.draw(st.integers(min_value=1, max_value=110))
+    n_ues = data.draw(st.integers(min_value=1, max_value=12))
+    binder, channel, mac, cell, ues = _env(n_ues, num_rbs=num_rbs)
+    mac._rr_pointer[(cell, Direction.UL)] = data.draw(st.integers(0, ues[-1] + 1))
+    ues_with_cqi = []
+    for ue in ues:
+        cqi = data.draw(st.integers(min_value=1, max_value=15))
+        demand = data.draw(st.integers(1, n_ues) | st.integers(n_ues + 1, 120))
+        _fill(mac, ue, demand * bits_per_rb(cqi, TABLES), Direction.UL)
+        ues_with_cqi.append((ue, cqi))
+    alloc = getattr(mac, scheduler)(cell, Direction.UL, ues_with_cqi, TABLES)
+    assert alloc.grants
+    taken = set()
+    for ue, grant in alloc.grants.items():
+        rbs = grant.rb_set
+        assert 0 <= rbs[0] and rbs[-1] < num_rbs
+        assert all(a < b for a, b in zip(rbs, rbs[1:]))
+        assert taken.isdisjoint(rbs)
+        taken.update(rbs)
+        binder.record_allocation(Direction.UL, cell, rbs, ue)
+        channel.check_allocated(ue, cell, Direction.UL, rbs)
+
+
 @pytest.mark.parametrize("scheduler", ["schedule_tti_rr", "schedule_tti_maxcqi"])
 def test_schedulers_read_each_buffer_once(scheduler):
     _, _, mac, cell, ues = _env(5)

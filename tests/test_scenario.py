@@ -794,7 +794,7 @@ def test_last_uplink_sender_is_read_at_its_current_position_after_emptying_its_b
                 if not reference:
                     car0 = scn.binder.live_id("car0")
                     assert car0 not in scn.mac.backlogged[Direction.UL]
-                    assert car0 in scn.binder.last[Direction.UL][0].values()
+                    assert car0 in [row[0] for row in scn.binder.last[Direction.UL].values()]
             return report
 
         scn.channel.measure = recorded
