@@ -148,7 +148,10 @@ def decode(per_rb_sinr: Sequence[float], cqi_used: int, tables: CqiTables) -> bo
         raise ChannelError(f"cqi_used must be in 1..15, got {cqi_used}")
     if not per_rb_sinr:
         raise ChannelError("cannot decode over an empty SINR list")
-    return sum(per_rb_sinr) / len(per_rb_sinr) >= tables.sinr_thresholds[cqi_used - 1]
+    total = 0.0
+    for sinr in per_rb_sinr:  # left to right, as sum() before 3.12, which compensates
+        total += sinr
+    return total / len(per_rb_sinr) >= tables.sinr_thresholds[cqi_used - 1]
 
 
 def bits_per_rb(cqi: int, tables: CqiTables) -> int:

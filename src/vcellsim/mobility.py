@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import sys
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator
 
 from .engine import EventKind, SimEvent, s_to_us
@@ -160,12 +165,79 @@ def _parse_lines(lines: Iterator[tuple[int, bytes]]) -> list[Trajectory]:
 
 
 def load_trace(path) -> list[Trajectory]:
-    """Parse the trace file at `path`; a TraceError names the file."""
+    """Parse the trace at `path`, or read `<path>.vcellsim-cache`; a TraceError names the file."""
+    cache = f"{os.fspath(path)}.vcellsim-cache"
     with open(path, "rb") as fh:
-        try:
-            return parse_trace(fh)
-        except TraceError as exc:
-            raise TraceError(f"{path}: {exc}") from exc
+        before = os.fstat(fh.fileno())
+        key = _cache_key(fh) if fh.seekable() else None  # a pipe can be read only once
+        trajs = _read_cache(cache, key, before.st_uid) if key else None
+        if trajs is None:
+            try:
+                trajs = parse_trace(fh)
+            except TraceError as exc:
+                raise TraceError(f"{path}: {exc}") from exc
+            after = os.fstat(fh.fileno())  # a rewrite during the parse moves its size or mtime
+            if key and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+                _write_cache(cache, key, trajs)
+    return trajs
+
+
+def _cache_key(trace: IO[bytes]) -> bytes | None:
+    """The cache's first line: checksums of the trace (then rewound) and its parser, and Python."""
+    key, here = [sys.version, sys.byteorder], os.path.dirname(__file__)
+    try:
+        with open(__file__, "rb") as own, open(os.path.join(here, "engine.py"), "rb") as engine:
+            for fh in (trace, own, engine):
+                crc, adler = 0, 1
+                for chunk in iter(partial(fh.read, 1 << 16), b""):
+                    crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+                key += [crc, adler, fh.tell()]
+    except OSError:  # the parse then fails as it would uncached
+        return None
+    finally:
+        trace.seek(0)
+    return repr(key).encode() + b"\n"
+
+
+def _read_cache(cache: str, key: bytes, owner: int) -> list[Trajectory] | None:
+    """The trajectories `cache` holds under `key`, else None. After the key: the counts of vehicles,
+    name bytes and rows; rows per vehicle; newline-joined names; times; xs; ys; a CRC-32 of all."""
+    with suppress(OSError, EOFError, ValueError, TraceError), open(cache, "rb") as fh:
+        stat = os.fstat(fh.fileno())  # another user may plant one in /tmp; int() = 0 off POSIX
+        if stat.st_uid not in (owner, getattr(os, "geteuid", int)()) or fh.read(len(key)) != key:
+            return None
+        cols = [key] + [array(typecode) for typecode in "qqBqddq"]
+        cols[1].fromfile(fh, 3)
+        vehicles, name_bytes, rows = sizes = cols[1]
+        if min(sizes) < 0 or 8 * (vehicles + 3 * rows + 1) + name_bytes != stat.st_size - fh.tell():
+            return None  # the counts must fill the file exactly: checked before allocating
+        for col, count in zip(cols[2:], (vehicles, name_bytes, rows, rows, rows, 1)):
+            col.fromfile(fh, count)
+        counts, names, times, xs, ys, (stored,) = cols[2:]
+        ends = list(accumulate(counts, initial=0))
+        crc = reduce(lambda crc, col: zlib.crc32(col, crc), cols[:-1], 0)
+        if crc != stored or ends[-1] != rows:
+            return None
+        return [Trajectory(name, times[a:b].tolist(), xs[a:b], ys[a:b])
+                for name, a, b in zip(names.tobytes().decode().split("\n"), ends, ends[1:])]
+
+
+def _write_cache(cache: str, key: bytes, trajs: list[Trajectory]) -> None:
+    """Replace `cache` whole with `trajs` through a temporary file, or leave it as it is."""
+    tmp, counts = f"{cache}.{os.getpid()}", [len(t.times) for t in trajs]
+    names = "\n".join(t.vehicle_name for t in trajs).encode()  # a parsed name holds no newline
+    with suppress(OSError, OverflowError):  # a read-only directory, a full disk; a time past int64
+        with open(tmp, "xb") as fh:  # exclusive: no work before it, and no planted link followed
+            crc = 0
+            for col in chain([key, array("q", [len(trajs), len(names), sum(counts)] + counts)],
+                             [names], (array("q", t.times) for t in trajs),  # one at a time
+                             (t.xs for t in trajs), (t.ys for t in trajs)):
+                crc = zlib.crc32(col, crc)
+                fh.write(col)
+            fh.write(array("q", [crc]))
+        os.replace(tmp, cache)
+    with suppress(OSError):
+        os.remove(tmp)  # left by a failed write
 
 
 def position_at(traj: Trajectory, t_us: int) -> tuple[float, float]:

@@ -76,6 +76,15 @@ def reference_position(samples, t_us: int) -> tuple[float, float]:
     raise AssertionError(f"{t_us} outside the table")
 
 
+def left_to_right_mean(values) -> float:
+    """The mean of `values` added one at a time from the first: the float order
+    of the built-in `sum` before Python 3.12, which compensates instead."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def reference_path_loss_db(distance_m: float, params: ChannelParams) -> float:
     d = max(distance_m, params.min_distance_m)
     return params.pathloss_a_db + params.pathloss_b_db * math.log10(d / 1000.0)

@@ -5,8 +5,9 @@ differ from the sha256 digests in `bench/digests.json` (seed 1). This test
 makes the same check in-process, so that a change of output fails the
 test suite and not only the benchmark. `tests/bench_digests.json` pins the
 same files at seeds 2 and 3, so that a change which keeps seed 1's bytes by
-luck of its draws still fails. It reads `bench/` and writes only into the
-test's temporary directory.
+luck of its draws still fails. Each workload runs twice, with a cold and then
+a warm trace cache. It reads `bench/` and writes only into the test's
+temporary directory.
 """
 
 import hashlib
@@ -29,10 +30,19 @@ generate = bench_generate().generate
 
 
 def _digests(tmp_path, workload, seed, names):
+    """The digests of a run on a fresh trace, which writes the trace cache,
+    checked equal to those of a second run, which reads it."""
     ini = generate(workload, seed, tmp_path / "in")
-    out = tmp_path / "out"
-    write_outputs(run_scenario(load_config(ini)), out)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    runs = []
+    for cache in ("cold", "warm"):
+        assert bool(list((tmp_path / "in").glob("*.vcellsim-cache"))) == (cache == "warm")
+        out = tmp_path / f"out-{cache}"
+        write_outputs(run_scenario(load_config(ini)), out)
+        runs.append(
+            {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+        )
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))

@@ -29,6 +29,7 @@ from oracles import (
     Positions,
     brute_force_mean_sinr,
     brute_force_sinr_db,
+    left_to_right_mean,
     per_rb_pair_walk,
     random_allocated_scenario,
     record_random_grants,
@@ -98,6 +99,53 @@ def test_a_cqi_budget_is_its_margin_to_the_nearer_band_edge_over_2r():
             assert budget == pytest.approx((margin - 1e-6) / two_r, rel=1e-9)
     assert channel.cqi_budget_m(ChannelReport(db_to_linear(edges[4]), 5)) < 0.0  # on an edge
     assert channel.cqi_budget_m(ChannelReport(0.0, 0)) == 0.0  # an underflowed signal
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 1000),
+    min_distance=st.floats(40.0, 200.0),
+    sites=st.lists(
+        st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)), min_size=2, max_size=4
+    ),
+    serving=st.integers(0, 3),
+    rows=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=4, max_size=4),
+    ue_xy=st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+)
+def test_a_fresh_dl_measure_within_the_cqi_budget_reads_the_same_cqi(
+    seed, min_distance, sites, serving, rows, ue_xy
+):
+    # The tick keeps a DL CQI while its UE stays within `cqi_budget_m` of the
+    # point it was measured at, under the same serving cell and `last` DL grid.
+    # That is exact only if a fresh measure anywhere in that disc reads the same
+    # CQI. eNBs within a few coupling distances of the UE make the mean SINR
+    # move at close to the 2R dB per metre the budget allows.
+    params = ChannelParams(
+        min_distance_m=min_distance, shadowing_enabled=True, shadowing_sigma_db=4.0
+    )
+    binder, where = Binder(num_rbs=6), Positions()
+    cells = [
+        where.register(binder, NodeKind.ENB, f"enb{i}", 46.0, xy).node_id
+        for i, xy in enumerate(sites)
+    ]
+    ue = where.register(binder, NodeKind.UE, "car0", 26.0, ue_xy).node_id
+    cell = cells[serving % len(cells)]
+    binder.set_serving_cell(ue, cell)
+    for c, row in zip(cells, rows):
+        rbs = [rb for rb, busy in enumerate(row) if busy]
+        if rbs:
+            binder.record_allocation(Direction.DL, c, rbs, c)
+    binder.end_tti()  # the fixed `last` grid every measure reads
+    channel = ChannelModel(binder, params, TABLES, where, where, seed=seed)
+    report = channel.measure(ue, cell, Direction.DL)
+    budget = max(channel.cqi_budget_m(report), 0.0)  # a report on an edge has none
+    x0, y0 = ue_xy
+    for k in range(32):
+        heading = 2 * math.pi * k / 32
+        for share in (0.25, 0.5, 0.75, 1.0):
+            reach = share * budget
+            where.place(ue, (x0 + reach * math.cos(heading), y0 + reach * math.sin(heading)))
+            assert channel.measure(ue, cell, Direction.DL).cqi == report.cqi, (heading, reach)
 
 
 def test_received_power_at_one_km():
@@ -500,10 +548,29 @@ def test_link_adaptation_self_consistency(sinr):
 )
 def test_decode_uses_linear_mean(sinrs):
     linear = [db_to_linear(v) for v in sinrs]
-    mean = sum(linear) / len(linear)
+    mean = left_to_right_mean(linear)
     cqi = cqi_from_sinr(mean, TABLES)
     if cqi >= 1:
         assert decode(linear, cqi, TABLES) is True
+
+
+def test_decode_sums_left_to_right_where_a_compensated_sum_decides_otherwise():
+    # One RB just under n times a threshold and n - 1 RBs in a deep fade, each
+    # under half an ulp of the first. Added from the left, the fades vanish; a
+    # compensated sum (math.fsum, or the built-in sum from Python 3.12) keeps
+    # them. Where the two means straddle the threshold, decode must side with
+    # the left-to-right loop on every interpreter, so the same config and seed
+    # write the same bytes.
+    straddles = 0
+    for cqi in range(1, 16):
+        threshold = TABLES.sinr_thresholds[cqi - 1]
+        for n in (3, 4, 5):
+            strong = math.nextafter(threshold * n, 0.0)
+            sinrs = [strong] + [0.4 * math.ulp(strong)] * (n - 1)
+            if left_to_right_mean(sinrs) < threshold <= math.fsum(sinrs) / n:
+                straddles += 1
+                assert decode(sinrs, cqi, TABLES) is False
+    assert straddles >= 40
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vcellsim import mobility
 from vcellsim.engine import EventKind, s_to_us
 from vcellsim.errors import TraceError
 from vcellsim.mobility import (
@@ -157,15 +158,15 @@ def _many_rows_file():
     return io.BytesIO(text.encode())
 
 
-def _traced_parse(source):
-    """Parse under tracemalloc; returns (peak bytes, retained bytes), both
-    counted from the start of the parse."""
+def _traced(load, source):
+    """`load(source)` under tracemalloc; returns (peak bytes, retained bytes),
+    both counted from the start of the load."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        trajs = parse_trace(source)
+        trajs = load(source)
         peak = tracemalloc.get_traced_memory()[1] - before
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -177,15 +178,30 @@ def _traced_parse(source):
 
 
 def test_parsed_trace_retains_at_most_80_bytes_per_row():
-    _, retained = _traced_parse(_many_rows_file())
+    _, retained = _traced(parse_trace, _many_rows_file())
     assert retained / ROWS <= 80, f"{retained / ROWS:.1f} B per row"
 
 
 def test_parse_peak_is_at_most_100_bytes_per_row():
     # the file is read one line at a time, so the peak stays near the
     # retained store (about 58 B per row) rather than adding the whole text
-    peak, _ = _traced_parse(_many_rows_file())
+    peak, _ = _traced(parse_trace, _many_rows_file())
     assert peak / ROWS <= 100, f"{peak / ROWS:.1f} B per row"
+
+
+def test_a_load_from_the_cache_peaks_at_100_and_retains_80_bytes_per_row(
+    tmp_path, monkeypatch
+):
+    # the three columns are read whole (24 B per row) and sliced into the
+    # store, and the trace is checksummed in 64 KiB chunks, so a cache hit
+    # peaks near what a parse keeps
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(_many_rows_file().getvalue())
+    load_trace(trace)  # writes the cache
+    monkeypatch.setattr(mobility, "parse_trace", None)  # so only a cache hit can load
+    peak, retained = _traced(load_trace, trace)
+    assert peak / ROWS <= 100, f"{peak / ROWS:.1f} B per row at the peak"
+    assert retained / ROWS <= 80, f"{retained / ROWS:.1f} B per row retained"
 
 
 # ----------------------------------------------------------------------

@@ -469,11 +469,17 @@ GOLDEN_LOG = """\
 """
 
 
+def _trace_cache_is_warm(tmp_path):
+    return (tmp_path / "trace.csv.vcellsim-cache").is_file()
+
+
 def test_golden_tiny_scenario(tmp_path):
-    report, _ = _run(tmp_path, GOLDEN_CONFIG, GOLDEN_TRACE)
-    assert report.vehicles_csv() == GOLDEN_VEHICLES
-    assert report.cells_csv() == GOLDEN_CELLS
-    assert "".join(line + "\n" for line in report.event_log) == GOLDEN_LOG
+    for cache in ("cold", "warm"):  # the second run reads the trace cache the first wrote
+        assert _trace_cache_is_warm(tmp_path) == (cache == "warm")
+        report, _ = _run(tmp_path, GOLDEN_CONFIG, GOLDEN_TRACE)
+        assert report.vehicles_csv() == GOLDEN_VEHICLES
+        assert report.cells_csv() == GOLDEN_CELLS
+        assert "".join(line + "\n" for line in report.event_log) == GOLDEN_LOG
 
 
 # Two small runs the bench does not make: every bench workload attaches by
@@ -613,11 +619,13 @@ SINR_LOG_SHA256 = "0d03448c0f2e1e101be352b2c65296d9e900515537b2976cc6727b80ef4b5
     ids=["manual", "sinr"],
 )
 def test_golden_three_cell_churn(tmp_path, config_text, vehicles, cells, log_sha256):
-    report, _ = _run(tmp_path, config_text, CHURN_TRACE)
-    assert report.vehicles_csv() == vehicles
-    assert report.cells_csv() == cells
-    log = "".join(line + "\n" for line in report.event_log)
-    assert hashlib.sha256(log.encode()).hexdigest() == log_sha256
+    for cache in ("cold", "warm"):  # the second run reads the trace cache the first wrote
+        assert _trace_cache_is_warm(tmp_path) == (cache == "warm")
+        report, _ = _run(tmp_path, config_text, CHURN_TRACE)
+        assert report.vehicles_csv() == vehicles
+        assert report.cells_csv() == cells
+        log = "".join(line + "\n" for line in report.event_log)
+        assert hashlib.sha256(log.encode()).hexdigest() == log_sha256
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -2,6 +2,8 @@
 parses as the oldest Python that pyproject.toml's requires-python admits."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,21 @@ def test_binder_knows_nothing_of_the_radio():
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
     }
     assert relative == {"errors"}
+
+
+def test_the_cli_and_scenario_load_no_hashlib():
+    # hashlib loads OpenSSL, which costs about 1 MiB of peak RSS per run; the
+    # trace cache's key uses zlib's checksums, which cost nothing measurable
+    code = (
+        "import sys, vcellsim.cli, vcellsim.scenario;"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
