@@ -112,12 +112,6 @@ class ChannelReport:
     cqi: int
 
 
-def path_loss_db(distance_m: float, params: ChannelParams) -> float:
-    """Log-distance path loss with the minimum coupling distance clamp: the
-    loss a 0 dBm transmitter sees, bit for bit."""
-    return -received_power_dbm(0.0, (0.0, 0.0), (distance_m, 0.0), params)
-
-
 def noise_dbm(params: ChannelParams) -> float:
     """Thermal noise over one RB plus the receiver noise figure."""
     rb_noise = THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(params.rb_bandwidth_hz)

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import SIM_END, ScenarioConfig, dump_defaults, load_config
@@ -90,6 +89,9 @@ def main(argv=None) -> int:
         if args.jobs == 1:
             print(_run_one(config, args.out))
         else:
+            # loads multiprocessing, which a single run does without
+            from concurrent.futures import ProcessPoolExecutor
+
             seeds = [config.seed + i for i in range(args.jobs)]
             jobs = [
                 (dataclasses.replace(config, seed=s), args.out / f"seed-{s}")

@@ -22,7 +22,7 @@ from functools import cached_property, partial, reduce
 from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator
 
-from .engine import EventKind, SimEvent, s_to_us
+from .engine import US_PER_S, EventKind, SimEvent, s_to_us
 from .errors import TraceError
 
 log = logging.getLogger(__name__)
@@ -46,14 +46,12 @@ class AccidentSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One vehicle's route as three aligned sample columns.
-
-    `times` (int us, strictly increasing) is a plain list because bisect on an
-    array('q') boxes every element it compares; `xs` and `ys` are array('d').
-    """
+    """One vehicle's route as three aligned sample columns: `times` (int us,
+    strictly increasing) an array('q'), `xs` and `ys` array('d'). Arrays hold
+    no per-row objects, so the garbage collector never walks a route."""
 
     vehicle_name: str
-    times: list[int]
+    times: array
     xs: array
     ys: array
 
@@ -127,7 +125,7 @@ def _parse_lines(lines: Iterator[tuple[int, bytes]]) -> list[Trajectory]:
             return []
         raise TraceError(f"line 1: expected header {TRACE_HEADER!r}, got {header!r}")
 
-    columns: dict[str, tuple[list[int], array, array]] = {}
+    columns: dict[str, tuple[array, array, array]] = {}
     for lineno, raw in lines:
         line = _decode(raw, lineno).strip()
         if not line:
@@ -149,10 +147,12 @@ def _parse_lines(lines: Iterator[tuple[int, bytes]]) -> list[Trajectory]:
             raise TraceError(f"line {lineno}: non-finite value")
         if t < 0:
             raise TraceError(f"line {lineno}: negative time {t}")
+        if t * US_PER_S >= 2**63:  # checked as a float: s_to_us(1e303) overflows
+            raise TraceError(f"line {lineno}: time {t} s is past int64 microseconds")
         t_us = s_to_us(t)
         cols = columns.get(vehicle)
         if cols is None:
-            cols = columns[vehicle] = ([], array("d"), array("d"))
+            cols = columns[vehicle] = (array("q"), array("d"), array("d"))
         elif t_us <= cols[0][-1]:
             raise TraceError(
                 f"line {lineno}: vehicle {vehicle!r} time not strictly increasing"
@@ -218,7 +218,7 @@ def _read_cache(cache: str, key: bytes, owner: int) -> list[Trajectory] | None:
         crc = reduce(lambda crc, col: zlib.crc32(col, crc), cols[:-1], 0)
         if crc != stored or ends[-1] != rows:
             return None
-        return [Trajectory(name, times[a:b].tolist(), xs[a:b], ys[a:b])
+        return [Trajectory(name, times[a:b], xs[a:b], ys[a:b])
                 for name, a, b in zip(names.tobytes().decode().split("\n"), ends, ends[1:])]
 
 
@@ -226,12 +226,12 @@ def _write_cache(cache: str, key: bytes, trajs: list[Trajectory]) -> None:
     """Replace `cache` whole with `trajs` through a temporary file, or leave it as it is."""
     tmp, counts = f"{cache}.{os.getpid()}", [len(t.times) for t in trajs]
     names = "\n".join(t.vehicle_name for t in trajs).encode()  # a parsed name holds no newline
-    with suppress(OSError, OverflowError):  # a read-only directory, a full disk; a time past int64
+    with suppress(OSError):  # a read-only directory, a full disk
         with open(tmp, "xb") as fh:  # exclusive: no work before it, and no planted link followed
             crc = 0
             for col in chain([key, array("q", [len(trajs), len(names), sum(counts)] + counts)],
-                             [names], (array("q", t.times) for t in trajs),  # one at a time
-                             (t.xs for t in trajs), (t.ys for t in trajs)):
+                             [names], (t.times for t in trajs), (t.xs for t in trajs),
+                             (t.ys for t in trajs)):
                 crc = zlib.crc32(col, crc)
                 fh.write(col)
             fh.write(array("q", [crc]))
@@ -280,7 +280,7 @@ def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
     tail = bisect_right(times, t_stop)  # samples after it, shifted by dur
     return Trajectory(
         traj.vehicle_name,
-        times[:head] + [t_stop, t_stop + dur] + [t + dur for t in times[tail:]],
+        times[:head] + array("q", [t_stop, t_stop + dur, *(t + dur for t in times[tail:])]),
         traj.xs[:head] + array("d", (x0, x0)) + traj.xs[tail:],
         traj.ys[:head] + array("d", (y0, y0)) + traj.ys[tail:],
     )

@@ -1,13 +1,13 @@
 """Scenario wiring and the per-TTI pipeline.
 
-The TTI tick is the heartbeat: each slot runs handover evaluation, CQI
-measurement against the previous slot's interference (of each UE and
-direction with buffered bits, the only ones a scheduler reads),
-scheduling, grid recording (so overlapping cells see each other),
-decode of the grants that carry packets, and finally, at the slot boundary,
-the handovers RRC decided: the tick flushes each UE's downlink buffer and
-switches its serving cell, after which the binder closes the slot. A flow's
-one pending arrival keeps its sequence number, so arrivals fire in set-up order.
+The TTI tick is the heartbeat. Each slot runs five phases, one method each:
+the due A3 checks (`_check_handovers`); CQIs against the previous slot's
+interference of each UE and direction with buffered bits, the only ones a
+scheduler reads (`_measure_backlogged`); scheduling and grid recording, so
+overlapping cells see each other (`_schedule`); decode of the grants that carry
+packets (`_transmit`); and, at the slot boundary, the handovers RRC decided
+(`_hand_over`). Then the binder closes the slot. A flow's one pending
+arrival keeps its sequence number, so arrivals fire in set-up order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
 
@@ -38,12 +38,12 @@ from heapq import heappop, heappush
 from math import ceil
 from typing import Iterator, Optional
 
-from .binder import Binder, Direction, NodeKind
+from .binder import Binder, Direction, NodeKind, NodeRecord
 from .channel import ChannelModel
 from .config import ScenarioConfig
 from .engine import TTI_US, Engine, EventKind, SimEvent, us_to_s
 from .errors import ConfigError
-from .mac import Mac
+from .mac import Allocation, Mac
 from .metrics import CellStats, MetricsReport, VehicleStats, write_outputs
 from .mobility import Trajectory, apply_accident, lifecycle_events, load_trace, position_at
 from .rrc import Rrc
@@ -76,8 +76,10 @@ class Scenario:
         )
 
         self._sites = {enb.name: (enb.x, enb.y) for enb in config.enbs}
+        self._cell_stats: dict[int, CellStats] = {}  # by cell id
         for enb in config.enbs:
-            self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm)
+            cell = self.binder.register_node(NodeKind.ENB, enb.name, enb.tx_power_dbm).node_id
+            self._cell_stats[cell] = CellStats(enb.name)
 
         self._load_vehicles()
         self._checks: list[tuple[int, int]] = []  # heap of (due us, UE), one per UE
@@ -85,7 +87,6 @@ class Scenario:
         self._dl_cqis: dict[int, tuple[int, list, int, int]] = {}
 
         self.log: list[str] = []
-        self._cell_stats = {enb.name: CellStats(enb.name) for enb in config.enbs}
 
         self._schedule_initial_events()
 
@@ -220,16 +221,6 @@ class Scenario:
     def _on_sim_end(self, event: SimEvent) -> None:
         self._logline("SIM_END")
 
-    def _due_checks(self, now: int) -> list[int]:
-        """Pop the live UEs whose A3 check is due by `now`, in ascending id."""
-        checks, due = self._checks, []
-        while checks and checks[0][0] <= now:
-            ue = heappop(checks)[1]
-            if self.binder.is_live(ue):
-                due.append(ue)
-        due.sort()
-        return due
-
     def _due_us(self, ue: int, now: int, budget_m: float) -> int:
         """The first TTI at which the UE, at its top speed, may have moved
         `budget_m` metres since `now` (the next TTI if the budget is not
@@ -244,10 +235,6 @@ class Scenario:
                 ticks = budget_m / metres_per_tti
             due = now + ceil(ticks) * TTI_US
         return min(due, traj.leave_us)
-
-    def _queue_check(self, ue: int, now: int) -> None:
-        """Queue the UE's next A3 check, just checked at `now`."""
-        heappush(self._checks, (self._due_us(ue, now, self.rrc.slack_m(ue)), ue))
 
     def _dl_cqi(self, ue: int, cell: int, now: int) -> int:
         """The UE's DL CQI: the one kept from its last measure while it cannot
@@ -264,18 +251,37 @@ class Scenario:
 
     def _on_tick(self, event: SimEvent) -> None:
         now = self.engine.now
-        nodes = self.binder.nodes
         # enter and leave are separate events, so the live set is fixed for the tick
-        checks = self._due_checks(now)
-        handovers = []  # (UE record, target cell)
-        for ue in checks:
+        handovers = self._check_handovers(now)
+        candidates = self._measure_backlogged(now)
+        allocations = self._schedule(candidates)
+        self._transmit(allocations, now)
+        self._hand_over(handovers, now)
+        self.binder.end_tti()
+        next_tick = now + TTI_US
+        if next_tick < self.config.sim_end_us:
+            self.engine.schedule_at(next_tick, EventKind.TTI_TICK, next_tick // TTI_US)
+
+    def _check_handovers(self, now: int) -> list[tuple[NodeRecord, int]]:
+        """A3-check the live UEs due by `now`, in ascending id, and queue each
+        one's next check; returns the (UE record, target cell) handovers decided."""
+        checks, due = self._checks, []
+        while checks and checks[0][0] <= now:
+            ue = heappop(checks)[1]
+            if self.binder.is_live(ue):
+                due.append(ue)
+        handovers = []
+        for ue in sorted(due):
             target = self.rrc.handover_check(ue, now)
             if target is not None:
-                handovers.append((nodes[ue], target))
-            self._queue_check(ue, now)
+                handovers.append((self.binder.nodes[ue], target))
+            heappush(checks, (self._due_us(ue, now, self.rrc.slack_m(ue)), ue))
+        return handovers
 
-        # the schedulers read only backlogged UEs, so only those are measured
-        candidates: dict[tuple[int, Direction], list[tuple[int, int]]] = {}
+    def _measure_backlogged(self, now: int) -> dict[tuple[int, Direction], list[tuple[int, int]]]:
+        """(UE, CQI) candidates by (serving cell, direction), in ascending UE id.
+        The schedulers read only backlogged UEs, so only those are measured."""
+        nodes, candidates = self.binder.nodes, {}
         for direction, backlog in self.mac.backlogged.items():
             for ue in sorted(backlog):
                 cell = nodes[ue].serving_cell
@@ -284,12 +290,13 @@ class Scenario:
                 else:  # UL interferers are UEs, which move
                     cqi = self.channel.measure(ue, cell, direction).cqi
                 candidates.setdefault((cell, direction), []).append((ue, cqi))
+        return candidates
 
-        schedule = (
-            self.mac.schedule_tti_rr
-            if self.config.scheduler == "rr"
-            else self.mac.schedule_tti_maxcqi
-        )
+    def _schedule(self, candidates: dict) -> list[Allocation]:
+        """Schedule each cell's candidates, DL then UL, and record every grant
+        in the grid, so overlapping cells see each other when they decode."""
+        mac = self.mac
+        schedule = mac.schedule_tti_rr if self.config.scheduler == "rr" else mac.schedule_tti_maxcqi
         allocations = []
         for cell in self.binder.cells:
             for direction in (Direction.DL, Direction.UL):
@@ -299,15 +306,15 @@ class Scenario:
                 alloc = schedule(cell, direction, ues, self.channel.tables)
                 if not alloc.grants:
                     continue
-                for ue in sorted(alloc.grants):
+                for ue, grant in sorted(alloc.grants.items()):
                     transmitter = cell if direction == Direction.DL else ue
-                    self.binder.record_allocation(
-                        direction, cell, alloc.grants[ue].rb_set, transmitter
-                    )
-                cell_stats = self._cell_stats[self.binder.node(cell).name]
-                cell_stats.rb_allocated[direction] += alloc.rb_count()
+                    self.binder.record_allocation(direction, cell, grant.rb_set, transmitter)
+                self._cell_stats[cell].rb_allocated[direction] += alloc.rb_count()
                 allocations.append(alloc)
+        return allocations
 
+    def _transmit(self, allocations: list[Allocation], now: int) -> None:
+        """Decode each allocation and book what it delivered or dropped."""
         # delivered at the end of the slot; UL then still crosses the core
         deliver_us = now + TTI_US
         ul_deliver_us = deliver_us + self.config.backhaul_delay_us
@@ -322,6 +329,8 @@ class Scenario:
                     stats.record_delivery(pkt.size_bits, done_us - pkt.created_us)
                 stats.dropped_radio_bits += result.dropped_bits
 
+    def _hand_over(self, handovers: list[tuple[NodeRecord, int]], now: int) -> None:
+        """Flush each handed-over UE's DL buffer and switch its serving cell."""
         for rec, target in handovers:
             source_name = self.binder.node(rec.serving_cell).name  # before the switch
             stats = self.vehicles[rec.name].stats
@@ -331,11 +340,6 @@ class Scenario:
             target_name = self.binder.node(target).name
             stats.timeline.append((now, target_name))
             self._logline(f"HANDOVER {rec.name} {source_name}->{target_name}")
-
-        self.binder.end_tti()
-        next_tick = now + TTI_US
-        if next_tick < self.config.sim_end_us:
-            self.engine.schedule_at(next_tick, EventKind.TTI_TICK, next_tick // TTI_US)
 
     # ------------------------------------------------------------------
     # run
@@ -359,7 +363,7 @@ class Scenario:
             wall_ms=wall_ms,
             rb_capacity=self.config.num_rbs * summary.counts.get(EventKind.TTI_TICK, 0),
             vehicles=vehicles,
-            cells=self._cell_stats,
+            cells={stats.name: stats for stats in self._cell_stats.values()},
             event_log=self.log,
         )
         report.verify_conservation()

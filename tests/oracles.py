@@ -364,10 +364,20 @@ def reference_mode(scn):
     scn.channel.measure = _unmemoized(scn.channel, scn.channel.measure)
     scn.channel.sinr = _unmemoized(scn.channel, scn.channel.sinr)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
-    scn.rrc.handover_check = lambda ue, now_us: reference_handover_check(scn.rrc, ue, now_us)
-    scn._due_checks = lambda now: [rec.node_id for rec in scn.binder.live_nodes(NodeKind.UE)]
-    scn._queue_check = lambda ue, now: None
+    scn._check_handovers = lambda now: _check_every_live_ue(scn, now)
     return scn
+
+
+def _check_every_live_ue(scn, now_us: int):
+    """The tick's A3 phase with no due times: every live UE, in ascending id,
+    checked by `reference_handover_check`; the (UE record, target cell)
+    handovers decided."""
+    handovers = []
+    for rec in scn.binder.live_nodes(NodeKind.UE):
+        target = reference_handover_check(scn.rrc, rec.node_id, now_us)
+        if target is not None:
+            handovers.append((rec, target))
+    return handovers
 
 
 def eager_flow_events(spec, until_us: int) -> list:

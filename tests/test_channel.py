@@ -20,7 +20,6 @@ from vcellsim.channel import (
     db_to_linear,
     decode,
     noise_dbm,
-    path_loss_db,
     received_power_dbm,
 )
 from vcellsim.errors import ChannelError
@@ -43,6 +42,11 @@ TABLES = CqiTables()
 
 def to_db(linear):
     return 10.0 * math.log10(linear)
+
+
+def path_loss_db(distance_m, params):
+    """The loss a 0 dBm transmitter sees at `distance_m`, bit for bit."""
+    return -received_power_dbm(0.0, (0.0, 0.0), (distance_m, 0.0), params)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ def _traj(name, points):
 def _columns(name, table):
     """A Trajectory from a (t_us, x, y) sample table."""
     times, xs, ys = zip(*table)
-    return Trajectory(name, list(times), array("d", xs), array("d", ys))
+    return Trajectory(name, array("q", times), array("d", xs), array("d", ys))
 
 
 def _table(traj):
@@ -280,20 +280,19 @@ def test_position_at_on_long_trajectory_matches_linear_scan_oracle(case, data):
 # the trajectory columns
 
 
-def test_columns_are_a_list_and_two_float_arrays():
+def test_columns_are_an_int_and_two_float_arrays():
     (parsed,) = _parse(make_trace([(0, "car0", 0, 0), (1, "car0", 5, 0), (3, "car0", 9, 2)]))
     built = _traj("v", [(0, 0, 0), (10, 100, 0), (20, 100, 50)])
     shifted = apply_accident(built, AccidentSpec(s_to_us(5), s_to_us(7)))
     for traj in (parsed, built, shifted):
-        assert type(traj.times) is list
-        assert (traj.xs.typecode, traj.ys.typecode) == ("d", "d")
+        assert (traj.times.typecode, traj.xs.typecode, traj.ys.typecode) == ("q", "d", "d")
         assert len(traj.times) == len(traj.xs) == len(traj.ys)
-    assert shifted.times == [s_to_us(t) for t in (0, 5, 12, 17, 27)]
+    assert shifted.times == array("q", [s_to_us(t) for t in (0, 5, 12, 17, 27)])
 
 
 def test_misaligned_columns_rejected():
     with pytest.raises(ValueError, match="differ in length"):
-        Trajectory("v", [0, 1], array("d", [0.0]), array("d", [0.0, 1.0]))
+        Trajectory("v", array("q", [0, 1]), array("d", [0.0]), array("d", [0.0, 1.0]))
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +366,7 @@ def test_accident_matches_piecewise_shift_oracle(case):
 
     t_stop = traj.enter_us + spec.start_us
     dur = spec.duration_us
-    probes = [traj.enter_us, t_stop] + traj.times
+    probes = [traj.enter_us, t_stop, *traj.times]
     for t in probes:
         if t < t_stop:
             # before the stop: unchanged

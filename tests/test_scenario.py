@@ -21,6 +21,7 @@ from vcellsim.mobility import position_at
 from vcellsim.scenario import Scenario, run_scenario
 
 from conftest import ONE_CELL, TWO_CELLS, build_config, make_trace, write_scenario
+import oracles
 from oracles import MeasureEveryone, reference_mode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -744,6 +745,46 @@ def test_measuring_every_ue_gives_the_same_bytes(tmp_path, config_text):
         measures.append(len(calls))
     assert measures[1] > measures[0]
     assert outputs[1] == outputs[0]
+
+
+def test_reference_mode_checks_and_measures_every_live_ue_at_every_tick(tmp_path, monkeypatch):
+    # `reference_mode` swaps the tick's A3 phase and the MAC of a built
+    # scenario, and the differential test wraps the MAC's schedulers, so the
+    # tick must look each up when it runs; one bound at construction would
+    # leave the differential test comparing the skips, or nothing
+    config = load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE))
+    scn = reference_mode(Scenario(config))
+    live, checks, scheduled, measures, in_tick = [], [], [], collections.Counter(), [False]
+    check, measure, tick = oracles.reference_handover_check, scn.channel.measure, scn._on_tick
+
+    def counted_check(rrc, ue, now_us):
+        checks.append(now_us)
+        return check(rrc, ue, now_us)
+
+    def counted_measure(ue, cell, direction):
+        measures[direction] += in_tick[0]
+        return measure(ue, cell, direction)
+
+    def counted_tick(event):
+        live.append(len(scn.binder.live_nodes(NodeKind.UE)))
+        in_tick[0] = True
+        tick(event)
+        in_tick[0] = False
+
+    def counted_schedule(schedule):
+        return lambda cell, direction, ues, tables: (
+            scheduled.append(len(ues)) or schedule(cell, direction, ues, tables)
+        )
+
+    monkeypatch.setattr(oracles, "reference_handover_check", counted_check)
+    scn.channel.measure = counted_measure
+    for name in ("schedule_tti_rr", "schedule_tti_maxcqi"):
+        setattr(scn.mac, name, counted_schedule(getattr(scn.mac, name)))
+    scn.engine.on(EventKind.TTI_TICK, counted_tick)
+    scn.run()
+    assert len(live) == 400 and sum(live) > 0
+    assert len(checks) == measures[Direction.DL] == measures[Direction.UL] == sum(live)
+    assert sum(scheduled) == 2 * sum(live)  # each live UE is a candidate in both directions
 
 
 def test_last_uplink_sender_is_read_at_its_current_position_after_emptying_its_buffer(tmp_path):

@@ -45,13 +45,9 @@ def test_binder_knows_nothing_of_the_radio():
     assert relative == {"errors"}
 
 
-def test_the_cli_and_scenario_load_no_hashlib():
-    # hashlib loads OpenSSL, which costs about 1 MiB of peak RSS per run; the
-    # trace cache's key uses zlib's checksums, which cost nothing measurable
-    code = (
-        "import sys, vcellsim.cli, vcellsim.scenario;"
-        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
-    )
+def _loaded_by_import(modules, unwanted):
+    """Which of `unwanted` a fresh interpreter has loaded once it imports `modules`."""
+    code = f"import sys, {', '.join(modules)}; print(sorted({set(unwanted)!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
@@ -60,4 +56,18 @@ def test_the_cli_and_scenario_load_no_hashlib():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_the_cli_and_scenario_load_no_hashlib():
+    # hashlib loads OpenSSL, which costs about 1 MiB of peak RSS per run; the
+    # trace cache's key uses zlib's checksums, which cost nothing measurable
+    unwanted = ["hashlib", "_hashlib"]
+    assert _loaded_by_import(["vcellsim.cli", "vcellsim.scenario"], unwanted) == "[]\n"
+
+
+def test_the_cli_loads_no_process_pool():
+    # only `run --jobs` above 1 needs one; loading it cost every run about
+    # 15 ms of import and 1.4 MiB of peak RSS
+    unwanted = ["concurrent.futures.process", "multiprocessing"]
+    assert _loaded_by_import(["vcellsim.cli"], unwanted) == "[]\n"
