@@ -20,6 +20,16 @@ window with a stable backlog it hands every UE exactly the same number of
 RBs per full rotation. The max-CQI scheduler instead fills greedily in
 descending CQI order (ties to the lowest node id), spilling capacity a UE
 cannot use to the runner-up.
+
+Each cell and direction deals a distinct (pointer, backlog) once. A
+schedule is a pure function of the round-robin pointer (max-CQI reads
+none), the backlog as ascending (ue, cqi, demand) and `num_rbs`, and no
+UE can take more than `num_rbs` RBs, so a demand counts up to `num_rbs`.
+A memo slot per cell and direction keeps the last backlog, and under it
+the grants and last UE dealt from each pointer: a repeat returns a copy
+and moves the pointer as a fresh deal would, and a new backlog replaces
+the slot. A slot so holds at most one deal per UE of its backlog, plus
+one for the pointer it arrived with.
 """
 
 from __future__ import annotations
@@ -90,6 +100,8 @@ class Mac:
         self.binder = binder
         self.capacity_bits = capacity_bits
         self._rr_pointer: dict[tuple[int, Direction], int] = {}
+        # (cell, direction) -> (backlog, {pointer: (grants, last UE)})
+        self._memo: dict[tuple[int, Direction], tuple[tuple, dict]] = {}
         self.backlogged: dict[Direction, dict[int, TxBuffer]] = {Direction.DL: {}, Direction.UL: {}}
 
     # ------------------------------------------------------------------
@@ -130,13 +142,26 @@ class Mac:
 
     def _backlogged(
         self, direction: Direction, ues_with_cqi: Sequence[tuple[int, int]], tables
-    ) -> list[tuple[int, int, int]]:
-        """(ue, cqi, RB demand) of each schedulable UE, in ascending node id."""
-        return [
-            (ue, cqi, ceil(bits / bits_per_rb(cqi, tables)))
+    ) -> tuple[tuple[int, int, int], ...]:
+        """(ue, cqi, RB demand up to num_rbs) of each schedulable UE, in
+        ascending node id."""
+        num_rbs = self.binder.num_rbs
+        return tuple(
+            (ue, cqi, min(ceil(bits / bits_per_rb(cqi, tables)), num_rbs))
             for ue, cqi in sorted(ues_with_cqi)
             if cqi >= 1 and (bits := self.buffer_bits(ue, direction)) > 0
-        ]
+        )
+
+    def _dealt(self, key, backlog, pointer, deal) -> tuple[dict[int, Grant], int | None]:
+        """`deal(backlog, pointer)`, the (grants, last UE) of a schedule, kept
+        in `key`'s memo slot while the backlog repeats."""
+        slot = self._memo.get(key)
+        if slot is None or slot[0] != backlog:
+            slot = self._memo[key] = (backlog, {})
+        dealt = slot[1].get(pointer)
+        if dealt is None:
+            dealt = slot[1][pointer] = deal(backlog, pointer)
+        return dealt
 
     def schedule_tti_rr(
         self,
@@ -148,10 +173,16 @@ class Mac:
         """Round-robin: deal RBs one by one, resuming after last TTI's stop."""
         key = (cell, direction)
         pointer = self._rr_pointer.get(key, 0)  # node ids start at 1
-        entries = [
-            (ue, cqi, demand, [])
-            for ue, cqi, demand in self._backlogged(direction, ues_with_cqi, tables)
-        ]
+        backlog = self._backlogged(direction, ues_with_cqi, tables)
+        grants, last = self._dealt(key, backlog, pointer, self._deal_rr)
+        if last is not None:
+            self._rr_pointer[key] = last
+        return Allocation(cell, direction, dict(grants))
+
+    def _deal_rr(self, backlog, pointer) -> tuple[dict[int, Grant], int | None]:
+        """Round robin from after `pointer`: the grants and the UE that took
+        the last RB, None for an empty backlog."""
+        entries = [(ue, cqi, demand, []) for ue, cqi, demand in backlog]
         start = sum(entry[0] <= pointer for entry in entries)
         short = deque(entries[start:] + entries[:start])  # UEs short of demand
         ue = None
@@ -163,10 +194,8 @@ class Mac:
             rbs.append(rb)
             if len(rbs) < demand:
                 short.append(entry)
-        if ue is not None:  # the UE that took the last RB
-            self._rr_pointer[key] = ue
-        grants = {ue: Grant(tuple(rbs), cqi) for ue, cqi, _, rbs in entries if rbs}
-        return Allocation(cell, direction, grants)
+        grants = {owner: Grant(tuple(rbs), cqi) for owner, cqi, _, rbs in entries if rbs}
+        return grants, ue
 
     def schedule_tti_maxcqi(
         self,
@@ -176,16 +205,21 @@ class Mac:
         tables,
     ) -> Allocation:
         """Greedy fill by descending CQI, ties to the lowest node id."""
-        backlogged = self._backlogged(direction, ues_with_cqi, tables)
-        alloc = Allocation(cell, direction)
+        backlog = self._backlogged(direction, ues_with_cqi, tables)
+        grants, _ = self._dealt((cell, direction), backlog, None, self._deal_maxcqi)
+        return Allocation(cell, direction, dict(grants))
+
+    def _deal_maxcqi(self, backlog, _pointer) -> tuple[dict[int, Grant], None]:
+        """Max-CQI greedy fill: the grants, and None for the pointer it ignores."""
+        grants = {}
         rb_cursor = 0
-        for ue, cqi, demand in sorted(backlogged, key=lambda item: (-item[1], item[0])):
+        for ue, cqi, demand in sorted(backlog, key=lambda item: (-item[1], item[0])):
             if rb_cursor >= self.binder.num_rbs:
                 break
             take = min(demand, self.binder.num_rbs - rb_cursor)
-            alloc.grants[ue] = Grant(tuple(range(rb_cursor, rb_cursor + take)), cqi)
+            grants[ue] = Grant(tuple(range(rb_cursor, rb_cursor + take)), cqi)
             rb_cursor += take
-        return alloc
+        return grants, None
 
     # ------------------------------------------------------------------
     # transmission

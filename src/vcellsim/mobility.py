@@ -263,7 +263,8 @@ def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
     The position reached at departure + start is held for the accident
     duration; every later sample is delayed by that duration, extending the
     lifetime accordingly. A window that begins after the vehicle's last
-    sample is ignored with a warning.
+    sample is ignored with a warning, and one that delays the route past
+    int64 microseconds is a TraceError.
     """
     t_stop = traj.enter_us + spec.start_us
     if t_stop > traj.leave_us:
@@ -275,6 +276,10 @@ def apply_accident(traj: Trajectory, spec: AccidentSpec) -> Trajectory:
         return traj
     x0, y0 = position_at(traj, t_stop)
     dur = spec.duration_us
+    if traj.leave_us + dur >= 2**63:
+        raise TraceError(
+            f"vehicle {traj.vehicle_name!r}: accident delays its route end past int64 microseconds"
+        )
     times = traj.times
     head = bisect_left(times, t_stop)  # samples before the stop
     tail = bisect_right(times, t_stop)  # samples after it, shifted by dur

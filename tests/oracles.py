@@ -341,11 +341,11 @@ def reference_handover_check(rrc, ue: int, now_us: int):
     return None
 
 
-def _unmemoized(channel, read):
-    """`read` run after the channel drops what it kept from earlier calls."""
+def _unmemoized(forget, read):
+    """`read` run after `forget()` drops what it kept from earlier calls."""
 
     def fresh(*args):
-        channel._new_time()
+        forget()
         return read(*args)
 
     return fresh
@@ -356,13 +356,18 @@ def reference_mode(scn):
     every live UE, A3-checks it and measures it in both directions, with no
     DL CQI kept from an earlier tick; attach and every A3 check compute
     every eNB's power from the path-loss formula, with no movement budget;
-    every grant's SINR is taken; and each `measure` and `sinr` call reads
-    every position and sum afresh, keeping nothing from an earlier call.
-    `measure` keeps its own sums, so equal bytes never rest on float order."""
-    scn.mac = MeasureEveryone(scn.mac)
+    every grant's SINR is taken; each `measure` and `sinr` call reads
+    every position and sum afresh, keeping nothing from an earlier call;
+    and each scheduler call deals from scratch, with the MAC's memo of
+    earlier schedules emptied first. `measure` keeps its own sums, so
+    equal bytes never rest on float order."""
+    mac = scn.mac
+    for name in ("schedule_tti_rr", "schedule_tti_maxcqi"):
+        setattr(mac, name, _unmemoized(mac._memo.clear, getattr(mac, name)))
+    scn.mac = MeasureEveryone(mac)
     scn._dl_cqi = lambda ue, cell, now: scn.channel.measure(ue, cell, Direction.DL).cqi
-    scn.channel.measure = _unmemoized(scn.channel, scn.channel.measure)
-    scn.channel.sinr = _unmemoized(scn.channel, scn.channel.sinr)
+    scn.channel.measure = _unmemoized(scn.channel._new_time, scn.channel.measure)
+    scn.channel.sinr = _unmemoized(scn.channel._new_time, scn.channel.sinr)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
     scn._check_handovers = lambda now: _check_every_live_ue(scn, now)
     return scn

@@ -95,6 +95,16 @@ SETUP_ERRORS = {
         CONFIG.replace("car0", "enb0"), TRACE.replace("car0", "enb0"), 2, "name of an eNB"
     ),
     "malformed trace row": (CONFIG, TRACE + "broken row\n", 3, "trace.csv: line 4:"),
+    # the stop delays the end, 9223372036850 s, past int64 us (about 9223372036854.8 s)
+    "accident past int64 microseconds": (
+        CONFIG
+        + "car[1].accident.count = 1\n"
+        + "car[1].accident.start_s = 10\n"
+        + "car[1].accident.duration_s = 86400\n",
+        TRACE + "9223372036800,car1,0,0\n9223372036850,car1,50,0\n",
+        3,
+        "vehicle 'car1': accident delays its route end past int64 microseconds",
+    ),
 }
 
 

@@ -19,6 +19,14 @@ scenarios set the coupling distance near half the eNB spacing, where
 best - serving and the mean SINR move at close to the 2R dB per metre
 the budgets allow, so a looser bound shows as a late handover or a stale
 CQI.
+
+The reference run also schedules every cell from scratch, with the MAC's
+memo of earlier schedules emptied before each call, and every non-empty
+schedule's grants must equal the reference's at the same TTI, so the
+comparison covers every schedule the memo hands out again. Half of the
+scenarios add a downlink flow whose packets exceed what `num_rbs` RBs
+carry at CQI 15 (799 bits each): they never fit a grant, so their UE
+stays backlogged and its cell deals the same backlog TTI after TTI.
 """
 
 import tempfile
@@ -73,11 +81,12 @@ def scenarios(draw):
     spacing = draw(st.sampled_from((300.0, 600.0, 1000.0)))
     sim_us = draw(st.integers(500, 3000)) * MS
     min_distance = 0.45 * spacing if draw(st.booleans()) else 35.0
+    num_rbs = draw(st.sampled_from((6, 15)))
     lines = [
         f"sim_end_s = {_seconds(sim_us)}",
         "trace_file = trace.csv",
         f"seed = {draw(st.integers(0, 1000))}",
-        f"num_rbs = {draw(st.sampled_from((6, 15)))}",
+        f"num_rbs = {num_rbs}",
         f"scheduler = {draw(st.sampled_from(('rr', 'maxcqi')))}",
         f"enable_handover = {str(draw(st.integers(0, 3)) > 0).lower()}",
         f"handover.hysteresis_db = {draw(st.sampled_from((0.0, 0.5, 1.0, 3.0)))}",
@@ -119,12 +128,18 @@ def scenarios(draw):
                 f"car[{v}].accident.duration_s = {_seconds(draw(st.integers(50, 1000)) * MS)}",
             ]
 
-    for f in range(draw(st.integers(0, 3))):
+    saturated = draw(st.booleans())
+    for f in range(draw(st.integers(0, 3)) + saturated):
         target = draw(st.sampled_from(["ALL"] + [f"car{v}" for v in range(n_vehicles)]))
+        if saturated and f == 0:  # never fits a grant: the cell repeats its schedule
+            direction, bits = "dl", num_rbs * 799 + draw(st.integers(1, 4000))
+        else:
+            direction = draw(st.sampled_from(("dl", "ul")))
+            bits = draw(st.sampled_from((800, 4000, 30000)))
         lines += [
-            f"flow[{f}].direction = {draw(st.sampled_from(('dl', 'ul')))}",
+            f"flow[{f}].direction = {direction}",
             f"flow[{f}].target = {target}",
-            f"flow[{f}].packet_bits = {draw(st.sampled_from((800, 4000, 30000)))}",
+            f"flow[{f}].packet_bits = {bits}",
             f"flow[{f}].interval_ms = {draw(st.sampled_from((5, 20, 50)))}",
             # buffers empty out of step
             f"flow[{f}].start_s = {_seconds(draw(st.integers(0, 50 * MS - 1)))}",
@@ -136,12 +151,13 @@ def scenarios(draw):
 def _outputs(config, reference: bool):
     """The run's output bytes, the mean SINR of each CQI report its ticks
     take and each CQI its ticks schedule with, both by (TTI start, UE, cell,
+    direction), and each non-empty schedule's grants by (TTI start, cell,
     direction)."""
     scn = Scenario(config)
     if reference:
         reference_mode(scn)
     ticks, measure = [], scn.channel.measure
-    reports, cqis = {}, {}
+    reports, cqis, grants = {}, {}, {}
 
     def recorded(ue, cell, direction):
         report = measure(ue, cell, direction)
@@ -159,7 +175,12 @@ def _outputs(config, reference: bool):
         def recorded_schedule(cell, direction, ues, tables):
             for ue, cqi in ues:
                 cqis[(scn.engine.now, ue, cell, direction)] = cqi
-            return schedule(cell, direction, ues, tables)
+            alloc = schedule(cell, direction, ues, tables)
+            if alloc.grants:
+                grants[(scn.engine.now, cell, direction)] = {
+                    ue: (g.rb_set, g.cqi_used) for ue, g in alloc.grants.items()
+                }
+            return alloc
 
         return recorded_schedule
 
@@ -168,11 +189,22 @@ def _outputs(config, reference: bool):
         setattr(scn.mac, name, scheduling(getattr(scn.mac, name)))
     scn.engine.on(EventKind.TTI_TICK, on_tick)
     report = scn.run()
-    return (report.vehicles_csv(), report.cells_csv(), report.event_log), reports, cqis
+    outputs = (report.vehicles_csv(), report.cells_csv(), report.event_log)
+    return outputs, reports, cqis, grants
+
+
+def _repeats(grants) -> int:
+    """How many schedules, in time order, deal what their cell and direction
+    dealt the last time."""
+    last, count = {}, 0
+    for (_, cell, direction), dealt in grants.items():
+        count += dealt == last.get((cell, direction))
+        last[(cell, direction)] = dealt
+    return count
 
 
 def test_optimized_run_writes_the_reference_bytes():
-    handovers = []
+    handovers, repeats = [], []
 
     @settings(
         max_examples=30,
@@ -187,12 +219,17 @@ def test_optimized_run_writes_the_reference_bytes():
         config_text, trace_text = case
         with tempfile.TemporaryDirectory() as tmp:
             config = load_config(write_scenario(Path(tmp), config_text, trace_text))
-            optimized, reports, cqis = _outputs(config, reference=False)
-            expected, reference_reports, reference_cqis = _outputs(config, reference=True)
+            optimized, reports, cqis, grants = _outputs(config, reference=False)
+            expected, reference_reports, reference_cqis, reference_grants = _outputs(
+                config, reference=True
+            )
             assert optimized == expected
             assert cqis == {key: reference_cqis[key] for key in cqis}
             assert reports == {key: reference_reports[key] for key in reports}
+            assert grants == reference_grants
         handovers.append(sum(" HANDOVER " in line for line in optimized[2]))
+        repeats.append(_repeats(grants))
 
     check()
     assert any(handovers), "no drawn scenario handed a vehicle over"
+    assert sum(map(bool, repeats)) >= 5, "too few drawn scenarios repeated a schedule"

@@ -339,6 +339,156 @@ def test_schedulers_read_each_buffer_once(scheduler):
 
 
 # ----------------------------------------------------------------------
+# the schedule memo: one deal per (backlog, pointer) per cell and direction
+
+
+def _grants(alloc):
+    return {ue: (g.rb_set, g.cqi_used) for ue, g in alloc.grants.items()}
+
+
+def _refill(mac, ues, bits):
+    """Buffers of `ues` refilled to `bits` (ue -> bits, 0 for none)."""
+    for ue in ues:
+        mac.clear_node(ue)
+        if bits.get(ue):
+            _fill(mac, ue, bits[ue])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["rr", "maxcqi"]), st.data())
+def test_a_steady_backlog_is_scheduled_as_a_fresh_deal_every_tti(scheduler, data):
+    """Buffers refilled to the same bits TTI after TTI: every schedule, and
+    the round-robin pointer it leaves, equals the reference's, for demands
+    below and above the rotation's length and any starting pointer."""
+    num_rbs = data.draw(st.integers(min_value=1, max_value=60))
+    n_ues = data.draw(st.integers(min_value=1, max_value=8))
+    _, _, mac, cell, ues = _env(n_ues, num_rbs=num_rbs)
+    key = (cell, Direction.DL)
+    pointer = mac._rr_pointer[key] = data.draw(st.integers(0, ues[-1] + 1))
+    ues_with_cqi, bits = [], {}
+    for ue in ues:
+        cqi = data.draw(st.integers(min_value=0, max_value=15))
+        demand = data.draw(st.integers(1, n_ues) | st.integers(n_ues + 1, 120))
+        bits[ue] = demand * bits_per_rb(max(cqi, 1), TABLES) - data.draw(st.integers(0, 20))
+        ues_with_cqi.append((ue, cqi))
+    for _ in range(2 * n_ues + 3):  # past every pointer the rotation reaches
+        _refill(mac, ues, bits)
+        if scheduler == "rr":
+            alloc = mac.schedule_tti_rr(cell, Direction.DL, ues_with_cqi, TABLES)
+            expected, pointer = reference_rr(ues_with_cqi, bits, num_rbs, pointer, TABLES)
+        else:
+            alloc = mac.schedule_tti_maxcqi(cell, Direction.DL, ues_with_cqi, TABLES)
+            expected = reference_maxcqi(ues_with_cqi, bits, num_rbs, TABLES)
+        assert _grants(alloc) == expected
+        assert mac._rr_pointer[key] == pointer
+
+
+def _schedule_from_the_start(mac, scheduler, cell, ues, backlog):
+    """One DL schedule of `backlog` (ue -> (cqi, RB demand)) from pointer 0,
+    with the buffers refilled to the demands; and the reference's grants."""
+    mac._rr_pointer.pop((cell, Direction.DL), None)
+    bits = {ue: demand * bits_per_rb(cqi, TABLES) for ue, (cqi, demand) in backlog.items()}
+    _refill(mac, ues, bits)
+    ues_with_cqi = [(ue, cqi) for ue, (cqi, _) in backlog.items()]
+    alloc = getattr(mac, f"schedule_tti_{scheduler}")(cell, Direction.DL, ues_with_cqi, TABLES)
+    if scheduler == "rr":
+        expected, _ = reference_rr(ues_with_cqi, bits, mac.binder.num_rbs, None, TABLES)
+    else:
+        expected = reference_maxcqi(ues_with_cqi, bits, mac.binder.num_rbs, TABLES)
+    return alloc, expected
+
+
+# (ue index -> (cqi, demand)) before and after, on 20 RBs
+_CHANGES = {
+    "cqi": ({0: (15, 3), 1: (12, 4), 2: (9, 2)}, {0: (14, 3), 1: (12, 4), 2: (9, 2)}),
+    "demand": ({0: (15, 3), 1: (12, 4), 2: (9, 2)}, {0: (15, 3), 1: (12, 5), 2: (9, 2)}),
+    "demand at num_rbs": ({0: (15, 19)}, {0: (15, 20)}),
+    "ue set": ({0: (15, 3), 1: (12, 4), 2: (9, 2)}, {0: (15, 3), 2: (9, 2)}),
+}
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "maxcqi"])
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_a_changed_backlog_is_dealt_afresh(scheduler, change):
+    _, _, mac, cell, ues = _env(3, num_rbs=20)
+    before, after = (
+        {ues[i]: entry for i, entry in backlog.items()} for backlog in _CHANGES[change]
+    )
+    for _ in range(2):  # the second deal repeats the first
+        alloc, expected = _schedule_from_the_start(mac, scheduler, cell, ues, before)
+        assert _grants(alloc) == expected
+    alloc, expected = _schedule_from_the_start(mac, scheduler, cell, ues, after)
+    assert _grants(alloc) == expected != _grants(
+        _schedule_from_the_start(mac, scheduler, cell, ues, before)[0]
+    )
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "maxcqi"])
+def test_demands_past_num_rbs_deal_alike(scheduler):
+    """A UE cannot take more than num_rbs RBs, so a demand beyond that
+    reads as num_rbs and the deal repeats."""
+    _, _, mac, cell, ues = _env(2, num_rbs=10)
+    for demand in (10, 11, 500):
+        alloc, expected = _schedule_from_the_start(
+            mac, scheduler, cell, ues, {ues[0]: (15, demand), ues[1]: (9, 3)}
+        )
+        assert _grants(alloc) == expected
+    [(backlog, deals)] = mac._memo.values()
+    assert backlog == ((ues[0], 15, 10), (ues[1], 9, 3)) and len(deals) == 1
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "maxcqi"])
+def test_changing_a_returned_allocation_leaves_the_next_one_as_dealt(scheduler):
+    _, _, mac, cell, ues = _env(3, num_rbs=20)
+    backlog = {ues[0]: (15, 3), ues[1]: (12, 40), ues[2]: (9, 2)}
+    alloc, expected = _schedule_from_the_start(mac, scheduler, cell, ues, backlog)
+    alloc.grants[ues[0]] = Grant((19,), 1)
+    del alloc.grants[ues[1]]
+    alloc.grants[ues[2]] = Grant((0, 1, 2, 3), 15)
+    alloc.grants[999] = Grant((5,), 2)
+    again, _ = _schedule_from_the_start(mac, scheduler, cell, ues, backlog)
+    assert _grants(again) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_memo_keeps_one_backlog_per_cell_and_direction(data):
+    """Each (cell, direction) slot holds the last backlog it dealt and at
+    most one deal per pointer: one per UE of that backlog, plus the pointer
+    it arrived with; max-CQI keeps one deal, under None."""
+    num_rbs = data.draw(st.integers(min_value=1, max_value=30))
+    n_ues = data.draw(st.integers(min_value=1, max_value=6))
+    _, _, mac, cell, ues = _env(n_ues, num_rbs=num_rbs)
+    mac._rr_pointer[(cell, Direction.UL)] = data.draw(st.integers(0, ues[-1] + 1))
+    # a few backlogs, so that they recur and replace each other
+    backlogs = data.draw(st.lists(
+        st.lists(st.tuples(st.integers(1, 15), st.integers(1, 2 * num_rbs)), min_size=n_ues, max_size=n_ues),
+        min_size=1,
+        max_size=3,
+    ))
+    for _ in range(data.draw(st.integers(1, 30))):
+        direction = data.draw(st.sampled_from(list(Direction)))
+        entries = data.draw(st.sampled_from(backlogs))
+        present = [ue for ue in ues if data.draw(st.booleans())]
+        for ue in ues:
+            mac.clear_node(ue)
+        for ue, (cqi, demand) in zip(ues, entries):
+            _fill(mac, ue, demand * bits_per_rb(cqi, TABLES), direction)
+        ues_with_cqi = [(ue, cqi) for ue, (cqi, _) in zip(ues, entries) if ue in present]
+        if direction is Direction.UL:
+            mac.schedule_tti_rr(cell, direction, ues_with_cqi, TABLES)
+        else:
+            mac.schedule_tti_maxcqi(cell, direction, ues_with_cqi, TABLES)
+        backlog, deals = mac._memo[(cell, direction)]
+        assert backlog == mac._backlogged(direction, ues_with_cqi, TABLES)
+        if direction is Direction.UL:
+            assert len(deals) <= len(backlog) + 1
+        else:
+            assert list(deals) == [None]
+    assert set(mac._memo) <= {(cell, Direction.DL), (cell, Direction.UL)}
+
+
+# ----------------------------------------------------------------------
 # transmit
 
 
