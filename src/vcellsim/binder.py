@@ -7,23 +7,29 @@ and leave, and the binder is the only record of which vehicles are live.
 The binder also keeps the resource-block ledger: per direction, one row
 per cell with a grant, holding the transmitter on each RB, 0 on a free one
 (ids start at 1). Downlink and uplink use two distinct RB sets. A grant's
-RBs must ascend strictly inside the grid. It holds exactly two grids.
-`current` is the TTI being scheduled: allocations are recorded into it and
-decoding reads it. `last` is the last completed TTI: CQI measurement reads
-it, in the tick and between ticks alike. `end_tti` closes a TTI, and
-anything older than `last` is discarded.
+RBs must ascend strictly inside the grid, and no RB is taken twice; `book`
+makes that check, once per RB. It holds exactly two grids. `current` is
+the TTI being scheduled, and decoding reads it. `last` is the last
+completed TTI: CQI measurement reads it, in the tick and between ticks
+alike. `end_tti` closes a TTI, and anything older than `last` is
+discarded.
 
-A closed grid is never changed in place: `record_allocation` writes only
-`current`, and deregistration replaces each grid direction with a purged
-copy, which drops any row left empty, so it equals a rebuild. So a
-reader may key a cache of `last` on the identity of its dicts.
+`current` is written two ways. The tick installs, per cell and
+direction, a copy of the row the MAC built and booked when it dealt the
+schedule (`install_row`), once per TTI, with every granted UE live.
+`record_allocation` books one grant at a time, into the cell's row or a
+new one; the tick does not use it. A closed grid is never changed in
+place: both write only `current`, and deregistration replaces each grid
+direction with a purged copy, which drops any row left empty, so it
+equals a rebuild. So a reader may key a cache of `last` on the identity
+of its dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import LedgerError, RegistryError
 
@@ -169,15 +175,39 @@ class Binder:
             raise RegistryError(f"allocation cell {cell} is not an eNB")
         if not self.is_live(transmitter):
             raise RegistryError(f"transmitter {transmitter} is not live")
-        rows, num_rbs, prev = self.current[direction], self.num_rbs, -1
-        row = rows.get(cell) or [0] * num_rbs
-        for rb in rb_set:
-            if not prev < rb < num_rbs:
-                raise LedgerError(f"RB {rb} after RB {prev}: not ascending in 0..{num_rbs - 1}")
-            if row[rb]:
-                raise LedgerError(f"RB {rb} of cell {cell} ({direction.value}) is already taken")
-            prev = rb
+        rows = self.current[direction]
+        row = rows.get(cell) or [0] * self.num_rbs
+        book(row, direction, cell, rb_set, transmitter)
         if rb_set:
-            for rb in rb_set:
-                row[rb] = transmitter
             rows[cell] = row
+
+    def install_row(
+        self, direction: Direction, cell: int, row: Sequence[int], ues: Iterable[int]
+    ) -> None:
+        """Put a copy of `row`, a cell's row as `book` filled it for grants
+        to `ues`, in the `current` grid: LedgerError if the cell has a row
+        there already, RegistryError unless every granted UE is live."""
+        rows = self.current[direction]
+        if cell in rows:
+            raise LedgerError(f"cell {cell} ({direction.value}) already has a row in this TTI")
+        for ue in ues:
+            if ue not in self.nodes:
+                raise RegistryError(f"granted UE {ue} is not live")
+        rows[cell] = list(row)
+
+
+def book(
+    row: list[int], direction: Direction, cell: int, rb_set: Sequence[int], transmitter: int
+) -> None:
+    """Write `transmitter` on `rb_set` in `row`, one cell's grid row:
+    LedgerError, with nothing written, unless the RBs ascend strictly inside
+    the row and are free."""
+    num_rbs, prev = len(row), -1
+    for rb in rb_set:
+        if not prev < rb < num_rbs:
+            raise LedgerError(f"RB {rb} after RB {prev}: not ascending in 0..{num_rbs - 1}")
+        if row[rb]:
+            raise LedgerError(f"RB {rb} of cell {cell} ({direction.value}) is already taken")
+        prev = rb
+    for rb in rb_set:
+        row[rb] = transmitter

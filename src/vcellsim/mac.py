@@ -30,6 +30,24 @@ the grants and last UE dealt from each pointer: a repeat returns a copy
 and moves the pointer as a fresh deal would, and a new backlog replaces
 the slot. A slot so holds at most one deal per UE of its backlog, plus
 one for the pointer it arrived with.
+
+Every deal is checked once when built, and every row install is checked.
+With each deal the slot keeps the grid row its grants fill: the
+transmitter on each RB (the cell on DL, the UE on UL), 0 on a free one,
+written and ledger-checked once by `binder.book`, the check that
+`Binder.record_allocation` makes. The scenario installs a copy of the row
+in the binder's `current` grid (`Binder.install_row`), which refuses a
+second row for the cell and direction and a granted UE that is not live,
+and `transmit` checks that the grid still holds the row. That is exact:
+a repeat hands out the grants the row was built from; the ledger check
+reads only their RBs, the grid's size and the row being filled, and a
+cell's row is empty until its one install per TTI, so recording grant by
+grant would write the same row and raise nothing new. Liveness, the one
+fact that can change while a deal repeats, is checked at every install.
+So a grant that carries nothing is in the grid by construction, and only
+one that carries packets has its RBs checked again, by `sinr`. A
+hand-built allocation carries no row, and each of its grants is checked
+on its own.
 """
 
 from __future__ import annotations
@@ -37,11 +55,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .binder import Binder, Direction
+from .binder import Binder, Direction, book
 from .channel import ChannelModel, bits_per_rb, decode
-from .errors import MacError
+from .errors import ChannelError, MacError
 from .traffic import Packet
 
 BUFFER_CAPACITY_BITS = 8 * 2**20  # 1 MiB per buffer, tail-drop beyond
@@ -65,12 +83,17 @@ class Grant:
 
 @dataclass
 class Allocation:
+    """A cell's grants in one direction for one TTI.
+
+    A scheduled allocation with grants also carries `row`, the grid row
+    they fill as dealt (transmitter per RB, 0 if free), and `rb_count`,
+    the RBs they hold; a hand-built one carries neither."""
+
     cell: int
     direction: Direction
     grants: dict[int, Grant] = field(default_factory=dict)
-
-    def rb_count(self) -> int:
-        return sum(len(g.rb_set) for g in self.grants.values())
+    row: Optional[tuple[int, ...]] = None
+    rb_count: int = 0
 
 
 @dataclass
@@ -100,7 +123,7 @@ class Mac:
         self.binder = binder
         self.capacity_bits = capacity_bits
         self._rr_pointer: dict[tuple[int, Direction], int] = {}
-        # (cell, direction) -> (backlog, {pointer: (grants, last UE)})
+        # (cell, direction) -> (backlog, {pointer: (grants, last UE, row, RB count)})
         self._memo: dict[tuple[int, Direction], tuple[tuple, dict]] = {}
         self.backlogged: dict[Direction, dict[int, TxBuffer]] = {Direction.DL: {}, Direction.UL: {}}
 
@@ -152,16 +175,29 @@ class Mac:
             if cqi >= 1 and (bits := self.buffer_bits(ue, direction)) > 0
         )
 
-    def _dealt(self, key, backlog, pointer, deal) -> tuple[dict[int, Grant], int | None]:
-        """`deal(backlog, pointer)`, the (grants, last UE) of a schedule, kept
-        in `key`'s memo slot while the backlog repeats."""
+    def _dealt(self, key, backlog, pointer, deal) -> tuple:
+        """`deal(backlog, pointer)`, the (grants, last UE) of a schedule, with
+        the grid row and RB count of its grants (`_row`), kept in `key`'s memo
+        slot while the backlog repeats."""
         slot = self._memo.get(key)
         if slot is None or slot[0] != backlog:
             slot = self._memo[key] = (backlog, {})
         dealt = slot[1].get(pointer)
         if dealt is None:
-            dealt = slot[1][pointer] = deal(backlog, pointer)
+            grants, last = deal(backlog, pointer)
+            dealt = slot[1][pointer] = (grants, last, *self._row(key, grants))
         return dealt
+
+    def _row(self, key, grants) -> tuple[Optional[tuple[int, ...]], int]:
+        """The grid row that `grants` fill in `key`'s (cell, direction), each
+        one ledger-checked by `book`, and the RBs they hold; None for no grant."""
+        if not grants:
+            return None, 0
+        cell, direction = key
+        row = [0] * self.binder.num_rbs
+        for ue, grant in grants.items():
+            book(row, direction, cell, grant.rb_set, cell if direction is Direction.DL else ue)
+        return tuple(row), len(row) - row.count(0)
 
     def schedule_tti_rr(
         self,
@@ -174,10 +210,10 @@ class Mac:
         key = (cell, direction)
         pointer = self._rr_pointer.get(key, 0)  # node ids start at 1
         backlog = self._backlogged(direction, ues_with_cqi, tables)
-        grants, last = self._dealt(key, backlog, pointer, self._deal_rr)
+        grants, last, row, rb_count = self._dealt(key, backlog, pointer, self._deal_rr)
         if last is not None:
             self._rr_pointer[key] = last
-        return Allocation(cell, direction, dict(grants))
+        return Allocation(cell, direction, dict(grants), row, rb_count)
 
     def _deal_rr(self, backlog, pointer) -> tuple[dict[int, Grant], int | None]:
         """Round robin from after `pointer`: the grants and the UE that took
@@ -206,8 +242,8 @@ class Mac:
     ) -> Allocation:
         """Greedy fill by descending CQI, ties to the lowest node id."""
         backlog = self._backlogged(direction, ues_with_cqi, tables)
-        grants, _ = self._dealt((cell, direction), backlog, None, self._deal_maxcqi)
-        return Allocation(cell, direction, dict(grants))
+        grants, _, row, rb_count = self._dealt((cell, direction), backlog, None, self._deal_maxcqi)
+        return Allocation(cell, direction, dict(grants), row, rb_count)
 
     def _deal_maxcqi(self, backlog, _pointer) -> tuple[dict[int, Grant], None]:
         """Max-CQI greedy fill: the grants, and None for the pointer it ignores."""
@@ -228,14 +264,19 @@ class Mac:
         """Serve each grant through the decode gate at realized interference.
 
         The packets that fit are taken first, and SINR is computed only for
-        a grant that took any. The allocation must already be recorded in
-        the binder grid so that overlapping cells see each other as
-        interference; `ChannelModel.check_allocated` raises ChannelError for
-        a granted RB that is not, or an RB set that does not ascend strictly,
-        whether or not the grant carried anything.
+        a grant that took any. The allocation must already be in the binder's
+        `current` grid, so that overlapping cells see each other as
+        interference. ChannelError unless the grid holds a scheduled
+        allocation's row as dealt; a hand-built allocation's grants are each
+        checked by `ChannelModel.check_allocated`, whether or not they carry
+        anything, and `sinr` checks every grant that carries packets.
         """
         outcome = TtiOutcome()
-        cell, direction = allocation.cell, allocation.direction
+        cell, direction, row = allocation.cell, allocation.direction, allocation.row
+        if row is not None and self.binder.current[direction].get(cell) != list(row):
+            raise ChannelError(
+                f"the {direction.value} grid row of cell {cell} is not the row its allocation was dealt"
+            )
         buffers = self.backlogged[direction]
         for ue in sorted(allocation.grants):
             grant = allocation.grants[ue]
@@ -252,8 +293,9 @@ class Mac:
             if taken:
                 per_rb_sinr = channel.sinr(ue, cell, direction, grant.rb_set)
                 decoded = decode(per_rb_sinr, grant.cqi_used, channel.tables)
-            else:  # nothing to decode, but the grant must still be in the grid
-                channel.check_allocated(ue, cell, direction, grant.rb_set)
+            else:  # nothing to decode; a dealt grant is in its row, checked above
+                if row is None:
+                    channel.check_allocated(ue, cell, direction, grant.rb_set)
                 decoded = True
             if decoded:
                 result = GrantOutcome(len(grant.rb_set), True, taken, 0)

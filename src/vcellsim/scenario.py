@@ -3,11 +3,12 @@
 The TTI tick is the heartbeat. Each slot runs five phases, one method each:
 the due A3 checks (`_check_handovers`); CQIs against the previous slot's
 interference of each UE and direction with buffered bits, the only ones a
-scheduler reads (`_measure_backlogged`); scheduling and grid recording, so
-overlapping cells see each other (`_schedule`); decode of the grants that carry
-packets (`_transmit`); and, at the slot boundary, the handovers RRC decided
-(`_hand_over`). Then the binder closes the slot. A flow's one pending
-arrival keeps its sequence number, so arrivals fire in set-up order.
+scheduler reads (`_measure_backlogged`); scheduling, with each allocation's
+row installed in the grid so overlapping cells see each other
+(`_schedule`); decode of the grants that carry packets (`_transmit`);
+and, at the slot boundary, the handovers RRC decided (`_hand_over`).
+Then the binder closes the slot. A flow's one pending arrival keeps its
+sequence number, so arrivals fire in set-up order.
 One `Vehicle` record per trace vehicle holds its set-up facts and stats;
 only the binder knows which vehicles are live, and under which node id.
 
@@ -293,8 +294,9 @@ class Scenario:
         return candidates
 
     def _schedule(self, candidates: dict) -> list[Allocation]:
-        """Schedule each cell's candidates, DL then UL, and record every grant
-        in the grid, so overlapping cells see each other when they decode."""
+        """Schedule each cell's candidates, DL then UL, and install each
+        allocation's row in the grid, so overlapping cells see each other
+        when they decode."""
         mac = self.mac
         schedule = mac.schedule_tti_rr if self.config.scheduler == "rr" else mac.schedule_tti_maxcqi
         allocations = []
@@ -306,10 +308,8 @@ class Scenario:
                 alloc = schedule(cell, direction, ues, self.channel.tables)
                 if not alloc.grants:
                     continue
-                for ue, grant in sorted(alloc.grants.items()):
-                    transmitter = cell if direction == Direction.DL else ue
-                    self.binder.record_allocation(direction, cell, grant.rb_set, transmitter)
-                self._cell_stats[cell].rb_allocated[direction] += alloc.rb_count()
+                self.binder.install_row(direction, cell, alloc.row, alloc.grants)
+                self._cell_stats[cell].rb_allocated[direction] += alloc.rb_count
                 allocations.append(alloc)
         return allocations
 

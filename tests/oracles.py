@@ -7,6 +7,7 @@ from bisect import bisect_right
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb
 from vcellsim.engine import Engine, EventKind, SimEvent
+from vcellsim.mac import Allocation
 from vcellsim.mobility import lifecycle_events
 from vcellsim.rrc import HandoverState
 from vcellsim.traffic import Packet, expand_flows
@@ -358,9 +359,11 @@ def reference_mode(scn):
     every eNB's power from the path-loss formula, with no movement budget;
     every grant's SINR is taken; each `measure` and `sinr` call reads
     every position and sum afresh, keeping nothing from an earlier call;
-    and each scheduler call deals from scratch, with the MAC's memo of
-    earlier schedules emptied first. `measure` keeps its own sums, so
-    equal bytes never rest on float order."""
+    each scheduler call deals from scratch, with the MAC's memo of
+    earlier schedules emptied first; and every grant is recorded in the
+    grid and checked at transmit on its own (`_record_every_grant`), not
+    by the row its deal built. `measure` keeps its own sums, so equal
+    bytes never rest on float order."""
     mac = scn.mac
     for name in ("schedule_tti_rr", "schedule_tti_maxcqi"):
         setattr(mac, name, _unmemoized(mac._memo.clear, getattr(mac, name)))
@@ -370,7 +373,33 @@ def reference_mode(scn):
     scn.channel.sinr = _unmemoized(scn.channel._new_time, scn.channel.sinr)
     scn.channel.cell_powers = lambda ue: [p for _, p in reference_cell_powers(scn.rrc, ue)]
     scn._check_handovers = lambda now: _check_every_live_ue(scn, now)
+    scn._schedule = lambda candidates: _record_every_grant(scn, candidates)
     return scn
+
+
+def _record_every_grant(scn, candidates):
+    """The tick's scheduling phase grant by grant: each cell's candidates
+    scheduled, DL then UL, every grant recorded by `Binder.record_allocation`
+    in ascending UE and the cell's RBs counted from its grants; each
+    allocation goes on without its row, so transmit checks every grant."""
+    mac = scn.mac
+    schedule = mac.schedule_tti_rr if scn.config.scheduler == "rr" else mac.schedule_tti_maxcqi
+    allocations = []
+    for cell in scn.binder.cells:
+        for direction in (Direction.DL, Direction.UL):
+            ues = candidates.get((cell, direction))
+            if ues is None:
+                continue
+            alloc = schedule(cell, direction, ues, scn.channel.tables)
+            if not alloc.grants:
+                continue
+            for ue, grant in sorted(alloc.grants.items()):
+                transmitter = cell if direction is Direction.DL else ue
+                scn.binder.record_allocation(direction, cell, grant.rb_set, transmitter)
+            rbs = sum(len(grant.rb_set) for grant in alloc.grants.values())
+            scn._cell_stats[cell].rb_allocated[direction] += rbs
+            allocations.append(Allocation(cell, direction, alloc.grants))
+    return allocations
 
 
 def _check_every_live_ue(scn, now_us: int):

@@ -240,6 +240,30 @@ def test_a_grant_that_does_not_ascend_strictly_in_the_grid_changes_no_grid(rbs):
     assert binder.last == last and binder.current == current
 
 
+def test_install_row_refuses_a_second_row_for_the_cell_and_direction():
+    # refused even where the rows would not overlap: a cell is scheduled
+    # once per TTI and direction, and its row is empty until then
+    binder, cells = _binder_with_cells(2, num_rbs=6)
+    ue = binder.register_node(NodeKind.UE, "car0", 26.0).node_id
+    binder.install_row(Direction.UL, cells[0], (ue, ue, 0, 0, 0, 0), [ue])
+    binder.record_allocation(Direction.DL, cells[1], [5], cells[1])
+    current = copy.deepcopy(binder.current)
+    for direction, cell, row in (
+        (Direction.UL, cells[0], (0, 0, 0, 0, ue, ue)),
+        (Direction.DL, cells[1], (cells[1], 0, 0, 0, 0, 0)),
+    ):
+        with pytest.raises(LedgerError, match=f"cell {cell} .* already has a row"):
+            binder.install_row(direction, cell, row, [ue])
+    assert binder.current == current
+    # the other direction and the other cell take theirs
+    binder.install_row(Direction.DL, cells[0], (cells[0],) * 6, [ue])
+    binder.install_row(Direction.UL, cells[1], (0, ue, 0, 0, 0, 0), [ue])
+    assert binder.current == {
+        Direction.DL: {cells[1]: [0, 0, 0, 0, 0, cells[1]], cells[0]: [cells[0]] * 6},
+        Direction.UL: {cells[0]: [ue, ue, 0, 0, 0, 0], cells[1]: [0, ue, 0, 0, 0, 0]},
+    }
+
+
 # ----------------------------------------------------------------------
 # co-channel queries
 

@@ -23,9 +23,11 @@ CQI.
 The reference run also schedules every cell from scratch, with the MAC's
 memo of earlier schedules emptied before each call, and every non-empty
 schedule's grants must equal the reference's at the same TTI, so the
-comparison covers every schedule the memo hands out again. Half of the
-scenarios add a downlink flow whose packets exceed what `num_rbs` RBs
-carry at CQI 15 (799 bits each): they never fit a grant, so their UE
+comparison covers every schedule the memo hands out again. It records
+each grant in the grid on its own and checks each at transmit, where the
+optimized run installs the row each deal built and checks it once. Half
+of the scenarios add a downlink flow whose packets exceed what `num_rbs`
+RBs carry at CQI 15 (799 bits each): they never fit a grant, so their UE
 stays backlogged and its cell deals the same backlog TTI after TTI.
 """
 

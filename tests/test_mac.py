@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from vcellsim.binder import Binder, Direction, NodeKind
 from vcellsim.channel import ChannelModel, ChannelParams, CqiTables, bits_per_rb, decode
-from vcellsim.errors import ChannelError, MacError
+from vcellsim.errors import ChannelError, LedgerError, MacError, RegistryError
 from vcellsim.mac import Allocation, Grant, GrantOutcome, Mac
 
 from conftest import make_packet
@@ -294,7 +294,8 @@ def test_grants_ascend_strictly_within_the_grid_and_share_no_rb(scheduler, data)
     """The binder and channel take a grant's RBs as given, unsorted: each
     grant must be a strictly ascending run in 0..num_rbs-1, and a cell's
     grants disjoint, for demands below and above the rotation's length and
-    any round-robin pointer."""
+    any round-robin pointer. The allocation's row and RB count are the row
+    that recording its grants one by one writes, and its RB count."""
     num_rbs = data.draw(st.integers(min_value=1, max_value=110))
     n_ues = data.draw(st.integers(min_value=1, max_value=12))
     binder, channel, mac, cell, ues = _env(n_ues, num_rbs=num_rbs)
@@ -316,6 +317,8 @@ def test_grants_ascend_strictly_within_the_grid_and_share_no_rb(scheduler, data)
         taken.update(rbs)
         binder.record_allocation(Direction.UL, cell, rbs, ue)
         channel.check_allocated(ue, cell, Direction.UL, rbs)
+    assert list(alloc.row) == binder.current[Direction.UL][cell]
+    assert alloc.rb_count == len(taken)
 
 
 @pytest.mark.parametrize("scheduler", ["schedule_tti_rr", "schedule_tti_maxcqi"])
@@ -489,6 +492,66 @@ def test_the_memo_keeps_one_backlog_per_cell_and_direction(data):
 
 
 # ----------------------------------------------------------------------
+# the row a deal fills: checked once when dealt, installed each TTI
+
+
+def _install(binder, alloc):
+    binder.install_row(alloc.direction, alloc.cell, alloc.row, alloc.grants)
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "maxcqi"])
+@pytest.mark.parametrize(
+    "rbs, error",
+    [((1, 2), "RB 1 of cell .* already taken"), ((3, 2), "RB 2 after RB 3"), ((9, 10), "RB 10 after RB 9")],
+    ids=["double-booked", "descending", "past-the-end"],
+)
+def test_a_deal_that_breaks_the_ledger_is_refused_when_its_row_is_built(
+    scheduler, rbs, error, monkeypatch
+):
+    _, _, mac, cell, ues = _env(2, num_rbs=10)
+    for ue in ues:
+        _fill(mac, ue, 5000)
+    grants = {ues[0]: Grant((0, 1), 15), ues[1]: Grant(rbs, 15)}
+    monkeypatch.setattr(mac, f"_deal_{scheduler}", lambda backlog, pointer: (grants, ues[1]))
+    schedule = getattr(mac, f"schedule_tti_{scheduler}")
+    for _ in range(2):  # nothing is kept, so a repeat is refused as well
+        with pytest.raises(LedgerError, match=error):
+            schedule(cell, Direction.UL, [(ue, 15) for ue in ues], TABLES)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_a_row_granted_to_a_departed_ue_is_refused_at_install(direction):
+    # a DL row holds only the cell's id, so the grants name the UEs to check
+    binder, _, mac, cell, ues = _env(2)
+    for ue in ues:
+        _fill(mac, ue, 5000, direction)
+    alloc = mac.schedule_tti_rr(cell, direction, [(ue, 15) for ue in ues], TABLES)
+    assert set(alloc.grants) == set(ues)
+    binder.deregister_node(ues[1])
+    with pytest.raises(RegistryError, match=f"granted UE {ues[1]} is not live"):
+        _install(binder, alloc)
+    assert binder.current == {Direction.DL: {}, Direction.UL: {}}
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "maxcqi"])
+def test_the_installed_row_is_a_copy(scheduler):
+    # editing the grid after an install must not reach the memo's row
+    binder, _, mac, cell, ues = _env(3, num_rbs=20)
+    backlog = {ues[0]: (15, 3), ues[1]: (12, 40), ues[2]: (9, 2)}
+    alloc, _ = _schedule_from_the_start(mac, scheduler, cell, ues, backlog)
+    dealt = alloc.row
+    _install(binder, alloc)
+    row = binder.current[Direction.DL][cell]
+    assert row == list(dealt)
+    row[:] = [ues[2]] * len(row)
+    binder.end_tti()
+    again, _ = _schedule_from_the_start(mac, scheduler, cell, ues, backlog)
+    assert again.row == dealt and again.rb_count == alloc.rb_count == 20
+    _install(binder, again)
+    assert binder.current[Direction.DL][cell] == list(dealt)
+
+
+# ----------------------------------------------------------------------
 # transmit
 
 
@@ -586,6 +649,27 @@ def test_transmit_unrecorded_grant_rejected():
         alloc = Allocation(cell, Direction.DL, {ue: Grant((0, 1), 15)})
         with pytest.raises(ChannelError, match="not allocated"):
             mac.transmit(alloc, channel)
+
+
+_EDITS = {
+    "another transmitter": lambda rows, cell, ue: rows[cell].__setitem__(1, ue),
+    "an RB freed": lambda rows, cell, ue: rows[cell].__setitem__(1, 0),
+    "the row dropped": lambda rows, cell, ue: rows.pop(cell),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_transmit_rejects_an_installed_row_changed_since(edit):
+    # an 8000-bit packet needs 11 RBs at CQI 15 and gets 2, so the grant
+    # carries nothing and only the allocation's row check can see the edit
+    binder, channel, mac, cell, (ue,) = _env(1, num_rbs=2)
+    mac.enqueue(ue, make_packet(8000))
+    alloc = mac.schedule_tti_rr(cell, Direction.DL, [(ue, 15)], TABLES)
+    _install(binder, alloc)
+    _EDITS[edit](binder.current[Direction.DL], cell, ue)
+    with pytest.raises(ChannelError, match=f"grid row of cell {cell} is not the row"):
+        mac.transmit(alloc, channel)
+    assert mac.buffer_bits(ue, Direction.DL) == 8000
 
 
 def test_grant_that_took_nothing_computes_no_sinr():

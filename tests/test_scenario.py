@@ -751,10 +751,12 @@ def test_reference_mode_checks_and_measures_every_live_ue_at_every_tick(tmp_path
     # `reference_mode` swaps the tick's A3 phase and the MAC of a built
     # scenario, and the differential test wraps the MAC's schedulers, so the
     # tick must look each up when it runs; one bound at construction would
-    # leave the differential test comparing the skips, or nothing
+    # leave the differential test comparing the skips, or nothing. It also
+    # writes the grid grant by grant, never by row.
     config = load_config(write_scenario(tmp_path, SINR_CONFIG, CHURN_TRACE))
     scn = reference_mode(Scenario(config))
     live, checks, scheduled, measures, in_tick = [], [], [], collections.Counter(), [False]
+    writes = collections.Counter()
     check, measure, tick = oracles.reference_handover_check, scn.channel.measure, scn._on_tick
 
     def counted_check(rrc, ue, now_us):
@@ -776,15 +778,21 @@ def test_reference_mode_checks_and_measures_every_live_ue_at_every_tick(tmp_path
             scheduled.append(len(ues)) or schedule(cell, direction, ues, tables)
         )
 
+    def counted_write(name, write):
+        return lambda *args: writes.update([name]) or write(*args)
+
     monkeypatch.setattr(oracles, "reference_handover_check", counted_check)
     scn.channel.measure = counted_measure
     for name in ("schedule_tti_rr", "schedule_tti_maxcqi"):
         setattr(scn.mac, name, counted_schedule(getattr(scn.mac, name)))
+    for name in ("record_allocation", "install_row"):
+        setattr(scn.binder, name, counted_write(name, getattr(scn.binder, name)))
     scn.engine.on(EventKind.TTI_TICK, counted_tick)
     scn.run()
     assert len(live) == 400 and sum(live) > 0
     assert len(checks) == measures[Direction.DL] == measures[Direction.UL] == sum(live)
     assert sum(scheduled) == 2 * sum(live)  # each live UE is a candidate in both directions
+    assert writes["record_allocation"] > 0 and writes["install_row"] == 0
 
 
 def test_last_uplink_sender_is_read_at_its_current_position_after_emptying_its_buffer(tmp_path):
